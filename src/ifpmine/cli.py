@@ -74,6 +74,10 @@ class BenchRecord:
         )
 
 
+def _comma_list(text: str) -> list[str]:
+    return [part for part in text.split(",") if part.strip()]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ifpmine",
@@ -85,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     mii = sub.add_parser("mine-mii", help="mine minimally infrequent itemsets")
     mii.add_argument("--input", required=True, help="FIMI transaction file")
     mii.add_argument("--min-sup", required=True, help="threshold: count or percentage like 5%%")
-    mii.add_argument("--algo", default="ifp", choices=MII_ALGORITHMS)
+    mii.add_argument("--algo", dest="algorithm", default="ifp", choices=MII_ALGORITHMS)
     mii.add_argument("--format", dest="fmt", default="text", choices=("text", "json"))
     mii.add_argument("--out", default=None, help="output file (default: stdout)")
 
@@ -101,7 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="threshold sweep, CSV on stdout")
     bench.add_argument("--inputs", required=True, nargs="+")
-    bench.add_argument("--algos", default="ifp,apriori", help="comma list of ifp|apriori|oracle")
+    bench.add_argument(
+        "--algos",
+        dest="algorithms",
+        metavar="ALGOS",
+        type=_comma_list,
+        default="ifp,apriori",
+        help="comma list of ifp|apriori|oracle",
+    )
     bench.add_argument("--thresholds", required=True, help="comma list of counts or percentages")
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--timeout", type=float, default=60.0, help="seconds per cell")
@@ -114,30 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
 
     return parser
-
-
-def spec_from_args(ns: argparse.Namespace) -> RunSpec:
-    return RunSpec(
-        command=ns.command,
-        input=getattr(ns, "input", None),
-        inputs=list(getattr(ns, "inputs", [])),
-        algorithm=getattr(ns, "algo", "ifp"),
-        algorithms=[a for a in getattr(ns, "algos", "").split(",") if a.strip()],
-        min_sup=getattr(ns, "min_sup", None),
-        thresholds=getattr(ns, "thresholds", None),
-        fmt=getattr(ns, "fmt", "text"),
-        out=getattr(ns, "out", None),
-        jobs=getattr(ns, "jobs", 1),
-        timeout=getattr(ns, "timeout", 60.0),
-        items=getattr(ns, "items", 0),
-        transactions=getattr(ns, "transactions", 0),
-        density=getattr(ns, "density", 0.0),
-        seed=getattr(ns, "seed", 0),
-    )
-
-
-def _load_db(path: str) -> TransactionDatabase:
-    return read_fimi(path)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -157,7 +144,7 @@ def _resolve_sigma(text: str, db: TransactionDatabase) -> int:
 
 
 def _run_mine_mii(spec: RunSpec) -> int:
-    db = _load_db(spec.input)
+    db = read_fimi(spec.input)
     sigma = _resolve_sigma(spec.min_sup, db)
     result = mine_mii(db, sigma, algorithm=spec.algorithm)
     _emit(_render(result, spec.fmt), spec.out)
@@ -165,7 +152,7 @@ def _run_mine_mii(spec: RunSpec) -> int:
 
 
 def _run_mine_mlms(spec: RunSpec) -> int:
-    db = _load_db(spec.input)
+    db = read_fimi(spec.input)
     tv = ThresholdVector.from_text(spec.thresholds, len(db))
     result = mine_mlms(db, tv)
     _emit(_render(result, spec.fmt), spec.out)
@@ -173,7 +160,7 @@ def _run_mine_mlms(spec: RunSpec) -> int:
 
 
 def _run_check(spec: RunSpec) -> int:
-    db = _load_db(spec.input)
+    db = read_fimi(spec.input)
     sigma = _resolve_sigma(spec.min_sup, db)
     results = {algo: set(mine_mii(db, sigma, algorithm=algo).miis) for algo in MII_ALGORITHMS}
     reference = results["oracle"]
@@ -339,7 +326,7 @@ def run(spec: RunSpec) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
-    return run(spec_from_args(ns))
+    return run(RunSpec(**vars(ns)))
 
 
 if __name__ == "__main__":

@@ -148,7 +148,10 @@ def parse_fimi(text: str) -> TransactionDatabase:
 
 def read_fimi(path: str) -> TransactionDatabase:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_fimi(fh.read())
+        try:
+            return parse_fimi(fh.read())
+        except UnicodeDecodeError as exc:
+            raise FimiParseError(f"non-ASCII byte at offset {exc.start}") from None
 
 
 def to_fimi(db: TransactionDatabase) -> str:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .data import (
     InvalidThresholdError,
@@ -40,7 +39,6 @@ from .tree import (
     projected_tree,
     residual_tree,
     tree_items,
-    tree_support,
 )
 
 
@@ -86,19 +84,18 @@ class MIIResult:
         return itemsets_json(self.entries())
 
 
-def unify(x: int, sets: Iterable[Itemset]) -> set[Itemset]:
-    """Dot-operation: include x in every member of the collection. An empty
-    collection stays empty."""
-    return {canonical_itemset((x, *s)) for s in sets}
+def unify(x: int, sets: dict[Itemset, int]) -> dict[Itemset, int]:
+    """Dot-operation: include x in every member of the collection, keeping
+    each member's value. An empty collection stays empty."""
+    return {canonical_itemset((x, *s)): n for s, n in sets.items()}
 
 
-def _split_infrequent(tree: IFPTree, sigma: int) -> tuple[list[Itemset], IFPTree]:
-    """Collect the infrequent 1-itemsets of the tree and rebuild it over the
-    database with those items removed. Infrequent items form a prefix of the
-    i-flist, so the collected list is ordered by (support, id)."""
-    infrequent = [(i,) for i in tree.order if tree.supports[i] < sigma]
+def _split_infrequent(tree: IFPTree, sigma: int) -> tuple[dict[Itemset, int], IFPTree]:
+    """Collect the infrequent 1-itemsets of the tree with their supports and
+    rebuild it over the database with those items removed."""
+    infrequent = {(i,): tree.supports[i] for i in tree.order if tree.supports[i] < sigma}
     if not infrequent:
-        return [], tree
+        return {}, tree
     bad = {i for (i,) in infrequent}
     weighted = [
         (tuple(i for i in s if i not in bad), w) for s, w in decompress(tree)
@@ -106,22 +103,17 @@ def _split_infrequent(tree: IFPTree, sigma: int) -> tuple[list[Itemset], IFPTree
     return infrequent, _build_weighted(weighted, tree.num_transactions)
 
 
-def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> set[Itemset]:
-    infrequent, t = _split_infrequent(tree, sigma)
-    result: set[Itemset] = set(infrequent)
+def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> dict[Itemset, int]:
+    """MIIs of the tree with their supports in it. Pruning items leaves the
+    other itemsets' supports alone, the residual tree keeps those of the
+    itemsets without x, and supp(x + s) here is supp(s) in x's projection."""
+    result, t = _split_infrequent(tree, sigma)
     pruned_nodes = t.node_count if t is not tree else 0
     stats.push(pruned_nodes)
     try:
         if t.is_empty():
             return result
         x = lf_item(t)
-        if t.node_count == 1:
-            # Unreachable infrequent branch after pruning; kept as the
-            # documented single-node base case.
-            if t.item_support(x) < sigma:
-                result.add((x,))
-            return result
-
         proj = projected_tree(t, x)
         resid = residual_tree(t, x)
         stats.push(proj.node_count + resid.node_count)
@@ -132,9 +124,9 @@ def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> set[Itemset]:
         finally:
             stats.pop(proj.node_count + resid.node_count)
 
-        result |= s_r
-        result |= unify(x, s_p - s_r)
-        result |= {canonical_itemset((x, y)) for y in zero_pair_items}
+        result.update(s_r)
+        result.update(unify(x, {s: n for s, n in s_p.items() if s not in s_r}))
+        result.update(unify(x, {(y,): 0 for y in zero_pair_items}))
         return result
     finally:
         stats.pop(pruned_nodes)
@@ -153,11 +145,9 @@ def ifp_min(tree: IFPTree, sigma: int, stats: MiningStats | None = None) -> MIIR
         found = _mii_rec(tree, sigma, stats)
     finally:
         stats.pop(tree.node_count)
-    ordered = tuple(sorted(found, key=itemset_sort_key))
-    supports = {s: tree_support(tree, s) for s in ordered}
     return MIIResult(
-        miis=ordered,
-        supports=supports,
+        miis=tuple(sorted(found, key=itemset_sort_key)),
+        supports=found,
         sigma=sigma,
         algorithm="ifp",
         elapsed=time.perf_counter() - start,

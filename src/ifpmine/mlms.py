@@ -4,13 +4,15 @@ A k-itemset is frequent when its support reaches the k-th threshold. The
 thresholds need not be monotone, so the classic downward-closure pruning is
 unavailable: a 3-itemset can be frequent while its 2-subsets are not.
 
-The miner recurses like the MII miner, splitting the tree on its least
-support item x. Itemsets mined from the projected tree carry x as an implied
-prefix, so a k-itemset found under a prefix of length p is tested against the
-threshold for length k+p ("frequent*"). Itemsets whose extended length
-exceeds the last configured threshold are never frequent*. Items whose own
-support is below the smallest threshold cannot occur in any frequent itemset
-and their projection is skipped entirely.
+The miner splits the tree on its least support item x like the MII miner:
+itemsets with x come from the projected tree, the others from the residual
+tree, which is split in turn until it is empty. Itemsets mined from the
+projected tree carry x as an implied prefix, so a k-itemset found under a
+prefix of length p is tested against the threshold for length k+p
+("frequent*"). Itemsets whose extended length exceeds the last configured
+threshold are never frequent*. Items whose own support is below the smallest
+threshold cannot occur in any frequent itemset and their projection is
+skipped entirely.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ from .data import (
     Itemset,
     SupportThreshold,
     TransactionDatabase,
-    canonical_itemset,
     itemset_sort_key,
     itemsets_json,
     render_itemset_lines,
-    support,
 )
 from .miners import unify
 from .tree import IFPTree, build_tree, lf_item, projected_tree, residual_tree
@@ -70,21 +70,6 @@ class ThresholdVector:
         return self.sigmas[length - 1]
 
 
-@dataclass(frozen=True)
-class PrefixContext:
-    """Items already projected on to reach the current tree. The prefix
-    length is what shifts the threshold index during recursion."""
-
-    prefix: Itemset = ()
-
-    @property
-    def length(self) -> int:
-        return len(self.prefix)
-
-    def project(self, x: int) -> "PrefixContext":
-        return PrefixContext(canonical_itemset((x, *self.prefix)))
-
-
 def is_frequent_star(k: int, p: int, supp: int, tv: ThresholdVector) -> bool:
     """Whether a k-itemset with the given support, found under a prefix of
     length p, is frequent for its extended length k+p. Lengths beyond the
@@ -98,32 +83,29 @@ def is_frequent_star(k: int, p: int, supp: int, tv: ThresholdVector) -> bool:
 def ifp_mlms(
     tree: IFPTree,
     tv: ThresholdVector,
-    ctx: PrefixContext = PrefixContext(),
+    p: int = 0,
     *,
     sigma_low_prune: bool = True,
-) -> set[Itemset]:
-    """Frequent* itemsets of the tree at the context's prefix length.
+) -> dict[Itemset, int]:
+    """Frequent* itemsets of the tree under a prefix of length ``p``, with
+    their supports in the tree.
 
-    ``sigma_low_prune=False`` disables the skip of projections for items
-    below the smallest threshold; it never changes the result, only the work.
+    Each step takes the lf-item x of the residual chain: supp(x + s) in the
+    tree is supp(s) in x's projection, and the residual tree keeps the
+    supports of every itemset without x. ``sigma_low_prune=False`` disables
+    the skip of projections for items below the smallest threshold; it never
+    changes the result, only the work.
     """
-    if tree.is_empty():
-        return set()
-    x = lf_item(tree)
-    p = ctx.length
-    x_supp = tree.item_support(x)
-
-    if sigma_low_prune and x_supp < tv.sigma_low:
-        s_p: set[Itemset] = set()
-    else:
-        s_p = ifp_mlms(
-            projected_tree(tree, x), tv, ctx.project(x), sigma_low_prune=sigma_low_prune
-        )
-    s_r = ifp_mlms(residual_tree(tree, x), tv, ctx, sigma_low_prune=sigma_low_prune)
-
-    out = unify(x, s_p) | s_r
-    if is_frequent_star(1, p, x_supp, tv):
-        out.add((x,))
+    out: dict[Itemset, int] = {}
+    while not tree.is_empty():
+        x = lf_item(tree)
+        x_supp = tree.item_support(x)
+        if is_frequent_star(1, p, x_supp, tv):
+            out[(x,)] = x_supp
+        if not sigma_low_prune or x_supp >= tv.sigma_low:
+            s_p = ifp_mlms(projected_tree(tree, x), tv, p + 1, sigma_low_prune=sigma_low_prune)
+            out.update(unify(x, s_p))
+        tree = residual_tree(tree, x)
     return out
 
 
@@ -150,15 +132,13 @@ def mine_mlms(
     *,
     sigma_low_prune: bool = True,
 ) -> MLMSResult:
-    """Build the tree, mine at the root context (empty prefix), and attach
-    supports with one final counting pass over the original database."""
+    """Build the tree and mine it under the empty prefix; the miner returns
+    each itemset's support along with it."""
     start = time.perf_counter()
     found = ifp_mlms(build_tree(db), tv, sigma_low_prune=sigma_low_prune)
-    ordered = tuple(sorted(found, key=itemset_sort_key))
-    supports = {s: support(db, s) for s in ordered}
     return MLMSResult(
-        frequent=ordered,
-        supports=supports,
+        frequent=tuple(sorted(found, key=itemset_sort_key)),
+        supports=found,
         thresholds=tv,
         elapsed=time.perf_counter() - start,
     )

@@ -1,5 +1,5 @@
 """Inverse FP-tree: a prefix-tree over transactions sorted in i-flist order
-(ascending support), with a header table of node links.
+(ascending support).
 
 Because items appear in ascending-support order, the least frequent item of
 the represented database occurs at exactly one node, a child of the root.
@@ -15,7 +15,7 @@ Trees are immutable once built; both decompositions return fresh trees.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .data import Itemset, TransactionDatabase, item_supports
 
@@ -25,63 +25,24 @@ class EmptyTreeError(ValueError):
 
 
 class IFPNode:
-    """One tree node: item id, path count, children by item id, and a link
-    to the next node carrying the same item elsewhere in the tree."""
+    """One tree node: item id, path count and children by item id."""
 
-    __slots__ = ("item", "count", "children", "node_link")
+    __slots__ = ("item", "count", "children")
 
     def __init__(self, item: int | None, count: int = 0):
         self.item = item
         self.count = count
         self.children: dict[int, IFPNode] = {}
-        self.node_link: IFPNode | None = None
 
     def __repr__(self) -> str:
         return f"IFPNode({self.item}, count={self.count}, children={len(self.children)})"
 
 
-class HeaderTable:
-    """Per-item entry point into the node-link chains.
-
-    For every item the chain starting at ``first[item]`` visits exactly the
-    nodes labeled with that item; the sum of their counts is the item's
-    support in the represented database.
-    """
-
-    __slots__ = ("first", "_tail")
-
-    def __init__(self) -> None:
-        self.first: dict[int, IFPNode] = {}
-        self._tail: dict[int, IFPNode] = {}
-
-    def add(self, node: IFPNode) -> None:
-        item = node.item
-        assert item is not None
-        if item not in self.first:
-            self.first[item] = node
-        else:
-            self._tail[item].node_link = node
-        self._tail[item] = node
-
-    def nodes(self, item: int) -> Iterator[IFPNode]:
-        node = self.first.get(item)
-        while node is not None:
-            yield node
-            node = node.node_link
-
-    def items(self) -> Iterable[int]:
-        return self.first.keys()
-
-    def chain_support(self, item: int) -> int:
-        return sum(n.count for n in self.nodes(item))
-
-
 class IFPTree:
-    __slots__ = ("root", "header", "order", "rank", "num_transactions", "supports", "node_count")
+    __slots__ = ("root", "order", "rank", "num_transactions", "supports", "node_count")
 
     def __init__(self, order: Iterable[int], num_transactions: int, supports: dict[int, int]):
         self.root = IFPNode(None)
-        self.header = HeaderTable()
         self.order: tuple[int, ...] = tuple(order)
         self.rank: dict[int, int] = {item: i for i, item in enumerate(self.order)}
         self.num_transactions = num_transactions
@@ -97,7 +58,6 @@ class IFPTree:
             if child is None:
                 child = IFPNode(item)
                 node.children[item] = child
-                self.header.add(child)
                 self.node_count += 1
             child.count += count
             node = child
@@ -156,9 +116,9 @@ def build_tree(db: TransactionDatabase) -> IFPTree:
     return tree
 
 
-def decompress(tree: IFPTree) -> list[tuple[Itemset, int]]:
-    """Recover the represented database's nonempty ordered transactions as
-    (itemset, multiplicity) pairs, in deterministic tree order."""
+def _paths(tree: IFPTree, top: IFPNode) -> list[tuple[Itemset, int]]:
+    """The transactions of the subtree below ``top`` as (ordered items below
+    ``top``, number of transactions ending there) pairs, in tree order."""
     out: list[tuple[Itemset, int]] = []
 
     def walk(node: IFPNode, path: list[int]) -> None:
@@ -170,9 +130,14 @@ def decompress(tree: IFPTree) -> list[tuple[Itemset, int]]:
             walk(child, path)
             path.pop()
 
-    for child in tree.sorted_children(tree.root):
-        walk(child, [child.item])
+    walk(top, [])
     return out
+
+
+def decompress(tree: IFPTree) -> list[tuple[Itemset, int]]:
+    """Recover the represented database's nonempty ordered transactions as
+    (itemset, multiplicity) pairs, in deterministic tree order."""
+    return _paths(tree, tree.root)
 
 
 def lf_item(tree: IFPTree) -> int:
@@ -185,7 +150,7 @@ def lf_item(tree: IFPTree) -> int:
 def _check_lf(tree: IFPTree, x: int) -> IFPNode:
     if not tree.order or tree.order[0] != x:
         raise ValueError(f"item {x} is not the least-frequent item of this tree")
-    return tree.header.first[x]
+    return tree.root.children[x]
 
 
 def projected_tree(tree: IFPTree, x: int) -> IFPTree:
@@ -194,19 +159,7 @@ def projected_tree(tree: IFPTree, x: int) -> IFPTree:
     single subtree rooted at x's node. Item order is recomputed because
     supports change under projection."""
     xnode = _check_lf(tree, x)
-    weighted: list[tuple[Itemset, int]] = []
-
-    def walk(node: IFPNode, path: list[int]) -> None:
-        ends_here = node.count - sum(c.count for c in node.children.values())
-        if ends_here > 0:
-            weighted.append((tuple(path), ends_here))
-        for child in tree.sorted_children(node):
-            path.append(child.item)
-            walk(child, path)
-            path.pop()
-
-    walk(xnode, [])
-    return _build_weighted(weighted, num_transactions=xnode.count)
+    return _build_weighted(_paths(tree, xnode), num_transactions=xnode.count)
 
 
 def _copy_subtree(node: IFPNode) -> IFPNode:
@@ -216,16 +169,19 @@ def _copy_subtree(node: IFPNode) -> IFPNode:
     return fresh
 
 
-def _merge_into(target: IFPNode, extra: IFPNode) -> None:
-    """Merge two fresh subtrees with the same item id: counts add, children
-    with equal ids merge pairwise."""
-    target.count += extra.count
+def _merge_into(target: IFPNode, extra: IFPNode) -> int:
+    """Add copies of ``extra``'s children under ``target``: counts add,
+    children with equal ids merge pairwise, the others are copied. Returns the
+    number of ``extra``'s nodes merged into existing ones."""
+    merged = 0
     for item, child in extra.children.items():
         existing = target.children.get(item)
         if existing is None:
-            target.children[item] = child
+            target.children[item] = _copy_subtree(child)
         else:
-            _merge_into(existing, child)
+            existing.count += child.count
+            merged += 1 + _merge_into(existing, child)
+    return merged
 
 
 def residual_tree(tree: IFPTree, x: int) -> IFPTree:
@@ -236,35 +192,17 @@ def residual_tree(tree: IFPTree, x: int) -> IFPTree:
     resulting item order is the original order without x."""
     xnode = _check_lf(tree, x)
     supports = {i: c for i, c in tree.supports.items() if i != x}
-    out = IFPTree(
-        (i for i in tree.order if i != x),
-        num_transactions=tree.num_transactions,
-        supports=supports,
-    )
+    out = IFPTree(tree.order[1:], num_transactions=tree.num_transactions, supports=supports)
     for item, child in tree.root.children.items():
         if item != x:
             out.root.children[item] = _copy_subtree(child)
-    for item, child in xnode.children.items():
-        existing = out.root.children.get(item)
-        if existing is None:
-            out.root.children[item] = _copy_subtree(child)
-        else:
-            _merge_into(existing, _copy_subtree(child))
-
-    # Rebuild header links and the node count over the merged structure.
-    def register(node: IFPNode) -> None:
-        for child in out.sorted_children(node):
-            out.header.add(child)
-            out.node_count += 1
-            register(child)
-
-    register(out.root)
+    out.node_count = tree.node_count - 1 - _merge_into(out.root, xnode)
     return out
 
 
 def tree_items(tree: IFPTree) -> set[int]:
-    """Items with at least one node in the tree."""
-    return set(tree.header.items())
+    """Items with at least one node in the tree: every item of its order."""
+    return set(tree.order)
 
 
 def tree_support(tree: IFPTree, s: Iterable[int]) -> int:

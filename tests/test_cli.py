@@ -61,8 +61,9 @@ class TestMineMii:
 
     def test_malformed_file_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.fimi"
-        bad.write_text("1 2\n3 oops\n")
-        assert main(["mine-mii", "--input", str(bad), "--min-sup", "2"]) == 3
+        for content in (b"1 2\n3 oops\n", b"1 2\n3 \xe9\n"):
+            bad.write_bytes(content)
+            assert main(["mine-mii", "--input", str(bad), "--min-sup", "2"]) == 3
 
     def test_oracle_guard_exit_code(self, tmp_path, capsys):
         wide = tmp_path / "wide.fimi"

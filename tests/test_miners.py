@@ -36,13 +36,13 @@ def random_db(rng: random.Random, max_items=8, max_tx=20) -> TransactionDatabase
 
 class TestUnify:
     def test_includes_item_in_every_member(self):
-        assert unify(0, [(1, 2), (2, 3)]) == {(0, 1, 2), (0, 2, 3)}
+        assert unify(0, {(1, 2): 3, (2, 3): 1}) == {(0, 1, 2): 3, (0, 2, 3): 1}
 
     def test_empty_collection_stays_empty(self):
-        assert unify(7, []) == set()
+        assert unify(7, {}) == {}
 
     def test_collection_of_empty_itemset(self):
-        assert unify(7, [()]) == {(7,)}
+        assert unify(7, {(): 4}) == {(7,): 4}
 
 
 class TestIfpMin:
@@ -195,6 +195,7 @@ class TestSoundness:
                 result = mine_mii(db, sigma, algorithm=algo)
                 for s in result.miis:
                     assert support(db, s) < sigma
+                    assert result.supports[s] == support(db, s)
                     # nonempty immediate subsets must be frequent (infrequent
                     # single items are unconditional MIIs)
                     for k in range(len(s)):

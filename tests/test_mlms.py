@@ -4,7 +4,6 @@ import pytest
 
 from ifpmine import (
     InvalidThresholdError,
-    PrefixContext,
     SynthConfig,
     ThresholdVector,
     TransactionDatabase,
@@ -76,27 +75,17 @@ class TestIsFrequentStar:
             is_frequent_star(0, 0, 1, ThresholdVector((1,)))
 
 
-class TestPrefixContext:
-    def test_root(self):
-        ctx = PrefixContext()
-        assert ctx.prefix == () and ctx.length == 0
-
-    def test_project(self):
-        ctx = PrefixContext().project(3).project(1)
-        assert ctx.prefix == (1, 3) and ctx.length == 2
-
-
 class TestIfpMlms:
     def test_worked_example(self, mlms_db):
         found = ifp_mlms(build_tree(mlms_db), ThresholdVector(MLMS_SIGMAS))
-        assert found == set(MLMS_EXPECTED)
+        assert found == MLMS_EXPECTED
 
     def test_low_support_item_excluded_everywhere(self, mlms_db):
         found = ifp_mlms(build_tree(mlms_db), ThresholdVector(MLMS_SIGMAS))
         assert all(1 not in s for s in found)  # item B has support 1 < sigma_1
 
     def test_empty_tree(self):
-        assert ifp_mlms(build_tree(parse_fimi("")), ThresholdVector((1, 1))) == set()
+        assert ifp_mlms(build_tree(parse_fimi("")), ThresholdVector((1, 1))) == {}
 
 
 class TestMineMlms:
@@ -108,6 +97,15 @@ class TestMineMlms:
     def test_empty_db(self):
         result = mine_mlms(parse_fimi(""), ThresholdVector((1,)))
         assert result.frequent == ()
+
+    def test_many_items(self):
+        # 1100 items in pairs that never meet: the residual chain is 1100
+        # trees long, far deeper than the interpreter's recursion limit.
+        db = TransactionDatabase.from_itemsets([[i, i + 1] for i in range(0, 1100, 2)])
+        tv = ThresholdVector((1, 1))
+        result = mine_mlms(db, tv)
+        assert set(result.frequent) == mlms_oracle(db, tv)
+        assert len(result.frequent) == 1100 + 550
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(909)

@@ -34,6 +34,17 @@ def random_db(rng: random.Random, max_items=9, max_tx=30) -> TransactionDatabase
     )
 
 
+def _nodes(tree, item):
+    """Every node of the tree labeled with the item."""
+    found, stack = [], list(tree.root.children.values())
+    while stack:
+        node = stack.pop()
+        if node.item == item:
+            found.append(node)
+        stack.extend(node.children.values())
+    return found
+
+
 @pytest.fixture
 def t2_to_t9_tree():
     """Tree over the example's transactions 2..9; item E then has support 3
@@ -91,14 +102,14 @@ class TestBuildTree:
             assert got == want
 
     def test_header_chains_complete(self):
+        # The counts of an item's nodes sum to its support, for every item.
         rng = random.Random(6)
         for _ in range(30):
             db = random_db(rng)
             tree = build_tree(db)
-            for item in tree.header.items():
-                assert tree.header.chain_support(item) == support(db, (item,))
-                chain_items = {n.item for n in tree.header.nodes(item)}
-                assert chain_items == {item}
+            assert tree_items(tree) == db.universe
+            for item in db.universe:
+                assert sum(n.count for n in _nodes(tree, item)) == support(db, (item,))
 
     def test_node_count_bounded_by_occurrences(self):
         rng = random.Random(8)
@@ -145,7 +156,7 @@ class TestLfItem:
             if tree.is_empty():
                 continue
             x = lf_item(tree)
-            nodes = list(tree.header.nodes(x))
+            nodes = _nodes(tree, x)
             assert len(nodes) == 1
             assert tree.root.children.get(x) is nodes[0]
 
