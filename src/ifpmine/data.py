@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -91,13 +92,13 @@ class SupportThreshold:
     """A minimum-support requirement, absolute count or fraction of |db|."""
 
     kind: str  # "absolute" | "fraction"
-    value: float
+    value: float | Fraction
 
     def __post_init__(self) -> None:
         if self.kind not in ("absolute", "fraction"):
             raise InvalidThresholdError(f"unknown threshold kind: {self.kind!r}")
         if self.kind == "fraction" and not 0.0 <= self.value <= 1.0:
-            raise InvalidThresholdError(f"fraction must be in [0,1], got {self.value}")
+            raise InvalidThresholdError(f"fraction must be in [0,1], got {float(self.value)}")
         if self.kind == "absolute" and (self.value < 0 or self.value != int(self.value)):
             raise InvalidThresholdError(f"absolute threshold must be a non-negative integer, got {self.value}")
 
@@ -110,7 +111,9 @@ class SupportThreshold:
                 pct = float(text[:-1])
             except ValueError:
                 raise InvalidThresholdError(f"bad percentage threshold: {text!r}") from None
-            return cls("fraction", pct / 100.0)
+            # Exact, unlike pct / 100 (7% of 100 would be ceil(7.000000000000001)). Values
+            # outside 0-100, nan and inf stay floats, and the range check reports them.
+            return cls("fraction", Fraction(repr(pct)) / 100 if 0 <= pct <= 100 else pct / 100)
         try:
             return cls("absolute", int(text))
         except ValueError:

@@ -3,13 +3,14 @@ whose every proper subset is frequent.
 
 Two miners produce identical output:
 
-* ``ifp_min`` recurses over the tree, splitting on the least frequent item x
-  into the residual tree (database without x) and the projected tree
-  (transactions containing x, without x). MIIs not containing x are exactly
-  the MIIs of the residual database; MIIs containing x are x joined with
+* ``ifp_min`` loops over the tree's residual chain (``split``), splitting on
+  the least frequent item x into the residual tree (database without x, the
+  chain's next step) and the projected tree (transactions containing x,
+  without x), on which alone it recurses. MIIs containing x are x joined with
   itemsets minimally infrequent in the projected database but not in the
   residual one, plus the zero-support pairs of x with frequent items that
-  never co-occur with it.
+  never co-occur with it. Folding the steps back from the chain's end finds
+  the residual tree's MIIs collected by the time it reaches x.
 * ``apriori_min`` is level-wise candidate generation where the rejected
   candidates are the MIIs.
 """
@@ -30,16 +31,8 @@ from .data import (
     render_itemset_lines,
     support,
 )
-from .tree import (
-    IFPTree,
-    _build_weighted,
-    build_tree,
-    decompress,
-    lf_item,
-    projected_tree,
-    residual_tree,
-    tree_items,
-)
+from .tree import IFPTree, _copy_tree, build_tree, projected_tree, split
+from .tree import residual_tree  # noqa: F401 -- not called here; benchmark/test_benchmark.py reads miners.residual_tree
 
 
 class MiningStats:
@@ -90,61 +83,46 @@ def unify(x: int, sets: dict[Itemset, int]) -> dict[Itemset, int]:
     return {canonical_itemset((x, *s)): n for s, n in sets.items()}
 
 
-def _split_infrequent(tree: IFPTree, sigma: int) -> tuple[dict[Itemset, int], IFPTree]:
-    """Collect the infrequent 1-itemsets of the tree with their supports and
-    rebuild it over the database with those items removed."""
-    infrequent = {(i,): tree.supports[i] for i in tree.order if tree.supports[i] < sigma}
-    if not infrequent:
-        return {}, tree
-    bad = {i for (i,) in infrequent}
-    weighted = [
-        (tuple(i for i in s if i not in bad), w) for s, w in decompress(tree)
-    ]
-    return infrequent, _build_weighted(weighted, tree.num_transactions)
-
-
 def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> dict[Itemset, int]:
-    """MIIs of the tree with their supports in it. Pruning items leaves the
-    other itemsets' supports alone, the residual tree keeps those of the
-    itemsets without x, and supp(x + s) here is supp(s) in x's projection."""
-    result, t = _split_infrequent(tree, sigma)
-    pruned_nodes = t.node_count if t is not tree else 0
-    stats.push(pruned_nodes)
-    try:
-        if t.is_empty():
-            return result
-        x = lf_item(t)
+    """MIIs of the tree with their supports in it; consumes the tree. Dropping
+    items leaves the other itemsets' supports alone, and supp(x + s) here is
+    supp(s) in x's projection."""
+    result: dict[Itemset, int] = {}
+    steps = []
+    for x, t in split(tree):
+        x_supp = t.supports[x]
+        if x_supp < sigma:
+            result[(x,)] = x_supp
+            continue
         proj = projected_tree(t, x)
-        resid = residual_tree(t, x)
-        stats.push(proj.node_count + resid.node_count)
-        try:
-            s_r = _mii_rec(resid, sigma, stats)
-            s_p = _mii_rec(proj, sigma, stats)
-            zero_pair_items = tree_items(resid) - tree_items(proj)
-        finally:
-            stats.pop(proj.node_count + resid.node_count)
-
-        result.update(s_r)
-        result.update(unify(x, {s: n for s, n in s_p.items() if s not in s_r}))
+        # Taken before the recursion, which consumes the projection.
+        zero_pair_items = set(t.order[1:]).difference(proj.order)
         result.update(unify(x, {(y,): 0 for y in zero_pair_items}))
-        return result
-    finally:
-        stats.pop(pruned_nodes)
+        stats.push(proj_nodes := proj.node_count)
+        steps.append((x, _mii_rec(proj, sigma, stats)))
+        stats.pop(proj_nodes)
+    # When the fold reaches x, ``result`` holds the MIIs of x's residual tree;
+    # its other entries all hold an item outside x's projection.
+    for x, s_p in reversed(steps):
+        result.update(unify(x, {s: n for s, n in s_p.items() if s not in result}))
+    return result
 
 
 def ifp_min(tree: IFPTree, sigma: int, stats: MiningStats | None = None) -> MIIResult:
     """Mine all minimally infrequent itemsets of the database the tree
-    represents, at absolute threshold ``sigma`` (>= 1)."""
+    represents, at absolute threshold ``sigma`` (>= 1). The tree is left
+    unchanged: the miner consumes a copy of it."""
     if sigma < 1:
         raise InvalidThresholdError(f"sigma must be >= 1, got {sigma}")
     if stats is None:
         stats = MiningStats()
     start = time.perf_counter()
-    stats.push(tree.node_count)
+    # The caller's tree and the working copy are both alive throughout.
+    stats.push(live := 2 * tree.node_count)
     try:
-        found = _mii_rec(tree, sigma, stats)
+        found = _mii_rec(_copy_tree(tree), sigma, stats)
     finally:
-        stats.pop(tree.node_count)
+        stats.pop(live)
     return MIIResult(
         miis=tuple(sorted(found, key=itemset_sort_key)),
         supports=found,

@@ -4,15 +4,14 @@ A k-itemset is frequent when its support reaches the k-th threshold. The
 thresholds need not be monotone, so the classic downward-closure pruning is
 unavailable: a 3-itemset can be frequent while its 2-subsets are not.
 
-The miner splits the tree on its least support item x like the MII miner:
-itemsets with x come from the projected tree, the others from the residual
-tree, which is split in turn until it is empty. Itemsets mined from the
-projected tree carry x as an implied prefix, so a k-itemset found under a
-prefix of length p is tested against the threshold for length k+p
-("frequent*"). Itemsets whose extended length exceeds the last configured
-threshold are never frequent*. Items whose own support is below the smallest
-threshold cannot occur in any frequent itemset and their projection is
-skipped entirely.
+The miner walks the residual chain with the MII miner's ``split``: itemsets
+with the least support item x come from x's projected tree, the others from
+the residual tree, the chain's next step. Itemsets mined from the projected
+tree carry x as an implied prefix, so a k-itemset found under a prefix of
+length p is tested against the threshold for length k+p ("frequent*").
+Itemsets whose extended length exceeds the last configured threshold are
+never frequent*, so x's projection is skipped when p + 1 reaches that length,
+and when x's own support is below the smallest threshold.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .data import (
     render_itemset_lines,
 )
 from .miners import unify
-from .tree import IFPTree, build_tree, lf_item, projected_tree, residual_tree
+from .tree import IFPTree, _copy_tree, build_tree, projected_tree, split
 
 
 @dataclass(frozen=True)
@@ -80,33 +79,33 @@ def is_frequent_star(k: int, p: int, supp: int, tv: ThresholdVector) -> bool:
     return total <= tv.max_length and supp >= tv.sigma(total)
 
 
+def _mlms_rec(tree: IFPTree, tv: ThresholdVector, p: int, prune: bool) -> dict[Itemset, int]:
+    """``ifp_mlms`` on a tree it consumes."""
+    out: dict[Itemset, int] = {}
+    for x, t in split(tree):
+        x_supp = t.supports[x]
+        if is_frequent_star(1, p, x_supp, tv):
+            out[(x,)] = x_supp
+        if not prune or (x_supp >= tv.sigma_low and p + 1 < tv.max_length):
+            out.update(unify(x, _mlms_rec(projected_tree(t, x), tv, p + 1, prune)))
+    return out
+
+
 def ifp_mlms(
     tree: IFPTree,
     tv: ThresholdVector,
-    p: int = 0,
     *,
     sigma_low_prune: bool = True,
 ) -> dict[Itemset, int]:
-    """Frequent* itemsets of the tree under a prefix of length ``p``, with
-    their supports in the tree.
+    """Frequent* itemsets of the tree under the empty prefix, with their
+    supports in the tree, which is left unchanged.
 
     Each step takes the lf-item x of the residual chain: supp(x + s) in the
     tree is supp(s) in x's projection, and the residual tree keeps the
     supports of every itemset without x. ``sigma_low_prune=False`` disables
-    the skip of projections for items below the smallest threshold; it never
-    changes the result, only the work.
+    every skip of a projection; it never changes the result, only the work.
     """
-    out: dict[Itemset, int] = {}
-    while not tree.is_empty():
-        x = lf_item(tree)
-        x_supp = tree.item_support(x)
-        if is_frequent_star(1, p, x_supp, tv):
-            out[(x,)] = x_supp
-        if not sigma_low_prune or x_supp >= tv.sigma_low:
-            s_p = ifp_mlms(projected_tree(tree, x), tv, p + 1, sigma_low_prune=sigma_low_prune)
-            out.update(unify(x, s_p))
-        tree = residual_tree(tree, x)
-    return out
+    return _mlms_rec(_copy_tree(tree), tv, 0, sigma_low_prune)
 
 
 @dataclass(frozen=True)

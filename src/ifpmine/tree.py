@@ -10,12 +10,14 @@ That makes two decompositions cheap:
 * the residual tree of x: the whole database with x removed (x's node is
   spliced out and its subtree merged back into the root's children).
 
-Trees are immutable once built; both decompositions return fresh trees.
+``split`` walks a tree's residual chain in place, moving x's subtrees into
+the root: O(x's subtree) per step, not O(tree). It consumes its tree;
+``projected_tree`` and ``residual_tree`` leave theirs alone.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .data import Itemset, TransactionDatabase, item_supports
 
@@ -120,17 +122,15 @@ def _paths(tree: IFPTree, top: IFPNode) -> list[tuple[Itemset, int]]:
     """The transactions of the subtree below ``top`` as (ordered items below
     ``top``, number of transactions ending there) pairs, in tree order."""
     out: list[tuple[Itemset, int]] = []
-
-    def walk(node: IFPNode, path: list[int]) -> None:
+    path: list[int] = []
+    stack = [(top, 0)]  # (node, its depth below top): no recursion on long paths
+    while stack:
+        node, depth = stack.pop()
+        path[depth:] = [node.item]  # path[0] is top's own item
         ends_here = node.count - sum(c.count for c in node.children.values())
         if ends_here > 0:
-            out.append((tuple(path), ends_here))
-        for child in tree.sorted_children(node):
-            path.append(child.item)
-            walk(child, path)
-            path.pop()
-
-    walk(top, [])
+            out.append((tuple(path[1:]), ends_here))
+        stack.extend((child, depth + 1) for child in reversed(tree.sorted_children(node)))
     return out
 
 
@@ -162,41 +162,61 @@ def projected_tree(tree: IFPTree, x: int) -> IFPTree:
     return _build_weighted(_paths(tree, xnode), num_transactions=xnode.count)
 
 
-def _copy_subtree(node: IFPNode) -> IFPNode:
-    fresh = IFPNode(node.item, node.count)
-    for item, child in node.children.items():
-        fresh.children[item] = _copy_subtree(child)
-    return fresh
+def _copy_tree(tree: IFPTree) -> IFPTree:
+    """A deep copy of the tree, for callers that must not see it consumed."""
+    out = IFPTree(tree.order, tree.num_transactions, dict(tree.supports))
+    out.node_count = tree.node_count
+    stack = [(tree.root, out.root)]
+    while stack:
+        src, dst = stack.pop()
+        for item, child in src.children.items():
+            dst.children[item] = copy = IFPNode(item, child.count)
+            stack.append((child, copy))
+    return out
 
 
 def _merge_into(target: IFPNode, extra: IFPNode) -> int:
-    """Add copies of ``extra``'s children under ``target``: counts add,
-    children with equal ids merge pairwise, the others are copied. Returns the
-    number of ``extra``'s nodes merged into existing ones."""
+    """Move ``extra``'s children under ``target``, consuming ``extra``: counts
+    add, children with equal ids merge pairwise, the others move whole.
+    Returns the number of ``extra``'s nodes merged into existing ones."""
     merged = 0
-    for item, child in extra.children.items():
-        existing = target.children.get(item)
-        if existing is None:
-            target.children[item] = _copy_subtree(child)
-        else:
-            existing.count += child.count
-            merged += 1 + _merge_into(existing, child)
+    stack = [(target, extra)]
+    while stack:
+        into, src = stack.pop()
+        for item, child in src.children.items():
+            existing = into.children.setdefault(item, child)
+            if existing is not child:
+                existing.count += child.count
+                merged += 1
+                stack.append((existing, child))
     return merged
+
+
+def _drop_lf(tree: IFPTree) -> None:
+    """Turn the tree into the residual tree of its lf-item x, in place. The
+    other items keep their supports, so the order is the old one without x."""
+    x = tree.order[0]
+    tree.node_count -= 1 + _merge_into(tree.root, tree.root.children.pop(x))
+    tree.order = tree.order[1:]
+    del tree.rank[x]
+    del tree.supports[x]
+
+
+def split(tree: IFPTree) -> Iterator[tuple[int, IFPTree]]:
+    """Walk the tree's residual chain, consuming it: yield ``(x, tree)`` for
+    each lf-item x, then drop x in place. Take what x's step needs, such as
+    ``projected_tree(tree, x)``, before resuming."""
+    while tree.order:
+        yield tree.order[0], tree
+        _drop_lf(tree)
 
 
 def residual_tree(tree: IFPTree, x: int) -> IFPTree:
     """Tree of the residual database of x: every transaction, with x removed.
-
-    x's single node is deleted and its subtree merged into the root's other
-    children. Removing x leaves every other item's support unchanged, so the
-    resulting item order is the original order without x."""
-    xnode = _check_lf(tree, x)
-    supports = {i: c for i, c in tree.supports.items() if i != x}
-    out = IFPTree(tree.order[1:], num_transactions=tree.num_transactions, supports=supports)
-    for item, child in tree.root.children.items():
-        if item != x:
-            out.root.children[item] = _copy_subtree(child)
-    out.node_count = tree.node_count - 1 - _merge_into(out.root, xnode)
+    Requires x to be the lf-item; the input tree is left unchanged."""
+    _check_lf(tree, x)
+    out = _copy_tree(tree)
+    _drop_lf(out)
     return out
 
 

@@ -161,12 +161,27 @@ class TestSupportThreshold:
     def test_percent_ceil(self):
         assert SupportThreshold.parse("30%").resolve(10000) == 3000
         assert SupportThreshold.parse("25%").resolve(9) == 3  # ceil(2.25)
+        # Exact products that a binary float pushes just above an integer.
+        cases = {
+            100: {7: 7, 14: 14, 28: 28, 55: 55, 56: 56},
+            200: {7: 14, 14: 28, 28: 56, 55: 110, 56: 112},
+            600: {7: 42, 14: 84, 17: 102, 28: 168, 34: 204, 56: 336, 68: 408, 81: 486},
+            10000: {7: 700, 14: 1400, 17: 1700, 28: 2800, 34: 3400, 56: 5600, 68: 6800, 81: 8100},
+        }
+        for n, by_pct in cases.items():
+            for pct, sigma in by_pct.items():
+                assert SupportThreshold.parse(f"{pct}%").resolve(n) == sigma, (pct, n)
+        assert SupportThreshold.parse("12.5%").resolve(100) == 13
 
     def test_bad_values(self):
         with pytest.raises(InvalidThresholdError):
             SupportThreshold.parse("abc")
         with pytest.raises(InvalidThresholdError):
             SupportThreshold.parse("150%")
+        for text in ("nan%", "inf%", "-inf%", "1/0%", "1/2%", "1e999999999%"):
+            with pytest.raises(InvalidThresholdError):
+                SupportThreshold.parse(text)
+        assert SupportThreshold.parse("1e-999999999%").resolve(100) == 0
         with pytest.raises(InvalidThresholdError):
             SupportThreshold("absolute", -1)
 

@@ -71,6 +71,25 @@ class TestIfpMin:
         assert set(result.miis) == {(8,), (9,)}
 
 
+    def test_many_items(self):
+        # 550 pairs that never meet: every other pair of the 1100 items is an
+        # MII of support 0. The residual chain is 1100 trees long, far deeper
+        # than the interpreter's recursion limit.
+        db = TransactionDatabase.from_itemsets([[2 * i, 2 * i + 1] for i in range(550)])
+        result = ifp_min(build_tree(db), 1)
+        # Distinct pairs, none a transaction, as many as there are such pairs.
+        assert len(result.miis) == 1100 * 1099 // 2 - 550
+        assert all(len(s) == 2 and not (s[0] % 2 == 0 and s[1] == s[0] + 1) for s in result.miis)
+        assert set(result.supports.values()) == {0}
+
+    def test_long_transactions(self):
+        # Paths of 1200 nodes: every walk over them must stay iterative.
+        db = TransactionDatabase.from_itemsets([range(1200), range(1, 1200)])
+        assert ifp_min(build_tree(db), 3).miis == tuple((i,) for i in range(1200))
+        db = TransactionDatabase.from_itemsets([range(1200), [0], [0]])
+        assert ifp_min(build_tree(db), 2).miis == tuple((i,) for i in range(1, 1200))
+
+
 class TestAprioriMin:
     def test_worked_example(self, mii_db):
         assert set(apriori_min(mii_db, 2).miis) == MII_EXPECTED

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ifpmine import mlms as mlms_module
 from ifpmine import (
     InvalidThresholdError,
     SynthConfig,
@@ -107,6 +108,11 @@ class TestMineMlms:
         assert set(result.frequent) == mlms_oracle(db, tv)
         assert len(result.frequent) == 1100 + 550
 
+    def test_long_transactions(self):
+        # Paths of 1200 nodes: every walk over them must stay iterative.
+        db = TransactionDatabase.from_itemsets([range(1200), range(1, 1200)])
+        assert mine_mlms(db, ThresholdVector((3,))).frequent == ()
+
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(909)
         for _ in range(30):
@@ -139,6 +145,22 @@ class TestNoDownwardClosure:
 
 
 class TestSigmaLowPruning:
+    def test_no_projection_beyond_the_last_threshold(self, mlms_db, monkeypatch):
+        # Under the prefix of any item every itemset has length >= 2, and a
+        # vector of one threshold makes none of them frequent*.
+        calls = []
+        real = mlms_module.projected_tree
+
+        def counting(tree, x):
+            calls.append(x)
+            return real(tree, x)
+
+        monkeypatch.setattr(mlms_module, "projected_tree", counting)
+        tv = ThresholdVector((1,))
+        result = mine_mlms(mlms_db, tv)
+        assert calls == []
+        assert set(result.frequent) == mlms_oracle(mlms_db, tv)
+
     def test_lossless_on_random_instances(self):
         rng = random.Random(911)
         for _ in range(30):

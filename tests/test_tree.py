@@ -7,9 +7,12 @@ from ifpmine import (
     EmptyTreeError,
     SynthConfig,
     TransactionDatabase,
+    ThresholdVector,
     build_tree,
     decompress,
     gen_synthetic,
+    ifp_min,
+    ifp_mlms,
     lf_item,
     parse_fimi,
     projected_tree,
@@ -100,6 +103,10 @@ class TestBuildTree:
                 got[tuple(sorted(s))] += w
             want = Counter(t.items for t in db if t.items)
             assert got == want
+
+    def test_decompress_long_transaction(self):
+        tree = build_tree(TransactionDatabase.from_itemsets([range(1200)]))
+        assert decompress(tree) == [(tuple(range(1200)), 1)]
 
     def test_header_chains_complete(self):
         # The counts of an item's nodes sum to its support, for every item.
@@ -250,6 +257,8 @@ class TestResidualTree:
         before = pruned_tree.dump()
         residual_tree(pruned_tree, 0)
         projected_tree(pruned_tree, 0)
+        ifp_min(pruned_tree, 2)
+        ifp_mlms(pruned_tree, ThresholdVector((2, 2)))
         assert pruned_tree.dump() == before
 
 
