@@ -3,7 +3,8 @@
 Commands: ``mine-mii``, ``mine-mlms``, ``check``, ``bench``, ``gen``.
 
 Exit codes: 0 success, 1 check disagreement (or bench cross-check mismatch),
-2 usage error, 3 I/O or input-format failure, 4 oracle guard violation.
+2 usage error, 3 I/O or input-format failure, 4 oracle guard violation,
+5 out of memory or recursion depth.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_DISAGREEMENT = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_GUARD = 4
+EXIT_RESOURCES = 5
 
 BENCH_CSV_HEADER = "dataset,algorithm,threshold,elapsed_ms,itemsets,peak_nodes"
 
@@ -322,6 +324,9 @@ def run(spec: RunSpec) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (RecursionError, MemoryError) as exc:
+        print(f"out of resources: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RESOURCES
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,7 +10,10 @@ Two miners produce identical output:
   itemsets minimally infrequent in the projected database but not in the
   residual one, plus the zero-support pairs of x with frequent items that
   never co-occur with it. Folding the steps back from the chain's end finds
-  the residual tree's MIIs collected by the time it reaches x.
+  the residual tree's MIIs collected by the time it reaches x. Projections
+  are built at threshold ``sigma``: an item infrequent in x's projection
+  gets no node there, and its support in the projection's ``supports``
+  makes x joined with it an MII.
 * ``apriori_min`` is level-wise candidate generation where the rejected
   candidates are the MIIs.
 """
@@ -87,16 +90,16 @@ def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> dict[Itemset, int
     """MIIs of the tree with their supports in it; consumes the tree. Dropping
     items leaves the other itemsets' supports alone, and supp(x + s) here is
     supp(s) in x's projection."""
-    result: dict[Itemset, int] = {}
+    # Infrequent items are MIIs alone. Projections give them no nodes; in
+    # the caller's tree they lead the chain, and the loop skips them.
+    result = {(i,): n for i, n in tree.supports.items() if n < sigma}
     steps = []
     for x, t in split(tree):
-        x_supp = t.supports[x]
-        if x_supp < sigma:
-            result[(x,)] = x_supp
+        if t.supports[x] < sigma:
             continue
-        proj = projected_tree(t, x)
+        proj = projected_tree(t, x, sigma)
         # Taken before the recursion, which consumes the projection.
-        zero_pair_items = set(t.order[1:]).difference(proj.order)
+        zero_pair_items = set(t.order[1:]).difference(proj.supports)
         result.update(unify(x, {(y,): 0 for y in zero_pair_items}))
         stats.push(proj_nodes := proj.node_count)
         steps.append((x, _mii_rec(proj, sigma, stats)))

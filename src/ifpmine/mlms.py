@@ -11,7 +11,10 @@ tree carry x as an implied prefix, so a k-itemset found under a prefix of
 length p is tested against the threshold for length k+p ("frequent*").
 Itemsets whose extended length exceeds the last configured threshold are
 never frequent*, so x's projection is skipped when p + 1 reaches that length,
-and when x's own support is below the smallest threshold.
+and when x's own support is below the smallest threshold. Itemsets mined
+from x's projection get lengths p+2..L, so the projection is built without
+the items whose support in it is below the least of those lengths'
+thresholds. ``sigma_low_prune=False`` turns off every one of these prunings.
 """
 
 from __future__ import annotations
@@ -86,8 +89,11 @@ def _mlms_rec(tree: IFPTree, tv: ThresholdVector, p: int, prune: bool) -> dict[I
         x_supp = t.supports[x]
         if is_frequent_star(1, p, x_supp, tv):
             out[(x,)] = x_supp
-        if not prune or (x_supp >= tv.sigma_low and p + 1 < tv.max_length):
-            out.update(unify(x, _mlms_rec(projected_tree(t, x), tv, p + 1, prune)))
+        if prune and (x_supp < tv.sigma_low or p + 1 >= tv.max_length):
+            continue
+        # The projection's itemsets get lengths p+2..L.
+        min_support = min(tv.sigmas[p + 1:]) if prune else 0
+        out.update(unify(x, _mlms_rec(projected_tree(t, x, min_support), tv, p + 1, prune)))
     return out
 
 
@@ -103,7 +109,8 @@ def ifp_mlms(
     Each step takes the lf-item x of the residual chain: supp(x + s) in the
     tree is supp(s) in x's projection, and the residual tree keeps the
     supports of every itemset without x. ``sigma_low_prune=False`` disables
-    every skip of a projection; it never changes the result, only the work.
+    every skip of a projection and every item dropped from one; it never
+    changes the result, only the work.
     """
     return _mlms_rec(_copy_tree(tree), tv, 0, sigma_low_prune)
 

@@ -13,6 +13,11 @@ That makes two decompositions cheap:
 ``split`` walks a tree's residual chain in place, moving x's subtrees into
 the root: O(x's subtree) per step, not O(tree). It consumes its tree;
 ``projected_tree`` and ``residual_tree`` leave theirs alone.
+
+``projected_tree`` builds x's projection in one walk of x's subtree and can
+drop infrequent items while it builds, as FP-growth's conditional trees do:
+items below its ``min_support`` keep their projected support in
+``supports`` but get no node and no place in the order.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ class IFPTree:
         self.order: tuple[int, ...] = tuple(order)
         self.rank: dict[int, int] = {item: i for i, item in enumerate(self.order)}
         self.num_transactions = num_transactions
-        self.supports = supports  # item -> support in the represented database
+        self.supports = supports  # item -> support, also of items a projection gave no node
         self.node_count = 0
 
     def _insert(self, items_by_rank: Iterable[int], count: int = 1) -> None:
@@ -77,34 +82,17 @@ class IFPTree:
         """Deterministic indented rendering, one ``item:count`` line per node,
         children in tree order. The unlabeled root is omitted."""
         lines: list[str] = []
-
-        def walk(node: IFPNode, depth: int) -> None:
-            for child in self.sorted_children(node):
-                name = labels.get(child.item, str(child.item)) if labels else str(child.item)
-                lines.append("  " * depth + f"{name}:{child.count}")
-                walk(child, depth + 1)
-
-        walk(self.root, 0)
+        stack = [(child, 0) for child in reversed(self.sorted_children(self.root))]
+        while stack:
+            node, depth = stack.pop()
+            name = labels.get(node.item, str(node.item)) if labels else str(node.item)
+            lines.append("  " * depth + f"{name}:{node.count}")
+            stack.extend((child, depth + 1) for child in reversed(self.sorted_children(node)))
         return "\n".join(lines)
 
 
 def _order_items(supports: dict[int, int]) -> list[int]:
     return sorted(supports, key=lambda i: (supports[i], i))
-
-
-def _build_weighted(weighted: Iterable[tuple[Itemset, int]], num_transactions: int) -> IFPTree:
-    """Build a tree from (itemset, multiplicity) pairs; empty itemsets only
-    contribute to the transaction count."""
-    weighted = [(s, w) for s, w in weighted if w > 0]
-    supports: dict[int, int] = {}
-    for s, w in weighted:
-        for i in s:
-            supports[i] = supports.get(i, 0) + w
-    tree = IFPTree(_order_items(supports), num_transactions, supports)
-    rank = tree.rank
-    for s, w in sorted(weighted, key=lambda e: tuple(rank[i] for i in e[0])):
-        tree._insert(sorted(s, key=rank.__getitem__), w)
-    return tree
 
 
 def build_tree(db: TransactionDatabase) -> IFPTree:
@@ -118,26 +106,20 @@ def build_tree(db: TransactionDatabase) -> IFPTree:
     return tree
 
 
-def _paths(tree: IFPTree, top: IFPNode) -> list[tuple[Itemset, int]]:
-    """The transactions of the subtree below ``top`` as (ordered items below
-    ``top``, number of transactions ending there) pairs, in tree order."""
-    out: list[tuple[Itemset, int]] = []
-    path: list[int] = []
-    stack = [(top, 0)]  # (node, its depth below top): no recursion on long paths
-    while stack:
-        node, depth = stack.pop()
-        path[depth:] = [node.item]  # path[0] is top's own item
-        ends_here = node.count - sum(c.count for c in node.children.values())
-        if ends_here > 0:
-            out.append((tuple(path[1:]), ends_here))
-        stack.extend((child, depth + 1) for child in reversed(tree.sorted_children(node)))
-    return out
-
-
 def decompress(tree: IFPTree) -> list[tuple[Itemset, int]]:
     """Recover the represented database's nonempty ordered transactions as
     (itemset, multiplicity) pairs, in deterministic tree order."""
-    return _paths(tree, tree.root)
+    out: list[tuple[Itemset, int]] = []
+    path: list[int] = []
+    stack = [(child, 0) for child in reversed(tree.sorted_children(tree.root))]
+    while stack:  # (node, its depth): no recursion on long paths
+        node, depth = stack.pop()
+        path[depth:] = [node.item]
+        ends_here = node.count - sum(c.count for c in node.children.values())
+        if ends_here > 0:
+            out.append((tuple(path), ends_here))
+        stack.extend((child, depth + 1) for child in reversed(tree.sorted_children(node)))
+    return out
 
 
 def lf_item(tree: IFPTree) -> int:
@@ -153,13 +135,41 @@ def _check_lf(tree: IFPTree, x: int) -> IFPNode:
     return tree.root.children[x]
 
 
-def projected_tree(tree: IFPTree, x: int) -> IFPTree:
+def projected_tree(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
     """Tree of the projected database of x: transactions containing x, with x
     removed. Requires x to be the lf-item, so the whole projection is the
-    single subtree rooted at x's node. Item order is recomputed because
-    supports change under projection."""
+    single subtree rooted at x's node, read in one walk. Item order is
+    recomputed because supports change under projection.
+
+    ``supports`` holds every item's projected support. Only the items whose
+    support reaches ``min_support`` get nodes and a place in ``order`` and
+    ``rank``; the others are dropped from the paths as they are inserted, so
+    the tree represents the projected database without them and
+    ``tree_support`` of an itemset holding one of them is 0."""
     xnode = _check_lf(tree, x)
-    return _build_weighted(_paths(tree, xnode), num_transactions=xnode.count)
+    supports: dict[int, int] = {}
+    paths: list[tuple[Itemset, int]] = []
+    path: list[int] = []
+    stack = [(child, 0) for child in xnode.children.values()]
+    while stack:
+        node, depth = stack.pop()
+        item, count = node.item, node.count
+        path[depth:] = [item]
+        supports[item] = supports.get(item, 0) + count
+        for child in node.children.values():
+            count -= child.count
+            stack.append((child, depth + 1))
+        if count > 0:
+            paths.append((tuple(path), count))
+    proj = IFPTree(
+        (i for i in _order_items(supports) if supports[i] >= min_support),
+        xnode.count,
+        supports,
+    )
+    rank = proj.rank
+    for items, count in paths:
+        proj._insert(sorted((i for i in items if i in rank), key=rank.__getitem__), count)
+    return proj
 
 
 def _copy_tree(tree: IFPTree) -> IFPTree:
@@ -234,19 +244,18 @@ def tree_support(tree: IFPTree, s: Iterable[int]) -> int:
     if not items <= tree.rank.keys():
         return 0
     needed = tuple(sorted(tree.rank[i] for i in items))
-
-    def count(node: IFPNode, remaining: tuple[int, ...]) -> int:
+    total = 0
+    stack = [(tree.root, needed)]  # (node, ranks still to meet below it)
+    while stack:
+        node, remaining = stack.pop()
         if not remaining:
-            return node.count
-        total = 0
+            total += node.count
+            continue
         for item, child in node.children.items():
             r = tree.rank[item]
             if r > remaining[0]:
                 # Ranks increase along paths; the smallest remaining item
                 # can no longer occur below this child.
                 continue
-            rest = remaining[1:] if r == remaining[0] else remaining
-            total += count(child, rest)
-        return total
-
-    return count(tree.root, needed)
+            stack.append((child, remaining[1:] if r == remaining[0] else remaining))
+    return total

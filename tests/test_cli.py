@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ifpmine import to_fimi, TransactionDatabase
+from ifpmine import cli, to_fimi, TransactionDatabase
 from ifpmine.cli import BENCH_CSV_HEADER, RunSpec, bench_sweep, main, run
 
 from conftest import MII_ROWS, MLMS_ROWS
@@ -192,3 +192,14 @@ class TestRunSpecApi:
 
     def test_unknown_command(self, capsys):
         assert run(RunSpec(command="fly")) == 2
+
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_resource_exhaustion_is_one_line(self, error, table1_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise error("too deep")
+
+        monkeypatch.setattr(cli, "mine_mii", exhausted)
+        assert main(["mine-mii", "--input", table1_path, "--min-sup", "2"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"out of resources: {error.__name__}: too deep\n"

@@ -151,15 +151,33 @@ class TestSigmaLowPruning:
         calls = []
         real = mlms_module.projected_tree
 
-        def counting(tree, x):
+        def counting(tree, x, min_support=0):
             calls.append(x)
-            return real(tree, x)
+            return real(tree, x, min_support)
 
         monkeypatch.setattr(mlms_module, "projected_tree", counting)
         tv = ThresholdVector((1,))
         result = mine_mlms(mlms_db, tv)
         assert calls == []
         assert set(result.frequent) == mlms_oracle(mlms_db, tv)
+
+    def test_projections_drop_items_below_the_remaining_thresholds(self, mlms_db, monkeypatch):
+        # Under a prefix of length p a projection holds itemsets of lengths
+        # p+2..3: its floor is min(3, 2) = 2 at p = 0 and 2 at p = 1.
+        floors = []
+        real = mlms_module.projected_tree
+
+        def recording(tree, x, min_support=0):
+            floors.append(min_support)
+            return real(tree, x, min_support)
+
+        monkeypatch.setattr(mlms_module, "projected_tree", recording)
+        tv = ThresholdVector((1, 3, 2))
+        for prune, want in ((True, {2}), (False, {0})):
+            floors.clear()
+            result = mine_mlms(mlms_db, tv, sigma_low_prune=prune)
+            assert set(floors) == want
+            assert set(result.frequent) == mlms_oracle(mlms_db, tv)
 
     def test_lossless_on_random_instances(self):
         rng = random.Random(911)

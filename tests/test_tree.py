@@ -108,6 +108,10 @@ class TestBuildTree:
         tree = build_tree(TransactionDatabase.from_itemsets([range(1200)]))
         assert decompress(tree) == [(tuple(range(1200)), 1)]
 
+    def test_dump_long_transaction(self):
+        tree = build_tree(TransactionDatabase.from_itemsets([range(1200)]))
+        assert len(tree.dump().splitlines()) == 1200
+
     def test_header_chains_complete(self):
         # The counts of an item's nodes sum to its support, for every item.
         rng = random.Random(6)
@@ -205,6 +209,27 @@ class TestProjectedTree:
         with pytest.raises(ValueError, match="least-frequent"):
             projected_tree(pruned_tree, 4)
 
+    def test_min_support_drops_items_but_keeps_their_supports(self):
+        rng = random.Random(16)
+        for _ in range(60):
+            db = random_db(rng)
+            tree = build_tree(db)
+            if tree.is_empty():
+                continue
+            x = lf_item(tree)
+            full = projected_tree(tree, x)
+            min_support = rng.randint(1, max(1, full.num_transactions))
+            proj = projected_tree(tree, x, min_support)
+            dropped = {i for i, n in full.supports.items() if n < min_support}
+            kept = sorted(full.supports.keys() - dropped)
+            assert proj.supports == full.supports
+            assert set(proj.order) == set(proj.rank) == set(kept)
+            assert all(not _nodes(proj, i) for i in dropped)
+            for _ in range(5):
+                k = rng.randint(0, min(4, len(kept)))
+                s = tuple(rng.sample(kept, k))
+                assert tree_support(proj, s) == tree_support(full, s)
+
 
 class TestResidualTree:
     def test_example_residual_of_a(self, pruned_tree):
@@ -277,6 +302,10 @@ class TestTreeSupport:
 
     def test_empty_itemset(self, mii_db):
         assert tree_support(build_tree(mii_db), ()) == 9
+
+    def test_long_transaction(self):
+        tree = build_tree(TransactionDatabase.from_itemsets([range(1200)]))
+        assert tree_support(tree, range(1200)) == 1
 
     def test_agrees_with_raw_support(self):
         rng = random.Random(13)
