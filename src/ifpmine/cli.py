@@ -267,7 +267,7 @@ def _run_bench(spec: RunSpec) -> int:
         # Fail fast before spending time on the sweep.
         with open(path, "r", encoding="ascii"):
             pass
-    thresholds = [t for t in spec.thresholds.split(",") if t.strip()]
+    thresholds = _comma_list(spec.thresholds)
     records = []
     print(BENCH_CSV_HEADER)
     for record in bench_sweep(

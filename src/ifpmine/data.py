@@ -81,11 +81,6 @@ class TransactionDatabase:
         """Per-transaction frozensets, cached for repeated subset tests."""
         return tuple(frozenset(t.items) for t in self.transactions)
 
-    def label(self, item: int) -> str:
-        if self.labels is not None and item in self.labels:
-            return self.labels[item]
-        return str(item)
-
 
 @dataclass(frozen=True)
 class SupportThreshold:
@@ -127,8 +122,8 @@ class SupportThreshold:
 
 
 def parse_fimi(text: str) -> TransactionDatabase:
-    """Parse FIMI transaction text: one transaction per line, integer ids
-    separated by whitespace.
+    """Parse FIMI transaction text: one transaction per line, item ids of
+    ASCII decimal digits separated by whitespace.
 
     Duplicate ids within a line are collapsed; blank lines become empty
     transactions and are retained so fraction thresholds stay anchored to
@@ -138,13 +133,13 @@ def parse_fimi(text: str) -> TransactionDatabase:
     for lineno, line in enumerate(text.splitlines(), start=1):
         items = []
         for tok in line.split():
-            try:
-                item = int(tok)
-            except ValueError:
-                raise FimiParseError(f"line {lineno}: non-integer token {tok!r}") from None
-            if item < 0:
-                raise FimiParseError(f"line {lineno}: negative item id {item}")
-            items.append(item)
+            # Not int(tok) alone: it also takes "+1", "1_0" and non-ASCII digits.
+            if tok.isascii() and tok.isdigit():
+                items.append(int(tok))
+            elif tok[0] == "-" and tok[1:].isascii() and tok[1:].isdigit():
+                raise FimiParseError(f"line {lineno}: negative item id {tok}")
+            else:
+                raise FimiParseError(f"line {lineno}: non-integer token {tok!r}")
         itemsets.append(items)
     return TransactionDatabase.from_itemsets(itemsets)
 

@@ -10,10 +10,10 @@ Two miners produce identical output:
   itemsets minimally infrequent in the projected database but not in the
   residual one, plus the zero-support pairs of x with frequent items that
   never co-occur with it. Folding the steps back from the chain's end finds
-  the residual tree's MIIs collected by the time it reaches x. Projections
-  are built at threshold ``sigma``: an item infrequent in x's projection
-  gets no node there, and its support in the projection's ``supports``
-  makes x joined with it an MII.
+  the residual tree's MIIs collected by the time it reaches x. The working
+  copy of the caller's tree and the projections leave out the items below
+  ``sigma``; such an item keeps its support in the tree's ``supports``,
+  which makes it alone, or x joined with it in x's projection, an MII.
 * ``apriori_min`` is level-wise candidate generation where the rejected
   candidates are the MIIs.
 """
@@ -87,16 +87,13 @@ def unify(x: int, sets: dict[Itemset, int]) -> dict[Itemset, int]:
 
 
 def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> dict[Itemset, int]:
-    """MIIs of the tree with their supports in it; consumes the tree. Dropping
-    items leaves the other itemsets' supports alone, and supp(x + s) here is
-    supp(s) in x's projection."""
-    # Infrequent items are MIIs alone. Projections give them no nodes; in
-    # the caller's tree they lead the chain, and the loop skips them.
+    """MIIs of the tree, which holds no node of an item below ``sigma``, with
+    their supports in it; consumes the tree. Dropping items leaves the other
+    itemsets' supports alone, and supp(x + s) here is supp(s) in x's projection."""
+    # Infrequent items are MIIs alone; the tree gives them no nodes.
     result = {(i,): n for i, n in tree.supports.items() if n < sigma}
     steps = []
     for x, t in split(tree):
-        if t.supports[x] < sigma:
-            continue
         proj = projected_tree(t, x, sigma)
         # Taken before the recursion, which consumes the projection.
         zero_pair_items = set(t.order[1:]).difference(proj.supports)
@@ -114,16 +111,18 @@ def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> dict[Itemset, int
 def ifp_min(tree: IFPTree, sigma: int, stats: MiningStats | None = None) -> MIIResult:
     """Mine all minimally infrequent itemsets of the database the tree
     represents, at absolute threshold ``sigma`` (>= 1). The tree is left
-    unchanged: the miner consumes a copy of it."""
+    unchanged: the miner consumes a copy of it without the infrequent items."""
     if sigma < 1:
         raise InvalidThresholdError(f"sigma must be >= 1, got {sigma}")
     if stats is None:
         stats = MiningStats()
     start = time.perf_counter()
+    # The order is by ascending support, so the infrequent items lead it.
+    work = _copy_tree(tree, sum(tree.supports[i] < sigma for i in tree.order))
     # The caller's tree and the working copy are both alive throughout.
-    stats.push(live := 2 * tree.node_count)
+    stats.push(live := tree.node_count + work.node_count)
     try:
-        found = _mii_rec(_copy_tree(tree), sigma, stats)
+        found = _mii_rec(work, sigma, stats)
     finally:
         stats.pop(live)
     return MIIResult(

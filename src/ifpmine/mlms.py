@@ -10,11 +10,11 @@ the residual tree, the chain's next step. Itemsets mined from the projected
 tree carry x as an implied prefix, so a k-itemset found under a prefix of
 length p is tested against the threshold for length k+p ("frequent*").
 Itemsets whose extended length exceeds the last configured threshold are
-never frequent*, so x's projection is skipped when p + 1 reaches that length,
-and when x's own support is below the smallest threshold. Itemsets mined
-from x's projection get lengths p+2..L, so the projection is built without
-the items whose support in it is below the least of those lengths'
-thresholds. ``sigma_low_prune=False`` turns off every one of these prunings.
+never frequent*, so x's projection is skipped when p + 1 reaches that length.
+Items below the smallest threshold are in none, so the working copy of the
+caller's tree leaves them out, and x's projection, whose itemsets get lengths
+p+2..L, leaves out the items below the least of those lengths' thresholds.
+``sigma_low_prune=False`` turns off every one of these prunings.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ def is_frequent_star(k: int, p: int, supp: int, tv: ThresholdVector) -> bool:
 
 
 def _mlms_rec(tree: IFPTree, tv: ThresholdVector, p: int, prune: bool) -> dict[Itemset, int]:
-    """``ifp_mlms`` on a tree it consumes."""
+    """``ifp_mlms`` on a tree it consumes, pruned to ``tv.sigma_low`` if ``prune``."""
     out: dict[Itemset, int] = {}
     for x, t in split(tree):
         x_supp = t.supports[x]
         if is_frequent_star(1, p, x_supp, tv):
             out[(x,)] = x_supp
-        if prune and (x_supp < tv.sigma_low or p + 1 >= tv.max_length):
+        if prune and p + 1 >= tv.max_length:
             continue
         # The projection's itemsets get lengths p+2..L.
         min_support = min(tv.sigmas[p + 1:]) if prune else 0
@@ -109,10 +109,12 @@ def ifp_mlms(
     Each step takes the lf-item x of the residual chain: supp(x + s) in the
     tree is supp(s) in x's projection, and the residual tree keeps the
     supports of every itemset without x. ``sigma_low_prune=False`` disables
-    every skip of a projection and every item dropped from one; it never
+    every skip of a projection and every item dropped from a tree; it never
     changes the result, only the work.
     """
-    return _mlms_rec(_copy_tree(tree), tv, 0, sigma_low_prune)
+    # The order is by ascending support, so the items below sigma_low lead it.
+    k = sum(tree.supports[i] < tv.sigma_low for i in tree.order) if sigma_low_prune else 0
+    return _mlms_rec(_copy_tree(tree, k), tv, 0, sigma_low_prune)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ That makes two decompositions cheap:
 the root: O(x's subtree) per step, not O(tree). It consumes its tree;
 ``projected_tree`` and ``residual_tree`` leave theirs alone.
 
-``projected_tree`` builds x's projection in one walk of x's subtree and can
-drop infrequent items while it builds, as FP-growth's conditional trees do:
-items below its ``min_support`` keep their projected support in
-``supports`` but get no node and no place in the order.
+As FP-growth's conditional trees do, the miners' trees leave out the items
+below a floor: ``projected_tree`` drops them as it builds x's projection in
+one walk, and ``_copy_tree`` the ones that lead the caller's order. A dropped
+item keeps its support in ``supports`` but gets no node and no place in the order.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class IFPTree:
         self.order: tuple[int, ...] = tuple(order)
         self.rank: dict[int, int] = {item: i for i, item in enumerate(self.order)}
         self.num_transactions = num_transactions
-        self.supports = supports  # item -> support, also of items a projection gave no node
+        self.supports = supports  # item -> support, also of items pruned from the tree (no node)
         self.node_count = 0
 
     def _insert(self, items_by_rank: Iterable[int], count: int = 1) -> None:
@@ -109,17 +109,9 @@ def build_tree(db: TransactionDatabase) -> IFPTree:
 def decompress(tree: IFPTree) -> list[tuple[Itemset, int]]:
     """Recover the represented database's nonempty ordered transactions as
     (itemset, multiplicity) pairs, in deterministic tree order."""
-    out: list[tuple[Itemset, int]] = []
-    path: list[int] = []
-    stack = [(child, 0) for child in reversed(tree.sorted_children(tree.root))]
-    while stack:  # (node, its depth): no recursion on long paths
-        node, depth = stack.pop()
-        path[depth:] = [node.item]
-        ends_here = node.count - sum(c.count for c in node.children.values())
-        if ends_here > 0:
-            out.append((tuple(path), ends_here))
-        stack.extend((child, depth + 1) for child in reversed(tree.sorted_children(node)))
-    return out
+    rank = tree.rank.__getitem__
+    # Tree order lists a path before its extensions: the paths' rank tuples sort so.
+    return sorted(_walk(tree.root)[1], key=lambda path: tuple(map(rank, path[0])))
 
 
 def lf_item(tree: IFPTree) -> int:
@@ -135,6 +127,26 @@ def _check_lf(tree: IFPTree, x: int) -> IFPNode:
     return tree.root.children[x]
 
 
+def _walk(top: IFPNode) -> tuple[dict[int, int], list[tuple[Itemset, int]]]:
+    """Each item's support under ``top`` (``top`` left out) and each path that
+    transactions end on, with its multiplicity, in one walk in dict order."""
+    supports: dict[int, int] = {}
+    paths: list[tuple[Itemset, int]] = []
+    path: list[int] = []
+    stack = [(child, 0) for child in top.children.values()]
+    while stack:  # (node, its depth): no recursion on long paths
+        node, depth = stack.pop()
+        item, count = node.item, node.count
+        path[depth:] = [item]
+        supports[item] = supports.get(item, 0) + count
+        for child in node.children.values():
+            count -= child.count
+            stack.append((child, depth + 1))
+        if count > 0:
+            paths.append((tuple(path), count))
+    return supports, paths
+
+
 def projected_tree(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
     """Tree of the projected database of x: transactions containing x, with x
     removed. Requires x to be the lf-item, so the whole projection is the
@@ -147,20 +159,7 @@ def projected_tree(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
     the tree represents the projected database without them and
     ``tree_support`` of an itemset holding one of them is 0."""
     xnode = _check_lf(tree, x)
-    supports: dict[int, int] = {}
-    paths: list[tuple[Itemset, int]] = []
-    path: list[int] = []
-    stack = [(child, 0) for child in xnode.children.values()]
-    while stack:
-        node, depth = stack.pop()
-        item, count = node.item, node.count
-        path[depth:] = [item]
-        supports[item] = supports.get(item, 0) + count
-        for child in node.children.values():
-            count -= child.count
-            stack.append((child, depth + 1))
-        if count > 0:
-            paths.append((tuple(path), count))
+    supports, paths = _walk(xnode)
     proj = IFPTree(
         (i for i in _order_items(supports) if supports[i] >= min_support),
         xnode.count,
@@ -172,15 +171,24 @@ def projected_tree(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
     return proj
 
 
-def _copy_tree(tree: IFPTree) -> IFPTree:
-    """A deep copy of the tree, for callers that must not see it consumed."""
-    out = IFPTree(tree.order, tree.num_transactions, dict(tree.supports))
-    out.node_count = tree.node_count
+def _copy_tree(tree: IFPTree, k: int) -> IFPTree:
+    """A fresh tree of the residual database of the first ``k`` items in the
+    order; the input is left unchanged. Their nodes' children merge into the
+    nearest kept ancestor's copy. ``supports`` keeps every item."""
+    out = IFPTree(tree.order[k:], tree.num_transactions, dict(tree.supports))
+    kept = out.rank
     stack = [(tree.root, out.root)]
     while stack:
         src, dst = stack.pop()
         for item, child in src.children.items():
-            dst.children[item] = copy = IFPNode(item, child.count)
+            if item not in kept:
+                stack.append((child, dst))
+                continue
+            copy = dst.children.get(item)
+            if copy is None:
+                dst.children[item] = copy = IFPNode(item)
+                out.node_count += 1
+            copy.count += child.count
             stack.append((child, copy))
     return out
 
@@ -202,31 +210,26 @@ def _merge_into(target: IFPNode, extra: IFPNode) -> int:
     return merged
 
 
-def _drop_lf(tree: IFPTree) -> None:
-    """Turn the tree into the residual tree of its lf-item x, in place. The
-    other items keep their supports, so the order is the old one without x."""
-    x = tree.order[0]
-    tree.node_count -= 1 + _merge_into(tree.root, tree.root.children.pop(x))
-    tree.order = tree.order[1:]
-    del tree.rank[x]
-    del tree.supports[x]
-
-
 def split(tree: IFPTree) -> Iterator[tuple[int, IFPTree]]:
     """Walk the tree's residual chain, consuming it: yield ``(x, tree)`` for
-    each lf-item x, then drop x in place. Take what x's step needs, such as
-    ``projected_tree(tree, x)``, before resuming."""
+    each lf-item x, then turn the tree into x's residual tree in place (the
+    other supports stay, so the order just loses x). Take what x's step
+    needs, such as ``projected_tree(tree, x)``, before resuming."""
     while tree.order:
-        yield tree.order[0], tree
-        _drop_lf(tree)
+        x = tree.order[0]
+        yield x, tree
+        tree.node_count -= 1 + _merge_into(tree.root, tree.root.children.pop(x))
+        tree.order = tree.order[1:]
+        del tree.rank[x]
+        del tree.supports[x]
 
 
 def residual_tree(tree: IFPTree, x: int) -> IFPTree:
     """Tree of the residual database of x: every transaction, with x removed.
     Requires x to be the lf-item; the input tree is left unchanged."""
     _check_lf(tree, x)
-    out = _copy_tree(tree)
-    _drop_lf(out)
+    out = _copy_tree(tree, 1)
+    del out.supports[x]
     return out
 
 

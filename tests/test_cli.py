@@ -61,7 +61,7 @@ class TestMineMii:
 
     def test_malformed_file_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.fimi"
-        for content in (b"1 2\n3 oops\n", b"1 2\n3 \xe9\n"):
+        for content in (b"1 2\n3 oops\n", b"1 2\n3 \xe9\n", b"1_0 2\n10 +2\n"):
             bad.write_bytes(content)
             assert main(["mine-mii", "--input", str(bad), "--min-sup", "2"]) == 3
 

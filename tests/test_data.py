@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -59,8 +60,18 @@ class TestParseFimi:
             parse_fimi("1 2\n3 x\n")
 
     def test_negative_item(self):
-        with pytest.raises(FimiParseError, match="line 1"):
+        with pytest.raises(FimiParseError, match="line 1: negative item id -4"):
             parse_fimi("1 -4\n")
+
+    @pytest.mark.parametrize("tok", ["1_0", "+2", "\u0663", "\u00b2", "1.0", "0x1", "1e3", "-", "-\u00b2"])
+    def test_only_ascii_decimal_digits(self, tok):
+        # int() takes the first three; FIMI ids are plain decimal numbers.
+        with pytest.raises(FimiParseError, match=re.escape(f"line 2: non-integer token {tok!r}")):
+            parse_fimi(f"1\n3 {tok} 4\n")
+
+    def test_leading_zeros_and_huge_ids(self):
+        db = parse_fimi("007 18446744073709551616\n")
+        assert db.transactions[0].items == (7, 2**64)
 
     def test_roundtrip_identity(self):
         rng = random.Random(42)

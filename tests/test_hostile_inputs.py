@@ -1,0 +1,141 @@
+"""Inputs shaped like real FIMI files: odd whitespace, ids past 64 bits, empty
+files, edge thresholds, thousands of items and one very long transaction.
+
+Every case goes through ``cli.run`` and checks its exit code, and checks the
+``ifp`` miner's output against ``apriori`` and, where the oracle's guards
+allow, against the brute-force oracle.
+"""
+
+import pytest
+
+from ifpmine import (
+    ThresholdVector,
+    TransactionDatabase,
+    mine_mlms,
+    mlms_oracle,
+    read_fimi,
+    support,
+)
+from ifpmine.data import itemset_sort_key, render_itemset_lines
+from ifpmine.cli import RunSpec, run
+
+
+def _write(tmp_path, content: bytes, name: str = "data.fimi") -> str:
+    path = tmp_path / name
+    path.write_bytes(content)
+    return str(path)
+
+
+def _fimi(rows) -> bytes:
+    return "".join(" ".join(map(str, r)) + "\n" for r in rows).encode()
+
+
+def _mine_mii(path: str, min_sup: str, algorithm: str, capsys) -> tuple[int, str]:
+    code = run(RunSpec(command="mine-mii", input=path, min_sup=min_sup, algorithm=algorithm))
+    return code, capsys.readouterr().out
+
+
+def _mii_agree(path: str, min_sup: str, capsys, *, oracle: bool = True) -> tuple[int, str]:
+    """Exit code and text output of ``ifp``, asserted equal to apriori's and,
+    if ``oracle``, to the oracle's."""
+    ifp = _mine_mii(path, min_sup, "ifp", capsys)
+    assert _mine_mii(path, min_sup, "apriori", capsys) == ifp
+    if oracle:
+        assert _mine_mii(path, min_sup, "oracle", capsys) == ifp
+    return ifp
+
+
+def _mine_mlms(path: str, thresholds: str, capsys) -> tuple[int, str]:
+    code = run(RunSpec(command="mine-mlms", input=path, thresholds=thresholds))
+    return code, capsys.readouterr().out
+
+
+def _mlms_matches_oracle(path: str, thresholds: str) -> None:
+    db = read_fimi(path)
+    tv = ThresholdVector.from_text(thresholds, len(db))
+    result = mine_mlms(db, tv)
+    assert set(result.frequent) == mlms_oracle(db, tv)
+    assert result.supports == mine_mlms(db, tv, sigma_low_prune=False).supports
+
+
+def test_crlf_tabs_and_no_final_newline(tmp_path, capsys):
+    odd = _write(tmp_path, b"1\t2\r\n2 3\r\n\t1  3 \r\n1 2 3\r\n0\t2", "odd.fimi")
+    plain = _write(tmp_path, b"1 2\n2 3\n1 3\n1 2 3\n0 2\n", "plain.fimi")
+    for min_sup in ("2", "3", "50%"):
+        code, out = _mii_agree(odd, min_sup, capsys)
+        assert code == 0 and out
+        assert _mii_agree(plain, min_sup, capsys) == (code, out)
+    assert _mine_mlms(odd, "3,2", capsys) == _mine_mlms(plain, "3,2", capsys) != (0, "")
+    _mlms_matches_oracle(odd, "3,2")
+
+
+def test_item_ids_beyond_64_bits(tmp_path, capsys):
+    big = 2**64
+    rows = [[big, big + 1], [big, 5], [big + 1, 5], [big, big + 1, 5], [2**70], [5, 2**70]]
+    path = _write(tmp_path, _fimi(rows))
+    code, out = _mii_agree(path, "2", capsys)
+    assert code == 0
+    assert f"5 {big} {big + 1} (1)\n" in out
+    assert f"{2**70} (2)\n" not in out
+    assert _mine_mlms(path, "2,2", capsys)[0] == 0
+    _mlms_matches_oracle(path, "2,2")
+
+
+@pytest.mark.parametrize("content", [b"", b"\n", b"\n\n\r\n\n"])
+def test_empty_file_and_blank_lines(tmp_path, capsys, content):
+    path = _write(tmp_path, content)
+    assert _mii_agree(path, "1", capsys) == (0, "")
+    assert _mine_mlms(path, "1,1", capsys) == (0, "")
+    # A percentage of no transactions resolves to sigma 0, a usage error.
+    expected = 2 if not content else 0
+    assert _mii_agree(path, "100%", capsys) == (expected, "")
+
+
+def test_thresholds_zero_full_and_nan_percent(tmp_path, capsys):
+    rows = [[0, 1], [0, 2], [1, 2], [0, 1, 2], [3]]
+    path = _write(tmp_path, _fimi(rows))
+    assert _mii_agree(path, "0%", capsys) == (2, "")
+    assert _mii_agree(path, "nan%", capsys) == (2, "")
+    assert _mine_mlms(path, "nan%", capsys) == (2, "")
+    # At 100% no item is frequent, so the MIIs are the single items.
+    assert _mii_agree(path, "100%", capsys) == (0, "0 (3)\n1 (3)\n2 (3)\n3 (1)\n")
+    assert _mine_mlms(path, "100%", capsys) == (0, "")
+    assert _mine_mlms(path, "60%,40%", capsys) == (0, "0 (3)\n1 (3)\n2 (3)\n0 1 (2)\n0 2 (2)\n1 2 (2)\n")
+
+
+def test_more_than_2000_distinct_items(tmp_path, capsys):
+    # Items 0-3 sit on a ring: each meets its two neighbours 525 times and
+    # never the item opposite. Items 4-2103 occur once.
+    rows = [[i % 4, (i + 1) % 4, 4 + i] for i in range(2100)]
+    path = _write(tmp_path, _fimi(rows))
+    code, out = _mii_agree(path, "2", capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2100 + 2
+    assert lines[-2:] == ["0 2 (0)", "1 3 (0)"]
+    _mlms_matches_oracle(path, "2,2,1")
+
+
+def test_one_transaction_of_ten_thousand_items(tmp_path, capsys):
+    # Items 0-9 occur 9 times each, items 10-9999 only in the long
+    # transaction: apriori counts no more than 45 pairs.
+    rows = [range(10**4)] + [[i % 10, (i + 3) % 10] for i in range(40)]
+    path = _write(tmp_path, _fimi(rows))
+    code, out = _mii_agree(path, "3", capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["10 (1)", "11 (1)"]
+    # The 9990 rare items, and the 35 pairs of items 0-9 that meet only in
+    # the long transaction.
+    assert len(lines) == 9990 + 35
+    # The MLMS oracle enumerates every transaction's subsets, and its guard
+    # refuses the long one. Items below the least threshold are in no
+    # frequent itemset, so the oracle runs with the long transaction cut
+    # down to items 0-9, and the supports come from the whole database.
+    code, out = _mine_mlms(path, "3,3", capsys)
+    db = read_fimi(path)
+    tv = ThresholdVector((3, 3))
+    cut = TransactionDatabase.from_itemsets([range(10)] + [t.items for t in db.transactions[1:]])
+    expected = sorted(mlms_oracle(cut, tv), key=itemset_sort_key)
+    assert (code, out) == (0, render_itemset_lines((s, support(db, s)) for s in expected))
+    assert len(expected) == 10 + 10

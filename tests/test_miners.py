@@ -4,6 +4,7 @@ import pytest
 
 from ifpmine import (
     InvalidThresholdError,
+    MiningStats,
     SynthConfig,
     TransactionDatabase,
     apriori_min,
@@ -88,6 +89,21 @@ class TestIfpMin:
         assert ifp_min(build_tree(db), 3).miis == tuple((i,) for i in range(1200))
         db = TransactionDatabase.from_itemsets([range(1200), [0], [0]])
         assert ifp_min(build_tree(db), 2).miis == tuple((i,) for i in range(1, 1200))
+
+    def test_working_copy_leaves_out_infrequent_items(self):
+        # Items 10-19 (supports 27 at most) are infrequent at sigma 40, items
+        # 0-9 (86 at least) frequent. A full working copy alone would bring the
+        # peak to twice the input tree.
+        rng = random.Random(1)
+        db = TransactionDatabase.from_itemsets(
+            [[i for i in range(20) if rng.random() < (0.5 if i < 10 else 0.1)] for _ in range(200)]
+        )
+        tree = build_tree(db)
+        stats = MiningStats()
+        result = ifp_min(tree, 40, stats)
+        assert stats.peak_nodes < 2 * tree.node_count
+        assert result == apriori_min(db, 40)
+        assert result.supports == apriori_min(db, 40).supports
 
 
 class TestAprioriMin:

@@ -23,6 +23,8 @@ from ifpmine import (
     tree_support,
 )
 
+from ifpmine.tree import _copy_tree
+
 from conftest import MII_LABELS, MII_ROWS
 
 
@@ -264,6 +266,25 @@ class TestResidualTree:
             assert spliced.dump() == rebuilt.dump()
             assert spliced.order == rebuilt.order
             assert spliced.num_transactions == rebuilt.num_transactions
+            assert spliced.node_count == rebuilt.node_count
+            assert spliced.supports == rebuilt.supports
+
+    def test_copy_without_the_leading_items_matches_rebuild(self):
+        # The miners' working copy: the residual tree of the first k items.
+        rng = random.Random(16)
+        for _ in range(40):
+            db = random_db(rng)
+            tree = build_tree(db)
+            k = rng.randint(0, len(tree.order))
+            dropped = set(tree.order[:k])
+            copy = _copy_tree(tree, k)
+            rebuilt = build_tree(
+                TransactionDatabase.from_itemsets([[i for i in t.items if i not in dropped] for t in db])
+            )
+            assert copy.dump() == rebuilt.dump()
+            assert copy.order == rebuilt.order
+            assert copy.node_count == rebuilt.node_count
+            assert copy.supports == tree.supports
 
     def test_absent_item_leaves_database_unchanged(self):
         # Removing an item that occurs nowhere is the identity on the
