@@ -164,19 +164,26 @@ def _run_mine_mlms(spec: RunSpec) -> int:
 def _run_check(spec: RunSpec) -> int:
     db = read_fimi(spec.input)
     sigma = _resolve_sigma(spec.min_sup, db)
-    results = {algo: set(mine_mii(db, sigma, algorithm=algo).miis) for algo in MII_ALGORITHMS}
+    results = {algo: mine_mii(db, sigma, algorithm=algo) for algo in MII_ALGORITHMS}
     reference = results["oracle"]
     ok = True
     for algo in ("ifp", "apriori"):
-        diff = results[algo] ^ reference
-        if diff:
+        result = results[algo]
+        ours, theirs = set(result.miis), set(reference.miis)
+        for s in sorted(ours ^ theirs):
             ok = False
-            for s in sorted(diff):
-                where = algo if s in results[algo] else "oracle"
-                print(f"DISAGREE {algo} vs oracle: {' '.join(map(str, s))} only in {where}")
+            where = algo if s in ours else "oracle"
+            print(f"DISAGREE {algo} vs oracle: {' '.join(map(str, s))} only in {where}")
+        for s in sorted(ours & theirs):
+            if result.supports[s] != reference.supports[s]:
+                ok = False
+                print(
+                    f"DISAGREE {algo} vs oracle: {' '.join(map(str, s))} has support "
+                    f"{result.supports[s]} in {algo}, {reference.supports[s]} in oracle"
+                )
     if not ok:
         return EXIT_DISAGREEMENT
-    print(f"OK: ifp, apriori and oracle agree on {len(reference)} itemsets at sigma={sigma}")
+    print(f"OK: ifp, apriori and oracle agree on {len(reference.miis)} itemsets at sigma={sigma}")
     return EXIT_OK
 
 

@@ -125,12 +125,22 @@ def parse_fimi(text: str) -> TransactionDatabase:
     """Parse FIMI transaction text: one transaction per line, item ids of
     ASCII decimal digits separated by whitespace.
 
+    A line ends at ``\n``, ``\r\n`` or a lone ``\r``, as in a file read in
+    text mode, and the final line needs no line end. Other whitespace, such
+    as form feed, vertical tab or ``\x1c``-``\x1f``, separates ids within a
+    line.
     Duplicate ids within a line are collapsed; blank lines become empty
     transactions and are retained so fraction thresholds stay anchored to
     the original transaction count.
     """
+    # Not text.splitlines(): it also ends lines at \v, \f and \x1c-\x1e.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final newline ends the last line and starts none
     itemsets: list[list[int]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         items = []
         for tok in line.split():
             # Not int(tok) alone: it also takes "+1", "1_0" and non-ASCII digits.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -90,7 +91,22 @@ class TestCheck:
     def test_agreement(self, table1_path, capsys):
         assert main(["check", "--input", table1_path, "--min-sup", "2"]) == 0
         out = capsys.readouterr().out
-        assert "OK" in out and "8 itemsets" in out
+        assert out == "OK: ifp, apriori and oracle agree on 8 itemsets at sigma=2\n"
+
+    def test_wrong_support_is_a_disagreement(self, table1_path, monkeypatch, capsys):
+        real = cli.mine_mii
+
+        def off_by_one(db, sigma, algorithm="ifp", stats=None):
+            result = real(db, sigma, algorithm=algorithm, stats=stats)
+            if algorithm != "apriori":
+                return result
+            first = result.miis[0]
+            supports = {**result.supports, first: result.supports[first] + 1}
+            return dataclasses.replace(result, supports=supports)
+
+        monkeypatch.setattr(cli, "mine_mii", off_by_one)
+        assert main(["check", "--input", table1_path, "--min-sup", "2"]) == cli.EXIT_DISAGREEMENT
+        assert capsys.readouterr().out == "DISAGREE apriori vs oracle: 5 has support 2 in apriori, 1 in oracle\n"
 
 
 class TestBench:

@@ -1,5 +1,6 @@
-"""Inputs shaped like real FIMI files: odd whitespace, ids past 64 bits, empty
-files, edge thresholds, thousands of items and one very long transaction.
+"""Inputs shaped like real FIMI files: odd whitespace and line ends, ids past
+64 bits, empty files, edge thresholds, thousands of items and one very long
+transaction.
 
 Every case goes through ``cli.run`` and checks its exit code, and checks the
 ``ifp`` miner's output against ``apriori`` and, where the oracle's guards
@@ -13,6 +14,7 @@ from ifpmine import (
     TransactionDatabase,
     mine_mlms,
     mlms_oracle,
+    parse_fimi,
     read_fimi,
     support,
 )
@@ -67,6 +69,27 @@ def test_crlf_tabs_and_no_final_newline(tmp_path, capsys):
         assert _mii_agree(plain, min_sup, capsys) == (code, out)
     assert _mine_mlms(odd, "3,2", capsys) == _mine_mlms(plain, "3,2", capsys) != (0, "")
     _mlms_matches_oracle(odd, "3,2")
+
+
+@pytest.mark.parametrize("sep", [b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f"])
+def test_control_whitespace_ends_no_line(tmp_path, capsys, sep):
+    # str.splitlines() also ends a line at each of these bytes but \x1f, which
+    # would add transactions and so shift percentage thresholds.
+    odd = _write(tmp_path, b"0 1" + sep + b"2\n1 2\n0" + sep + b"1\n2", "odd.fimi")
+    plain = _write(tmp_path, b"0 1 2\n1 2\n0 1\n2\n", "plain.fimi")
+    assert len(read_fimi(odd)) == 4
+    for min_sup in ("2", "50%", "75%"):
+        code, out = _mii_agree(odd, min_sup, capsys)
+        assert code == 0 and out
+        assert _mii_agree(plain, min_sup, capsys) == (code, out)
+    assert _mine_mlms(odd, "50%,50%", capsys) == _mine_mlms(plain, "50%,50%", capsys) != (0, "")
+
+
+def test_text_and_file_share_line_ends(tmp_path):
+    text = "0 1\r2\r\n3\x0c4\n\r\n5"
+    path = _write(tmp_path, text.encode())
+    assert [t.items for t in parse_fimi(text)] == [(0, 1), (2,), (3, 4), (), (5,)]
+    assert parse_fimi(text) == read_fimi(path)
 
 
 def test_item_ids_beyond_64_bits(tmp_path, capsys):
