@@ -121,8 +121,7 @@ def ifp_min(tree: IFPTree, sigma: int, stats: MiningStats | None = None) -> MIIR
     if stats is None:
         stats = MiningStats()
     start = time.perf_counter()
-    # The order is by ascending support, so the infrequent items lead it.
-    work = _copy_tree(tree, sum(tree.supports[i] < sigma for i in tree.order))
+    work = _copy_tree(tree, sigma)
     # The caller's tree and the working copy are both alive throughout.
     stats.push(live := tree.node_count + work.node_count)
     try:

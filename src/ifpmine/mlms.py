@@ -51,12 +51,13 @@ class ThresholdVector:
     @classmethod
     def from_text(cls, text: str, num_transactions: int) -> "ThresholdVector":
         """Parse a comma-separated list of absolute counts or percentages,
-        e.g. ``"4,4,3,2,1"`` or ``"10%,8%,5%"``. The list length defines L."""
-        parts = [p for p in text.split(",") if p.strip()]
-        resolved = tuple(
-            SupportThreshold.parse(p).resolve(num_transactions) for p in parts
-        )
-        return cls(resolved)
+        e.g. ``"4,4,3,2,1"`` or ``"10%,8%,5%"``. The list length defines L.
+        An empty field, as in ``"4,,2"``, is an error, not skipped."""
+        parts = text.split(",")
+        for k, p in enumerate(parts, start=1):
+            if not p.strip():
+                raise InvalidThresholdError(f"threshold {k} of {len(parts)} is empty in {text!r}")
+        return cls(tuple(SupportThreshold.parse(p).resolve(num_transactions) for p in parts))
 
     @property
     def max_length(self) -> int:
@@ -110,11 +111,13 @@ def ifp_mlms(
     tree is supp(s) in x's projection, and the residual tree keeps the
     supports of every itemset without x. ``sigma_low_prune=False`` disables
     every skip of a projection and every item dropped from a tree; it never
-    changes the result, only the work.
+    changes the result, only the work, which can grow exponentially in the
+    transaction length: two identical n-item transactions at ``(2, 2)`` make
+    2^n - 1 projections, and at n = 1200 raise ``RecursionError``. The CLI
+    always prunes.
     """
-    # The order is by ascending support, so the items below sigma_low lead it.
-    k = sum(tree.supports[i] < tv.sigma_low for i in tree.order) if sigma_low_prune else 0
-    return _mlms_rec(_copy_tree(tree, k), tv, 0, sigma_low_prune)
+    floor = tv.sigma_low if sigma_low_prune else 0
+    return _mlms_rec(_copy_tree(tree, floor), tv, 0, sigma_low_prune)
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,9 @@ def mine_mlms(
     sigma_low_prune: bool = True,
 ) -> MLMSResult:
     """Build the tree and mine it under the empty prefix; the miner returns
-    each itemset's support along with it."""
+    each itemset's support along with it. ``sigma_low_prune=False`` leaves
+    the result alone but can make the work exponential in the transaction
+    length; see ``ifp_mlms``."""
     start = time.perf_counter()
     found = ifp_mlms(build_tree(db), tv, sigma_low_prune=sigma_low_prune)
     return MLMSResult(

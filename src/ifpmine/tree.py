@@ -14,10 +14,14 @@ That makes two decompositions cheap:
 the root: O(x's subtree) per step, not O(tree). It consumes its tree;
 ``projected_tree`` and ``residual_tree`` leave theirs alone.
 
-As FP-growth's conditional trees do, the miners' trees leave out the items
-below a floor: ``projected_tree`` drops them as it builds x's projection in
-one walk, and ``_copy_tree`` the ones that lead the caller's order. A dropped
-item keeps its support in ``supports`` but gets no node and no place in the order.
+One builder, ``_build``, makes every tree from weighted transactions, as
+FP-growth builds its conditional trees with its first tree's insert. One
+reader, ``_walk``, gives a tree's transactions back as weighted paths, for
+``projected_tree`` (x's subtree), ``residual_tree`` (the whole tree, x left
+out), ``decompress`` and ``tree_support``. ``_build`` leaves out the items
+below its ``min_support``, and the miners' working copy, ``_copy_tree``, the
+items below its ``floor``: such an item keeps its support in ``supports`` but
+gets no node and no place in the order.
 """
 
 from __future__ import annotations
@@ -56,19 +60,6 @@ class IFPTree:
         self.supports = supports  # item -> support, also of items pruned from the tree (no node)
         self.node_count = 0
 
-    def _insert(self, items_by_rank: Iterable[int], count: int = 1) -> None:
-        """Insert one transaction (items already sorted by self.rank), adding
-        ``count`` along the shared prefix and attaching the rest."""
-        node = self.root
-        for item in items_by_rank:
-            child = node.children.get(item)
-            if child is None:
-                child = IFPNode(item)
-                node.children[item] = child
-                self.node_count += 1
-            child.count += count
-            node = child
-
     def is_empty(self) -> bool:
         return not self.root.children
 
@@ -95,15 +86,38 @@ def _order_items(supports: dict[int, int]) -> list[int]:
     return sorted(supports, key=lambda i: (supports[i], i))
 
 
+def _build(
+    supports: dict[int, int],
+    paths: Iterable[tuple[Iterable[int], int]],
+    num_transactions: int,
+    min_support: int = 0,
+) -> IFPTree:
+    """The tree of the weighted transactions ``paths``, ``(items, count)``
+    pairs; it owns ``supports``. Only the items whose support reaches
+    ``min_support`` get nodes and a place in the order: the others are
+    dropped from the paths as they are inserted."""
+    tree = IFPTree(
+        (i for i in _order_items(supports) if supports[i] >= min_support),
+        num_transactions,
+        supports,
+    )
+    rank = tree.rank
+    for items, count in paths:
+        node = tree.root
+        for item in sorted((i for i in items if i in rank), key=rank.__getitem__):
+            child = node.children.get(item)
+            if child is None:
+                node.children[item] = child = IFPNode(item)
+                tree.node_count += 1
+            child.count += count
+            node = child
+    return tree
+
+
 def build_tree(db: TransactionDatabase) -> IFPTree:
     """Build the inverse FP-tree of a database. Empty transactions are counted
     in ``num_transactions`` but add no nodes."""
-    supports = item_supports(db)
-    tree = IFPTree(_order_items(supports), len(db), supports)
-    rank = tree.rank
-    for t in db.transactions:
-        tree._insert(sorted(t.items, key=rank.__getitem__))
-    return tree
+    return _build(item_supports(db), ((t.items, 1) for t in db.transactions), len(db))
 
 
 def decompress(tree: IFPTree) -> list[tuple[Itemset, int]]:
@@ -151,31 +165,23 @@ def projected_tree(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
     """Tree of the projected database of x: transactions containing x, with x
     removed. Requires x to be the lf-item, so the whole projection is the
     single subtree rooted at x's node, read in one walk. Item order is
-    recomputed because supports change under projection.
-
-    ``supports`` holds every item's projected support. Only the items whose
-    support reaches ``min_support`` get nodes and a place in ``order`` and
-    ``rank``; the others are dropped from the paths as they are inserted, so
-    the tree represents the projected database without them and
-    ``tree_support`` of an itemset holding one of them is 0."""
+    recomputed because supports change under projection. ``supports`` holds
+    every item's projected support, but the items below ``min_support`` get
+    no node, so the tree represents the projected database without them."""
     xnode = _check_lf(tree, x)
-    supports, paths = _walk(xnode)
-    proj = IFPTree(
-        (i for i in _order_items(supports) if supports[i] >= min_support),
-        xnode.count,
-        supports,
+    return _build(*_walk(xnode), xnode.count, min_support)
+
+
+def _copy_tree(tree: IFPTree, floor: int) -> IFPTree:
+    """A fresh tree of the represented database without the items whose
+    support is below ``floor``; the input is left unchanged. Their nodes'
+    children merge into the nearest kept ancestor's copy. ``supports`` keeps
+    every item."""
+    out = IFPTree(
+        (i for i in tree.order if tree.supports[i] >= floor),
+        tree.num_transactions,
+        dict(tree.supports),
     )
-    rank = proj.rank
-    for items, count in paths:
-        proj._insert(sorted((i for i in items if i in rank), key=rank.__getitem__), count)
-    return proj
-
-
-def _copy_tree(tree: IFPTree, k: int) -> IFPTree:
-    """A fresh tree of the residual database of the first ``k`` items in the
-    order; the input is left unchanged. Their nodes' children merge into the
-    nearest kept ancestor's copy. ``supports`` keeps every item."""
-    out = IFPTree(tree.order[k:], tree.num_transactions, dict(tree.supports))
     kept = out.rank
     stack = [(tree.root, out.root)]
     while stack:
@@ -228,9 +234,10 @@ def residual_tree(tree: IFPTree, x: int) -> IFPTree:
     """Tree of the residual database of x: every transaction, with x removed.
     Requires x to be the lf-item; the input tree is left unchanged."""
     _check_lf(tree, x)
-    out = _copy_tree(tree, 1)
-    del out.supports[x]
-    return out
+    supports = dict(tree.supports)
+    # The rest of the order reaches x's support; items with no node fall below it.
+    floor = supports.pop(x)
+    return _build(supports, _walk(tree.root)[1], tree.num_transactions, floor)
 
 
 def tree_items(tree: IFPTree) -> set[int]:
@@ -244,21 +251,4 @@ def tree_support(tree: IFPTree, s: Iterable[int]) -> int:
     items = set(s)
     if not items:
         return tree.num_transactions
-    if not items <= tree.rank.keys():
-        return 0
-    needed = tuple(sorted(tree.rank[i] for i in items))
-    total = 0
-    stack = [(tree.root, needed)]  # (node, ranks still to meet below it)
-    while stack:
-        node, remaining = stack.pop()
-        if not remaining:
-            total += node.count
-            continue
-        for item, child in node.children.items():
-            r = tree.rank[item]
-            if r > remaining[0]:
-                # Ranks increase along paths; the smallest remaining item
-                # can no longer occur below this child.
-                continue
-            stack.append((child, remaining[1:] if r == remaining[0] else remaining))
-    return total
+    return sum(count for path, count in _walk(tree.root)[1] if items.issubset(path))

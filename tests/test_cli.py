@@ -86,6 +86,12 @@ class TestMineMlms:
     def test_zero_threshold_is_usage_error(self, table2_path, capsys):
         assert main(["mine-mlms", "--input", table2_path, "--thresholds", "4,0,1"]) == 2
 
+    def test_empty_threshold_field_is_usage_error(self, table2_path, capsys):
+        assert main(["mine-mlms", "--input", table2_path, "--thresholds", "4,,2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold 2 of 3 is empty" in captured.err
+
 
 class TestCheck:
     def test_agreement(self, table1_path, capsys):

@@ -53,6 +53,16 @@ class TestThresholdVector:
     def test_from_text(self):
         assert ThresholdVector.from_text("4,4,3,2,1", 6).sigmas == (4, 4, 3, 2, 1)
         assert ThresholdVector.from_text("10%,8%,5%", 100).sigmas == (10, 8, 5)
+        assert ThresholdVector.from_text(" 4 , 2 ", 10).sigmas == (4, 2)
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("4,,2", 2), ("4,2,", 3), (",4", 1), ("4, ,2", 2), ("", 1), ("4,2,,", 3)],
+    )
+    def test_empty_field_rejected_by_position(self, text, position):
+        # Dropping the field would shift the later thresholds to shorter lengths.
+        with pytest.raises(InvalidThresholdError, match=f"threshold {position} of "):
+            ThresholdVector.from_text(text, 10)
 
     def test_non_monotone_allowed(self):
         tv = ThresholdVector((1, 5, 1))

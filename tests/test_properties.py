@@ -1,5 +1,6 @@
 """Property tests: the miners agree with the brute-force oracles on generated
-databases. Every database stays inside the oracles' guards
+databases, and the tree layer agrees with trees rebuilt from the databases
+its operations stand for. Every database stays inside the oracles' guards
 (``MAX_ORACLE_FREQUENT_ITEMS`` frequent items, ``MAX_ORACLE_TRANSACTION_LEN``
 items per transaction), and the runs are derandomized, so they repeat."""
 
@@ -16,15 +17,21 @@ from ifpmine import (
     apriori_min,
     build_tree,
     ifp_min,
+    item_supports,
+    lf_item,
     mii_oracle,
     mine_mlms,
     mine_mii,
     mlms_oracle,
+    projected_tree,
+    residual_tree,
     support,
+    tree_support,
 )
 from ifpmine.oracle import MAX_ORACLE_FREQUENT_ITEMS, MAX_ORACLE_TRANSACTION_LEN
+from ifpmine.tree import _copy_tree
 
-NUM_ITEMS = 14
+NUM_ITEMS = 20
 
 databases = st.lists(
     st.lists(st.integers(0, NUM_ITEMS - 1), max_size=MAX_ORACLE_TRANSACTION_LEN),
@@ -60,6 +67,54 @@ def test_mlms_agrees_with_oracle_on_non_monotone_thresholds(db, data):
         result = mine_mlms(db, tv, sigma_low_prune=prune)
         assert set(result.frequent) == want
         assert result.supports == {s: support(db, s) for s in want}
+
+
+# Ids NUM_ITEMS and NUM_ITEMS + 1 occur in no database.
+itemsets = st.lists(st.lists(st.integers(0, NUM_ITEMS + 1), max_size=5), max_size=6)
+
+
+def _rebuilt(rows, keep) -> TransactionDatabase:
+    return TransactionDatabase.from_itemsets([[i for i in r if keep(i)] for r in rows])
+
+
+def _assert_same_tree(tree, db: TransactionDatabase) -> None:
+    rebuilt = build_tree(db)
+    assert tree.dump() == rebuilt.dump()
+    assert tree.order == rebuilt.order
+    assert tree.node_count == rebuilt.node_count
+    assert tree.num_transactions == rebuilt.num_transactions
+
+
+@PROPERTY
+@given(db=databases, data=st.data())
+def test_tree_layer_matches_rebuilt_trees(db, data):
+    tree = build_tree(db)
+    rows = [t.items for t in db.transactions]
+    db_supports = item_supports(db)
+    for s in data.draw(itemsets, label="itemsets"):
+        assert tree_support(tree, s) == support(db, s)
+
+    floor = data.draw(st.integers(0, len(db) + 1), label="floor")
+    copy = _copy_tree(tree, floor)
+    _assert_same_tree(copy, _rebuilt(rows, lambda i: db_supports[i] >= floor))
+    assert copy.supports == db_supports
+    if tree.is_empty():
+        return
+
+    x = lf_item(tree)
+    resid = residual_tree(tree, x)
+    _assert_same_tree(resid, without_x := _rebuilt(rows, lambda i: i != x))
+    assert resid.supports == item_supports(without_x)
+
+    proj_rows = [[i for i in r if i != x] for r in rows if x in r]
+    proj_supports = item_supports(TransactionDatabase.from_itemsets(proj_rows))
+    m = data.draw(st.integers(0, db_supports[x] + 1), label="projection floor")
+    proj = projected_tree(tree, x, m)
+    kept = _rebuilt(proj_rows, lambda i: proj_supports[i] >= m)
+    _assert_same_tree(proj, kept)
+    assert proj.supports == proj_supports
+    for s in data.draw(itemsets, label="projected itemsets"):
+        assert tree_support(proj, s) == support(kept, s)
 
 
 def _wide_database(rng: random.Random) -> TransactionDatabase:

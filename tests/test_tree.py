@@ -270,14 +270,15 @@ class TestResidualTree:
             assert spliced.supports == rebuilt.supports
 
     def test_copy_without_the_leading_items_matches_rebuild(self):
-        # The miners' working copy: the residual tree of the first k items.
+        # The miners' working copy: the residual tree of the items below a
+        # floor, which lead the order.
         rng = random.Random(16)
         for _ in range(40):
             db = random_db(rng)
             tree = build_tree(db)
-            k = rng.randint(0, len(tree.order))
-            dropped = set(tree.order[:k])
-            copy = _copy_tree(tree, k)
+            floor = rng.randint(0, len(db) + 1)
+            dropped = {i for i in tree.order if tree.supports[i] < floor}
+            copy = _copy_tree(tree, floor)
             rebuilt = build_tree(
                 TransactionDatabase.from_itemsets([[i for i in t.items if i not in dropped] for t in db])
             )
