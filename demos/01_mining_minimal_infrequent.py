@@ -33,7 +33,7 @@ print("Inverse FP-tree (items ordered by ascending support):")
 print(tree.dump(LABELS))
 print()
 
-result = ifp_min(tree, sigma=2)
+result = ifp_min(db, sigma=2)
 print(f"Minimally infrequent itemsets at sigma=2 ({len(result.miis)} found):")
 print(result.to_text(LABELS))
 

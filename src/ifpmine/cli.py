@@ -266,15 +266,20 @@ def cross_check_counts(records: list[BenchRecord]) -> list[tuple[str, str, list[
 
 
 def _run_bench(spec: RunSpec) -> int:
+    # Fail fast before spending time on the sweep.
+    thresholds = _comma_list(spec.thresholds)
+    if not spec.algorithms or not thresholds:
+        print("bench needs at least one algorithm and one threshold", file=sys.stderr)
+        return EXIT_USAGE
     for algo in spec.algorithms:
         if algo not in MII_ALGORITHMS:
             print(f"unknown algorithm: {algo}", file=sys.stderr)
             return EXIT_USAGE
+    for threshold in thresholds:
+        SupportThreshold.parse(threshold)  # raises InvalidThresholdError: exit 2
     for path in spec.inputs:
-        # Fail fast before spending time on the sweep.
         with open(path, "r", encoding="ascii"):
             pass
-    thresholds = _comma_list(spec.thresholds)
     records = []
     print(BENCH_CSV_HEADER)
     for record in bench_sweep(

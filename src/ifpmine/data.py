@@ -102,17 +102,21 @@ class SupportThreshold:
         """Parse ``"3"`` as an absolute count or ``"12.5%"`` as a fraction."""
         text = text.strip()
         if text.endswith("%"):
+            # float() alone also takes "1_0" and non-ASCII digits.
             try:
+                if not text.isascii() or "_" in text:
+                    raise ValueError
                 pct = float(text[:-1])
             except ValueError:
                 raise InvalidThresholdError(f"bad percentage threshold: {text!r}") from None
             # Exact, unlike pct / 100 (7% of 100 would be ceil(7.000000000000001)). Values
             # outside 0-100, nan and inf stay floats, and the range check reports them.
             return cls("fraction", Fraction(repr(pct)) / 100 if 0 <= pct <= 100 else pct / 100)
-        try:
-            return cls("absolute", int(text))
-        except ValueError:
-            raise InvalidThresholdError(f"bad threshold: {text!r}") from None
+        # ASCII decimal digits, as in parse_fimi: int() alone also takes "+1", "1_0"
+        # and non-ASCII digits.
+        if not (text.isascii() and text.isdigit()):
+            raise InvalidThresholdError(f"bad threshold: {text!r}")
+        return cls("absolute", int(text))
 
     def resolve(self, num_transactions: int) -> int:
         """Absolute count for a database of the given size (ceil for fractions)."""

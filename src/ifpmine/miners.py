@@ -10,8 +10,8 @@ Two miners produce identical output:
   itemsets minimally infrequent in the projected database but not in the
   residual one, plus the zero-support pairs of x with frequent items that
   never co-occur with it. Folding the steps back from the chain's end finds
-  the residual tree's MIIs collected by the time it reaches x. The working
-  copy of the caller's tree and the projections leave out the items below
+  the residual tree's MIIs collected by the time it reaches x. The tree it
+  builds from the database and the projections leave out the items below
   ``sigma``; such an item keeps its support in the tree's ``supports``,
   which makes it alone, or x joined with it in x's projection, an MII.
 * ``apriori_min`` is level-wise candidate generation where the rejected
@@ -25,7 +25,6 @@ The brute-force reference behind ``mine_mii``'s ``oracle`` choice counts with
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .data import (
@@ -38,7 +37,7 @@ from .data import (
     render_itemset_lines,
     support,
 )
-from .tree import IFPTree, _copy_tree, build_tree, projected_tree, split
+from .tree import IFPTree, build_tree, projected_tree, split
 from .tree import residual_tree  # noqa: F401 -- not called here; benchmark/test_benchmark.py reads miners.residual_tree
 
 
@@ -72,7 +71,6 @@ class MIIResult:
     supports: dict[Itemset, int] = field(compare=False)
     sigma: int = 0
     algorithm: str = field(default="", compare=False)
-    elapsed: float = field(default=0.0, compare=False)
 
     def entries(self) -> list[tuple[Itemset, int]]:
         return [(s, self.supports[s]) for s in self.miis]
@@ -112,20 +110,17 @@ def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> dict[Itemset, int
     return result
 
 
-def ifp_min(tree: IFPTree, sigma: int, stats: MiningStats | None = None) -> MIIResult:
-    """Mine all minimally infrequent itemsets of the database the tree
-    represents, at absolute threshold ``sigma`` (>= 1). The tree is left
-    unchanged: the miner consumes a copy of it without the infrequent items."""
+def ifp_min(db: TransactionDatabase, sigma: int, stats: MiningStats | None = None) -> MIIResult:
+    """Mine all minimally infrequent itemsets of the database at absolute
+    threshold ``sigma`` (>= 1), on a tree built without the infrequent items."""
     if sigma < 1:
         raise InvalidThresholdError(f"sigma must be >= 1, got {sigma}")
     if stats is None:
         stats = MiningStats()
-    start = time.perf_counter()
-    work = _copy_tree(tree, sigma)
-    # The caller's tree and the working copy are both alive throughout.
-    stats.push(live := tree.node_count + work.node_count)
+    tree = build_tree(db, sigma)
+    stats.push(live := tree.node_count)
     try:
-        found = _mii_rec(work, sigma, stats)
+        found = _mii_rec(tree, sigma, stats)
     finally:
         stats.pop(live)
     return MIIResult(
@@ -133,7 +128,6 @@ def ifp_min(tree: IFPTree, sigma: int, stats: MiningStats | None = None) -> MIIR
         supports=found,
         sigma=sigma,
         algorithm="ifp",
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -165,7 +159,6 @@ def apriori_min(db: TransactionDatabase, sigma: int) -> MIIResult:
     last item's, and its support is that tidset's ``bit_count()``."""
     if sigma < 1:
         raise InvalidThresholdError(f"sigma must be >= 1, got {sigma}")
-    start = time.perf_counter()
     tidsets: dict[int, int] = {}
     for tid, t in enumerate(db.transactions):
         bit = 1 << tid
@@ -193,7 +186,6 @@ def apriori_min(db: TransactionDatabase, sigma: int) -> MIIResult:
         supports={s: found[s] for s in ordered},
         sigma=sigma,
         algorithm="apriori",
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -206,13 +198,12 @@ def mine_mii(
     """Run the selected MII miner over a database. ``oracle`` selects the
     brute-force reference implementation."""
     if algorithm == "ifp":
-        return ifp_min(build_tree(db), sigma, stats=stats)
+        return ifp_min(db, sigma, stats=stats)
     if algorithm == "apriori":
         return apriori_min(db, sigma)
     if algorithm == "oracle":
         from .oracle import mii_oracle
 
-        start = time.perf_counter()
         found = mii_oracle(db, sigma)
         ordered = tuple(sorted(found, key=itemset_sort_key))
         return MIIResult(
@@ -220,6 +211,5 @@ def mine_mii(
             supports={s: support(db, s) for s in ordered},
             sigma=sigma,
             algorithm="oracle",
-            elapsed=time.perf_counter() - start,
         )
     raise ValueError(f"unknown algorithm: {algorithm!r}")

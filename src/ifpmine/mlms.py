@@ -11,15 +11,15 @@ tree carry x as an implied prefix, so a k-itemset found under a prefix of
 length p is tested against the threshold for length k+p ("frequent*").
 Itemsets whose extended length exceeds the last configured threshold are
 never frequent*, so x's projection is skipped when p + 1 reaches that length.
-Items below the smallest threshold are in none, so the working copy of the
-caller's tree leaves them out, and x's projection, whose itemsets get lengths
-p+2..L, leaves out the items below the least of those lengths' thresholds.
+Items below the smallest threshold are in none, so the tree the miner builds
+from the database leaves them out, and x's projection, whose itemsets get
+lengths p+2..L, leaves out the items below the least of those lengths'
+thresholds.
 ``sigma_low_prune=False`` turns off every one of these prunings.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .data import (
@@ -32,7 +32,7 @@ from .data import (
     render_itemset_lines,
 )
 from .miners import unify
-from .tree import IFPTree, _copy_tree, build_tree, projected_tree, split
+from .tree import IFPTree, build_tree, projected_tree, split
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,13 @@ def _mlms_rec(tree: IFPTree, tv: ThresholdVector, p: int, prune: bool) -> dict[I
 
 
 def ifp_mlms(
-    tree: IFPTree,
+    db: TransactionDatabase,
     tv: ThresholdVector,
     *,
     sigma_low_prune: bool = True,
 ) -> dict[Itemset, int]:
-    """Frequent* itemsets of the tree under the empty prefix, with their
-    supports in the tree, which is left unchanged.
+    """Frequent* itemsets of the database under the empty prefix, with their
+    supports, mined on a tree built without the items below ``tv.sigma_low``.
 
     Each step takes the lf-item x of the residual chain: supp(x + s) in the
     tree is supp(s) in x's projection, and the residual tree keeps the
@@ -117,7 +117,7 @@ def ifp_mlms(
     always prunes.
     """
     floor = tv.sigma_low if sigma_low_prune else 0
-    return _mlms_rec(_copy_tree(tree, floor), tv, 0, sigma_low_prune)
+    return _mlms_rec(build_tree(db, floor), tv, 0, sigma_low_prune)
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,6 @@ class MLMSResult:
     frequent: tuple[Itemset, ...]
     supports: dict[Itemset, int] = field(compare=False)
     thresholds: ThresholdVector | None = field(default=None, compare=False)
-    elapsed: float = field(default=0.0, compare=False)
 
     def entries(self) -> list[tuple[Itemset, int]]:
         return [(s, self.supports[s]) for s in self.frequent]
@@ -143,15 +142,13 @@ def mine_mlms(
     *,
     sigma_low_prune: bool = True,
 ) -> MLMSResult:
-    """Build the tree and mine it under the empty prefix; the miner returns
-    each itemset's support along with it. ``sigma_low_prune=False`` leaves
-    the result alone but can make the work exponential in the transaction
+    """Mine the database under the empty prefix; the miner returns each
+    itemset's support along with it. ``sigma_low_prune=False`` leaves the
+    result alone but can make the work exponential in the transaction
     length; see ``ifp_mlms``."""
-    start = time.perf_counter()
-    found = ifp_mlms(build_tree(db), tv, sigma_low_prune=sigma_low_prune)
+    found = ifp_mlms(db, tv, sigma_low_prune=sigma_low_prune)
     return MLMSResult(
         frequent=tuple(sorted(found, key=itemset_sort_key)),
         supports=found,
         thresholds=tv,
-        elapsed=time.perf_counter() - start,
     )

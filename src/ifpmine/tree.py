@@ -18,10 +18,10 @@ One builder, ``_build``, makes every tree from weighted transactions, as
 FP-growth builds its conditional trees with its first tree's insert. One
 reader, ``_walk``, gives a tree's transactions back as weighted paths, for
 ``projected_tree`` (x's subtree), ``residual_tree`` (the whole tree, x left
-out), ``decompress`` and ``tree_support``. ``_build`` leaves out the items
-below its ``min_support``, and the miners' working copy, ``_copy_tree``, the
-items below its ``floor``: such an item keeps its support in ``supports`` but
-gets no node and no place in the order.
+out), ``decompress`` and ``tree_support``. ``_build``, and so ``build_tree``,
+leaves out the items below its ``min_support``: such an item keeps its
+support in ``supports`` but gets no node and no place in the order. The
+miners build their tree at their floor this way.
 """
 
 from __future__ import annotations
@@ -114,10 +114,11 @@ def _build(
     return tree
 
 
-def build_tree(db: TransactionDatabase) -> IFPTree:
-    """Build the inverse FP-tree of a database. Empty transactions are counted
-    in ``num_transactions`` but add no nodes."""
-    return _build(item_supports(db), ((t.items, 1) for t in db.transactions), len(db))
+def build_tree(db: TransactionDatabase, min_support: int = 0) -> IFPTree:
+    """Build the inverse FP-tree of a database without the items whose
+    support is below ``min_support``; ``supports`` keeps every item. Empty
+    transactions are counted in ``num_transactions`` but add no nodes."""
+    return _build(item_supports(db), ((t.items, 1) for t in db.transactions), len(db), min_support)
 
 
 def decompress(tree: IFPTree) -> list[tuple[Itemset, int]]:
@@ -170,33 +171,6 @@ def projected_tree(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
     no node, so the tree represents the projected database without them."""
     xnode = _check_lf(tree, x)
     return _build(*_walk(xnode), xnode.count, min_support)
-
-
-def _copy_tree(tree: IFPTree, floor: int) -> IFPTree:
-    """A fresh tree of the represented database without the items whose
-    support is below ``floor``; the input is left unchanged. Their nodes'
-    children merge into the nearest kept ancestor's copy. ``supports`` keeps
-    every item."""
-    out = IFPTree(
-        (i for i in tree.order if tree.supports[i] >= floor),
-        tree.num_transactions,
-        dict(tree.supports),
-    )
-    kept = out.rank
-    stack = [(tree.root, out.root)]
-    while stack:
-        src, dst = stack.pop()
-        for item, child in src.children.items():
-            if item not in kept:
-                stack.append((child, dst))
-                continue
-            copy = dst.children.get(item)
-            if copy is None:
-                dst.children[item] = copy = IFPNode(item)
-                out.node_count += 1
-            copy.count += child.count
-            stack.append((child, copy))
-    return out
 
 
 def _merge_into(target: IFPNode, extra: IFPNode) -> int:

@@ -86,7 +86,7 @@ def _get_mii_runs():
     global _mii_runs_cache
     if _mii_runs_cache is None:
         _mii_runs_cache = [
-            (db, sigma, set(ifp_min(build_tree(db), sigma).miis))
+            (db, sigma, set(ifp_min(db, sigma).miis))
             for db, sigma in _mii_instances()
         ]
     return _mii_runs_cache
@@ -104,7 +104,7 @@ def _get_mlms_runs():
 def test_criterion_01_paper_example_mii():
     db = _mii_db()
     start = time.perf_counter()
-    via_ifp = set(ifp_min(build_tree(db), 2).miis)
+    via_ifp = set(ifp_min(db, 2).miis)
     via_apriori = set(apriori_min(db, 2).miis)
     elapsed = time.perf_counter() - start
     ok = via_ifp == MII_EXPECTED and via_apriori == MII_EXPECTED and elapsed < 1.0
@@ -186,7 +186,7 @@ def test_criterion_05_decomposition_identities():
 
 def test_criterion_06_zero_support_pair():
     db = TransactionDatabase.from_itemsets([[0], [0], [0], [1], [1], [1]])
-    via_ifp = set(ifp_min(build_tree(db), 2).miis)
+    via_ifp = set(ifp_min(db, 2).miis)
     via_apriori = set(apriori_min(db, 2).miis)
     via_oracle = mii_oracle(db, 2)
     ok = via_ifp == via_apriori == via_oracle == {(0, 1)}
@@ -240,7 +240,7 @@ def test_criterion_09_dense_performance(tmp_path):
     db = gen_synthetic(DENSE_CFG)
     sigma = 3000  # 30% of 10,000 transactions
     start = time.perf_counter()
-    result = ifp_min(build_tree(db), sigma)
+    result = ifp_min(db, sigma)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
 
@@ -270,8 +270,8 @@ def test_criterion_09_dense_performance(tmp_path):
 def test_criterion_10_determinism(tmp_path):
     # Byte-identical serialized outputs for the criterion 1-4 artifacts.
     mii_db = _mii_db()
-    first = ifp_min(build_tree(mii_db), 2)
-    second = ifp_min(build_tree(mii_db), 2)
+    first = ifp_min(mii_db, 2)
+    second = ifp_min(mii_db, 2)
     assert first.to_text() == second.to_text()
     assert first.to_json() == second.to_json()
     assert apriori_min(mii_db, 2).to_text() == apriori_min(mii_db, 2).to_text()
@@ -287,7 +287,7 @@ def test_criterion_10_determinism(tmp_path):
             SynthConfig(rng.randint(2, 9), rng.randint(2, 30), rng.uniform(0.1, 0.7), rng.getrandbits(64))
         )
         sigma = rng.randint(1, 5)
-        assert ifp_min(build_tree(db), sigma).to_text() == ifp_min(build_tree(db), sigma).to_text()
+        assert ifp_min(db, sigma).to_text() == ifp_min(db, sigma).to_text()
 
     # Bench measured columns are identical at --jobs 1 and --jobs 4.
     p1 = tmp_path / "t1.fimi"

@@ -60,6 +60,13 @@ class TestMineMii:
     def test_sigma_zero_is_usage_error(self, table1_path, capsys):
         assert main(["mine-mii", "--input", table1_path, "--min-sup", "0"]) == 2
 
+    def test_threshold_that_is_not_ascii_digits_is_usage_error(self, table1_path, capsys):
+        for text in ("1_0", "+2", "\u0663", "1_0%"):
+            assert main(["mine-mii", "--input", table1_path, "--min-sup", text]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("invalid arguments: ")
+
     def test_malformed_file_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.fimi"
         for content in (b"1 2\n3 oops\n", b"1 2\n3 \xe9\n", b"1_0 2\n10 +2\n"):
@@ -166,6 +173,22 @@ class TestBench:
     def test_unknown_algorithm_is_usage_error(self, table1_path, capsys):
         assert main(["bench", "--inputs", table1_path, "--algos", "magic",
                      "--thresholds", "2"]) == 2
+
+    def test_bad_threshold_is_usage_error_before_the_sweep(self, table1_path, capsys):
+        for text in ("200%", "2,1_0", "x"):
+            assert main(["bench", "--inputs", table1_path, "--algos", "ifp",
+                         "--thresholds", text]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("invalid arguments: ")
+
+    def test_empty_list_is_usage_error(self, table1_path, capsys):
+        for algos, thresholds in (("ifp", ",,"), (",", "2"), ("ifp", "")):
+            assert main(["bench", "--inputs", table1_path, "--algos", algos,
+                         "--thresholds", thresholds]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "at least one algorithm and one threshold" in captured.err
 
     def test_same_dataset_twice_counts_identical(self, table1_path, capsys):
         main(["bench", "--inputs", table1_path, table1_path, "--algos", "ifp",

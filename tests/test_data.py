@@ -189,7 +189,8 @@ class TestSupportThreshold:
             SupportThreshold.parse("abc")
         with pytest.raises(InvalidThresholdError):
             SupportThreshold.parse("150%")
-        for text in ("nan%", "inf%", "-inf%", "1/0%", "1/2%", "1e999999999%"):
+        for text in ("nan%", "inf%", "-inf%", "1/0%", "1/2%", "1e999999999%",
+                     "+1", "1_0", "\u0663", "1 0", "", "1_0%", "\u0663%"):
             with pytest.raises(InvalidThresholdError):
                 SupportThreshold.parse(text)
         assert SupportThreshold.parse("1e-999999999%").resolve(100) == 0

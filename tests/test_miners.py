@@ -48,27 +48,27 @@ class TestUnify:
 
 class TestIfpMin:
     def test_worked_example(self, mii_db):
-        result = ifp_min(build_tree(mii_db), 2)
+        result = ifp_min(mii_db, 2)
         assert set(result.miis) == MII_EXPECTED
         assert result.sigma == 2
         assert result.algorithm == "ifp"
 
     def test_sigma_zero_rejected(self, mii_db):
         with pytest.raises(InvalidThresholdError):
-            ifp_min(build_tree(mii_db), 0)
+            ifp_min(mii_db, 0)
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(101)
         for _ in range(30):
             db = random_db(rng)
             sigma = rng.randint(1, 5)
-            assert set(ifp_min(build_tree(db), sigma).miis) == mii_oracle(db, sigma)
+            assert set(ifp_min(db, sigma).miis) == mii_oracle(db, sigma)
 
     def test_single_node_base_keeps_pruned_singletons(self):
         # After pruning items 8 and 9 the tree is the single frequent node 7;
         # the pruned 1-itemsets are still part of the answer.
         db = TransactionDatabase.from_itemsets([[7, 8], [7, 9], [7]])
-        result = ifp_min(build_tree(db), 2)
+        result = ifp_min(db, 2)
         assert set(result.miis) == {(8,), (9,)}
 
 
@@ -77,7 +77,7 @@ class TestIfpMin:
         # MII of support 0. The residual chain is 1100 trees long, far deeper
         # than the interpreter's recursion limit.
         db = TransactionDatabase.from_itemsets([[2 * i, 2 * i + 1] for i in range(550)])
-        result = ifp_min(build_tree(db), 1)
+        result = ifp_min(db, 1)
         # Distinct pairs, none a transaction, as many as there are such pairs.
         assert len(result.miis) == 1100 * 1099 // 2 - 550
         assert all(len(s) == 2 and not (s[0] % 2 == 0 and s[1] == s[0] + 1) for s in result.miis)
@@ -86,22 +86,21 @@ class TestIfpMin:
     def test_long_transactions(self):
         # Paths of 1200 nodes: every walk over them must stay iterative.
         db = TransactionDatabase.from_itemsets([range(1200), range(1, 1200)])
-        assert ifp_min(build_tree(db), 3).miis == tuple((i,) for i in range(1200))
+        assert ifp_min(db, 3).miis == tuple((i,) for i in range(1200))
         db = TransactionDatabase.from_itemsets([range(1200), [0], [0]])
-        assert ifp_min(build_tree(db), 2).miis == tuple((i,) for i in range(1, 1200))
+        assert ifp_min(db, 2).miis == tuple((i,) for i in range(1, 1200))
 
     def test_working_copy_leaves_out_infrequent_items(self):
         # Items 10-19 (supports 27 at most) are infrequent at sigma 40, items
-        # 0-9 (86 at least) frequent. A full working copy alone would bring the
-        # peak to twice the input tree.
+        # 0-9 (86 at least) frequent. A tree with them would alone bring the
+        # peak to the full tree's size.
         rng = random.Random(1)
         db = TransactionDatabase.from_itemsets(
             [[i for i in range(20) if rng.random() < (0.5 if i < 10 else 0.1)] for _ in range(200)]
         )
-        tree = build_tree(db)
         stats = MiningStats()
-        result = ifp_min(tree, 40, stats)
-        assert stats.peak_nodes < 2 * tree.node_count
+        result = ifp_min(db, 40, stats)
+        assert stats.peak_nodes < build_tree(db).node_count
         assert result == apriori_min(db, 40)
         assert result.supports == apriori_min(db, 40).supports
 
@@ -134,7 +133,7 @@ class TestEquivalence:
         for _ in range(30):
             db = random_db(rng)
             sigma = rng.randint(1, 5)
-            a = set(ifp_min(build_tree(db), sigma).miis)
+            a = set(ifp_min(db, sigma).miis)
             b = set(apriori_min(db, sigma).miis)
             c = mii_oracle(db, sigma)
             assert a == b == c
@@ -199,7 +198,7 @@ class TestGroupTwoB:
     def test_never_cooccurring_frequent_pair_reported(self):
         db = TransactionDatabase.from_itemsets([[0], [0], [0], [1], [1], [1]])
         expected = {(0, 1)}
-        assert set(ifp_min(build_tree(db), 2).miis) == expected
+        assert set(ifp_min(db, 2).miis) == expected
         assert set(apriori_min(db, 2).miis) == expected
         assert mii_oracle(db, 2) == expected
 
@@ -216,7 +215,7 @@ class TestGroupTwoB:
                 for b in sorted(frequent)[ia + 1:]
                 if support(db, (a, b)) == 0
             }
-            miis = set(ifp_min(build_tree(db), sigma).miis)
+            miis = set(ifp_min(db, sigma).miis)
             assert zero_pairs <= miis
 
 
@@ -242,7 +241,7 @@ class TestSoundness:
         for _ in range(25):
             db = random_db(rng)
             sigma = rng.randint(1, 5)
-            miis = [set(s) for s in ifp_min(build_tree(db), sigma).miis]
+            miis = [set(s) for s in ifp_min(db, sigma).miis]
             for i, a in enumerate(miis):
                 for j, b in enumerate(miis):
                     if i != j:
@@ -255,8 +254,8 @@ class TestDeterminism:
         for _ in range(10):
             db = random_db(rng)
             sigma = rng.randint(1, 4)
-            first = ifp_min(build_tree(db), sigma)
-            second = ifp_min(build_tree(db), sigma)
+            first = ifp_min(db, sigma)
+            second = ifp_min(db, sigma)
             assert first.miis == second.miis
             assert first.to_text() == second.to_text()
             assert first.to_json() == second.to_json()
@@ -264,7 +263,7 @@ class TestDeterminism:
 
 class TestResultFormats:
     def test_text_lines_sorted_and_labeled(self, mii_db):
-        text = ifp_min(build_tree(mii_db), 2).to_text(MII_LABELS)
+        text = ifp_min(mii_db, 2).to_text(MII_LABELS)
         lines = text.splitlines()
         assert lines[0] == "F (1)"
         assert "B D (1)" in lines
@@ -276,11 +275,11 @@ class TestResultFormats:
     def test_json_shape(self, mii_db):
         import json
 
-        payload = json.loads(ifp_min(build_tree(mii_db), 2).to_json())
+        payload = json.loads(ifp_min(mii_db, 2).to_json())
         assert isinstance(payload, list)
         assert {"items": [1, 3], "support": 1} in payload
 
     def test_supports_recorded(self, mii_db):
-        result = ifp_min(build_tree(mii_db), 2)
+        result = ifp_min(mii_db, 2)
         assert result.supports[(0, 4)] == 0
         assert result.supports[(5,)] == 1

@@ -8,7 +8,6 @@ from ifpmine import (
     SynthConfig,
     ThresholdVector,
     TransactionDatabase,
-    build_tree,
     gen_synthetic,
     ifp_mlms,
     is_frequent_star,
@@ -88,15 +87,15 @@ class TestIsFrequentStar:
 
 class TestIfpMlms:
     def test_worked_example(self, mlms_db):
-        found = ifp_mlms(build_tree(mlms_db), ThresholdVector(MLMS_SIGMAS))
+        found = ifp_mlms(mlms_db, ThresholdVector(MLMS_SIGMAS))
         assert found == MLMS_EXPECTED
 
     def test_low_support_item_excluded_everywhere(self, mlms_db):
-        found = ifp_mlms(build_tree(mlms_db), ThresholdVector(MLMS_SIGMAS))
+        found = ifp_mlms(mlms_db, ThresholdVector(MLMS_SIGMAS))
         assert all(1 not in s for s in found)  # item B has support 1 < sigma_1
 
     def test_empty_tree(self):
-        assert ifp_mlms(build_tree(parse_fimi("")), ThresholdVector((1, 1))) == {}
+        assert ifp_mlms(parse_fimi(""), ThresholdVector((1, 1))) == {}
 
 
 class TestMineMlms:

@@ -29,7 +29,6 @@ from ifpmine import (
     tree_support,
 )
 from ifpmine.oracle import MAX_ORACLE_FREQUENT_ITEMS, MAX_ORACLE_TRANSACTION_LEN
-from ifpmine.tree import _copy_tree
 
 NUM_ITEMS = 20
 
@@ -50,7 +49,7 @@ assert max(NUM_ITEMS, WIDE_ITEMS) <= min(MAX_ORACLE_FREQUENT_ITEMS, MAX_ORACLE_T
 def test_mii_miners_agree_with_oracle(db, data):
     sigma = data.draw(st.integers(1, len(db) + 1), label="sigma")
     want = mii_oracle(db, sigma)
-    for result in (ifp_min(build_tree(db), sigma), apriori_min(db, sigma)):
+    for result in (ifp_min(db, sigma), apriori_min(db, sigma)):
         assert set(result.miis) == want
         assert result.supports == {s: support(db, s) for s in want}
 
@@ -95,9 +94,9 @@ def test_tree_layer_matches_rebuilt_trees(db, data):
         assert tree_support(tree, s) == support(db, s)
 
     floor = data.draw(st.integers(0, len(db) + 1), label="floor")
-    copy = _copy_tree(tree, floor)
-    _assert_same_tree(copy, _rebuilt(rows, lambda i: db_supports[i] >= floor))
-    assert copy.supports == db_supports
+    pruned = build_tree(db, floor)
+    _assert_same_tree(pruned, _rebuilt(rows, lambda i: db_supports[i] >= floor))
+    assert pruned.supports == db_supports
     if tree.is_empty():
         return
 

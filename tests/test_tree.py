@@ -7,12 +7,9 @@ from ifpmine import (
     EmptyTreeError,
     SynthConfig,
     TransactionDatabase,
-    ThresholdVector,
     build_tree,
     decompress,
     gen_synthetic,
-    ifp_min,
-    ifp_mlms,
     lf_item,
     parse_fimi,
     projected_tree,
@@ -22,8 +19,6 @@ from ifpmine import (
     tree_items,
     tree_support,
 )
-
-from ifpmine.tree import _copy_tree
 
 from conftest import MII_LABELS, MII_ROWS
 
@@ -270,22 +265,22 @@ class TestResidualTree:
             assert spliced.supports == rebuilt.supports
 
     def test_copy_without_the_leading_items_matches_rebuild(self):
-        # The miners' working copy: the residual tree of the items below a
-        # floor, which lead the order.
+        # The miners' tree, built at a floor: the residual tree of the items
+        # below it, which lead the order.
         rng = random.Random(16)
         for _ in range(40):
             db = random_db(rng)
             tree = build_tree(db)
             floor = rng.randint(0, len(db) + 1)
             dropped = {i for i in tree.order if tree.supports[i] < floor}
-            copy = _copy_tree(tree, floor)
+            pruned = build_tree(db, floor)
             rebuilt = build_tree(
                 TransactionDatabase.from_itemsets([[i for i in t.items if i not in dropped] for t in db])
             )
-            assert copy.dump() == rebuilt.dump()
-            assert copy.order == rebuilt.order
-            assert copy.node_count == rebuilt.node_count
-            assert copy.supports == tree.supports
+            assert pruned.dump() == rebuilt.dump()
+            assert pruned.order == rebuilt.order
+            assert pruned.node_count == rebuilt.node_count
+            assert pruned.supports == tree.supports
 
     def test_absent_item_leaves_database_unchanged(self):
         # Removing an item that occurs nowhere is the identity on the
@@ -304,8 +299,6 @@ class TestResidualTree:
         before = pruned_tree.dump()
         residual_tree(pruned_tree, 0)
         projected_tree(pruned_tree, 0)
-        ifp_min(pruned_tree, 2)
-        ifp_mlms(pruned_tree, ThresholdVector((2, 2)))
         assert pruned_tree.dump() == before
 
 
