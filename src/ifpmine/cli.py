@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from .data import (
     FimiParseError,
+    InvalidThresholdError,
     SupportThreshold,
     TransactionDatabase,
     read_fimi,
@@ -275,8 +276,14 @@ def _run_bench(spec: RunSpec) -> int:
         if algo not in MII_ALGORITHMS:
             print(f"unknown algorithm: {algo}", file=sys.stderr)
             return EXIT_USAGE
+    if not spec.timeout > 0:  # nan too
+        print(f"bench needs a timeout greater than 0, got {spec.timeout}", file=sys.stderr)
+        return EXIT_USAGE
     for threshold in thresholds:
-        SupportThreshold.parse(threshold)  # raises InvalidThresholdError: exit 2
+        # Parsing raises InvalidThresholdError (exit 2). A 0 resolves to sigma 0 on
+        # every dataset; a positive percentage resolves per dataset, in its cells.
+        if SupportThreshold.parse(threshold).value == 0:
+            raise InvalidThresholdError(f"threshold {threshold!r} is 0; sigma must be >= 1")
     for path in spec.inputs:
         with open(path, "r", encoding="ascii"):
             pass

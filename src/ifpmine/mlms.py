@@ -14,7 +14,8 @@ never frequent*, so x's projection is skipped when p + 1 reaches that length.
 Items below the smallest threshold are in none, so the tree the miner builds
 from the database leaves them out, and x's projection, whose itemsets get
 lengths p+2..L, leaves out the items below the least of those lengths'
-thresholds.
+thresholds. At p = L-2 those itemsets are all singletons, so the projection
+is not built: its item supports, read from x's subtree, are all it gives.
 ``sigma_low_prune=False`` turns off every one of these prunings.
 """
 
@@ -32,7 +33,7 @@ from .data import (
     render_itemset_lines,
 )
 from .miners import unify
-from .tree import IFPTree, build_tree, projected_tree, split
+from .tree import IFPTree, build_tree, projected_supports, projected_tree, split
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,11 @@ def _mlms_rec(tree: IFPTree, tv: ThresholdVector, p: int, prune: bool) -> dict[I
         if is_frequent_star(1, p, x_supp, tv):
             out[(x,)] = x_supp
         if prune and p + 1 >= tv.max_length:
+            continue
+        if prune and p + 2 >= tv.max_length:
+            # The projection's itemsets are its items, of length p+2 = L.
+            sigma = tv.sigma(p + 2)
+            out.update(unify(x, {(y,): n for y, n in projected_supports(t, x).items() if n >= sigma}))
             continue
         # The projection's itemsets get lengths p+2..L.
         min_support = min(tv.sigmas[p + 1:]) if prune else 0

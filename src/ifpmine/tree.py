@@ -22,6 +22,13 @@ out), ``decompress`` and ``tree_support``. ``_build``, and so ``build_tree``,
 leaves out the items below its ``min_support``: such an item keeps its
 support in ``supports`` but gets no node and no place in the order. The
 miners build their tree at their floor this way.
+
+A second walk, ``_supports``, only counts: each item's support under a node.
+``projected_supports`` is that count for x's subtree, with no tree built.
+``projected_tree`` counts first, as FP-growth counts a conditional pattern
+base before it builds the conditional tree, and reads x's paths only if some
+item reaches its ``min_support``: a projection of infrequent items alone
+keeps its ``supports`` but reads no path and gets no node.
 """
 
 from __future__ import annotations
@@ -126,7 +133,7 @@ def decompress(tree: IFPTree) -> list[tuple[Itemset, int]]:
     (itemset, multiplicity) pairs, in deterministic tree order."""
     rank = tree.rank.__getitem__
     # Tree order lists a path before its extensions: the paths' rank tuples sort so.
-    return sorted(_walk(tree.root)[1], key=lambda path: tuple(map(rank, path[0])))
+    return sorted(_walk(tree.root), key=lambda path: tuple(map(rank, path[0])))
 
 
 def lf_item(tree: IFPTree) -> int:
@@ -142,35 +149,55 @@ def _check_lf(tree: IFPTree, x: int) -> IFPNode:
     return tree.root.children[x]
 
 
-def _walk(top: IFPNode) -> tuple[dict[int, int], list[tuple[Itemset, int]]]:
-    """Each item's support under ``top`` (``top`` left out) and each path that
-    transactions end on, with its multiplicity, in one walk in dict order."""
+def _supports(top: IFPNode) -> dict[int, int]:
+    """Each item's support under ``top``, ``top`` left out."""
     supports: dict[int, int] = {}
+    stack = list(top.children.values())
+    while stack:  # no recursion on long paths
+        node = stack.pop()
+        supports[node.item] = supports.get(node.item, 0) + node.count
+        stack.extend(node.children.values())
+    return supports
+
+
+def _walk(top: IFPNode) -> list[tuple[Itemset, int]]:
+    """Each path under ``top`` that transactions end on, with its
+    multiplicity, in one walk in dict order."""
     paths: list[tuple[Itemset, int]] = []
     path: list[int] = []
     stack = [(child, 0) for child in top.children.values()]
     while stack:  # (node, its depth): no recursion on long paths
         node, depth = stack.pop()
-        item, count = node.item, node.count
-        path[depth:] = [item]
-        supports[item] = supports.get(item, 0) + count
+        count = node.count
+        path[depth:] = [node.item]
         for child in node.children.values():
             count -= child.count
             stack.append((child, depth + 1))
         if count > 0:
             paths.append((tuple(path), count))
-    return supports, paths
+    return paths
+
+
+def projected_supports(tree: IFPTree, x: int) -> dict[int, int]:
+    """Each item's support in the projected database of x, which must be the
+    lf-item, read from x's subtree without building a tree. Items that never
+    occur with x are absent."""
+    return _supports(_check_lf(tree, x))
 
 
 def projected_tree(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
     """Tree of the projected database of x: transactions containing x, with x
     removed. Requires x to be the lf-item, so the whole projection is the
-    single subtree rooted at x's node, read in one walk. Item order is
-    recomputed because supports change under projection. ``supports`` holds
-    every item's projected support, but the items below ``min_support`` get
-    no node, so the tree represents the projected database without them."""
+    single subtree rooted at x's node. Item order is recomputed because
+    supports change under projection. ``supports`` holds every item's
+    projected support, but the items below ``min_support`` get no node, so
+    the tree represents the projected database without them. They are
+    counted first: x's paths are read only if some item reaches
+    ``min_support``."""
     xnode = _check_lf(tree, x)
-    return _build(*_walk(xnode), xnode.count, min_support)
+    supports = _supports(xnode)
+    keep = any(n >= min_support for n in supports.values())
+    return _build(supports, _walk(xnode) if keep else (), xnode.count, min_support)
 
 
 def _merge_into(target: IFPNode, extra: IFPNode) -> int:
@@ -211,7 +238,7 @@ def residual_tree(tree: IFPTree, x: int) -> IFPTree:
     supports = dict(tree.supports)
     # The rest of the order reaches x's support; items with no node fall below it.
     floor = supports.pop(x)
-    return _build(supports, _walk(tree.root)[1], tree.num_transactions, floor)
+    return _build(supports, _walk(tree.root), tree.num_transactions, floor)
 
 
 def tree_items(tree: IFPTree) -> set[int]:
@@ -225,4 +252,4 @@ def tree_support(tree: IFPTree, s: Iterable[int]) -> int:
     items = set(s)
     if not items:
         return tree.num_transactions
-    return sum(count for path, count in _walk(tree.root)[1] if items.issubset(path))
+    return sum(count for path, count in _walk(tree.root) if items.issubset(path))

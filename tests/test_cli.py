@@ -164,8 +164,9 @@ class TestBench:
         assert columns(1) == columns(4)
 
     def test_timeout_records_minus_one(self, table1_path, capsys):
+        # Far shorter than starting the cell's process takes; 0 is a usage error.
         rc = main(["bench", "--inputs", table1_path, "--algos", "ifp",
-                   "--thresholds", "2", "--timeout", "0"])
+                   "--thresholds", "2", "--timeout", "1e-9"])
         assert rc == 0
         row = capsys.readouterr().out.splitlines()[1]
         assert row == f"{table1_path},ifp,2,-1,-1,-1"
@@ -181,6 +182,22 @@ class TestBench:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("invalid arguments: ")
+
+    def test_zero_threshold_is_usage_error_before_the_sweep(self, table1_path, capsys):
+        for text in ("0", "0%", "1e-999999999%"):
+            assert main(["bench", "--inputs", table1_path, "--algos", "ifp",
+                         "--thresholds", f"2,{text}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("invalid arguments: ")
+
+    def test_timeout_not_above_zero_is_usage_error_before_the_sweep(self, table1_path, capsys):
+        for timeout in ("0", "-1", "nan"):
+            assert main(["bench", "--inputs", table1_path, "--algos", "ifp",
+                         "--thresholds", "2", f"--timeout={timeout}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "timeout greater than 0" in captured.err
 
     def test_empty_list_is_usage_error(self, table1_path, capsys):
         for algos, thresholds in (("ifp", ",,"), (",", "2"), ("ifp", "")):

@@ -188,6 +188,25 @@ class TestSigmaLowPruning:
             assert set(floors) == want
             assert set(result.frequent) == mlms_oracle(mlms_db, tv)
 
+    def test_last_length_projections_are_read_not_built(self, mlms_db, monkeypatch):
+        # Under the empty prefix a projection holds only 2-itemsets, its items:
+        # their supports are read from x's subtree and no projection is built.
+        calls = []
+        real = mlms_module.projected_tree
+
+        def counting(tree, x, min_support=0):
+            calls.append(x)
+            return real(tree, x, min_support)
+
+        monkeypatch.setattr(mlms_module, "projected_tree", counting)
+        tv = ThresholdVector((2, 2))
+        result = mine_mlms(mlms_db, tv)
+        assert calls == []
+        assert set(result.frequent) == mlms_oracle(mlms_db, tv)
+        unpruned = mine_mlms(mlms_db, tv, sigma_low_prune=False)
+        assert calls
+        assert set(unpruned.frequent) == mlms_oracle(mlms_db, tv)
+
     def test_lossless_on_random_instances(self):
         rng = random.Random(911)
         for _ in range(30):

@@ -23,6 +23,7 @@ from ifpmine import (
     mine_mlms,
     mine_mii,
     mlms_oracle,
+    projected_supports,
     projected_tree,
     residual_tree,
     support,
@@ -112,6 +113,7 @@ def test_tree_layer_matches_rebuilt_trees(db, data):
     kept = _rebuilt(proj_rows, lambda i: proj_supports[i] >= m)
     _assert_same_tree(proj, kept)
     assert proj.supports == proj_supports
+    assert projected_supports(tree, x) == proj_supports
     for s in data.draw(itemsets, label="projected itemsets"):
         assert tree_support(proj, s) == support(kept, s)
 

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from ifpmine import tree as tree_module
 from ifpmine import (
     EmptyTreeError,
     SynthConfig,
@@ -12,6 +13,7 @@ from ifpmine import (
     gen_synthetic,
     lf_item,
     parse_fimi,
+    projected_supports,
     projected_tree,
     prune_infrequent_items,
     residual_tree,
@@ -226,6 +228,33 @@ class TestProjectedTree:
                 k = rng.randint(0, min(4, len(kept)))
                 s = tuple(rng.sample(kept, k))
                 assert tree_support(proj, s) == tree_support(full, s)
+
+    def test_projection_of_infrequent_items_reads_no_path(self, monkeypatch):
+        # x = 0 occurs in three transactions, its projected items at most twice.
+        db = TransactionDatabase.from_itemsets([[0, 1, 2], [0, 1], [0, 2, 3]] + [[1, 2, 3]] * 3)
+        tree = build_tree(db)
+        assert lf_item(tree) == 0
+        full = projected_tree(tree, 0)
+        assert full.supports == projected_supports(tree, 0) == {1: 2, 2: 2, 3: 1}
+        calls = []
+        real = tree_module._walk
+
+        def counting(top):
+            calls.append(top)
+            return real(top)
+
+        monkeypatch.setattr(tree_module, "_walk", counting)
+        proj = projected_tree(tree, 0, 3)
+        assert calls == []
+        assert proj.order == () and proj.node_count == 0 and proj.is_empty()
+        assert proj.supports == full.supports
+        assert proj.num_transactions == full.num_transactions == 3
+        projected_tree(tree, 0, 2)
+        assert len(calls) == 1
+
+    def test_projected_supports_not_lf_item_rejected(self, pruned_tree):
+        with pytest.raises(ValueError, match="least-frequent"):
+            projected_supports(pruned_tree, 4)
 
 
 class TestResidualTree:
