@@ -39,6 +39,9 @@ BENCH_CSV_HEADER = "dataset,algorithm,threshold,elapsed_ms,itemsets,peak_nodes"
 
 MII_ALGORITHMS = ("ifp", "apriori", "oracle")
 
+# A bench cell's result is awaited with poll(), whose timeout is a C int of milliseconds.
+MAX_BENCH_TIMEOUT_S = (2**31 - 1) / 1000
+
 
 @dataclass
 class RunSpec:
@@ -276,8 +279,11 @@ def _run_bench(spec: RunSpec) -> int:
         if algo not in MII_ALGORITHMS:
             print(f"unknown algorithm: {algo}", file=sys.stderr)
             return EXIT_USAGE
-    if not spec.timeout > 0:  # nan too
-        print(f"bench needs a timeout greater than 0, got {spec.timeout}", file=sys.stderr)
+    if not 0 < spec.timeout <= MAX_BENCH_TIMEOUT_S:  # nan too
+        print(
+            f"bench needs a timeout greater than 0 and at most {MAX_BENCH_TIMEOUT_S} s, got {spec.timeout}",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     for threshold in thresholds:
         # Parsing raises InvalidThresholdError (exit 2). A 0 resolves to sigma 0 on

@@ -35,6 +35,12 @@ def itemset_sort_key(s: Itemset) -> tuple[int, Itemset]:
     return (len(s), s)
 
 
+def in_result_order(itemsets: Iterable[Itemset]) -> tuple[Itemset, ...]:
+    """The itemsets in the order of ``itemset_sort_key``, sorted on builtin
+    keys: lexicographically, then stably by length."""
+    return tuple(sorted(sorted(itemsets), key=len))
+
+
 @dataclass(frozen=True)
 class Transaction:
     tid: int
@@ -236,6 +242,8 @@ def render_itemset_lines(
 
     Callers pass entries already in canonical (length, lexicographic) order.
     """
+    if labels is None:
+        return "".join([f"{' '.join(list(map(str, s)))} ({n})\n" for s, n in entries])
     return "".join(f"{render_itemset(s, labels)} ({n})\n" for s, n in entries)
 
 

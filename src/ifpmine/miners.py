@@ -14,6 +14,11 @@ Two miners produce identical output:
   builds from the database and the projections leave out the items below
   ``sigma``; such an item keeps its support in the tree's ``supports``,
   which makes it alone, or x joined with it in x's projection, an MII.
+  A projection's supports are row x of the tree's pair table (see ``tree``),
+  and its own pair table is counted from x's paths. Its nodes are inserted
+  only if that table holds a frequent pair: otherwise no itemset beyond a
+  pair is minimal, and its MIIs are its infrequent items and every pair of
+  its frequent items, with the table's support (0 when the pair is absent).
 * ``apriori_min`` is level-wise candidate generation where the rejected
   candidates are the MIIs. It counts supports on tidsets (one ``int`` bitset
   of transaction ids per item, ANDed along each candidate), as in Eclat and
@@ -25,19 +30,19 @@ The brute-force reference behind ``mine_mii``'s ``oracle`` choice counts with
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .data import (
     InvalidThresholdError,
     Itemset,
     TransactionDatabase,
-    canonical_itemset,
-    itemset_sort_key,
+    in_result_order,
     itemsets_json,
     render_itemset_lines,
     support,
 )
-from .tree import IFPTree, build_tree, projected_tree, split
+from .tree import IFPTree, SortedPaths, _insert, _project, build_tree, split
 from .tree import residual_tree  # noqa: F401 -- not called here; benchmark/test_benchmark.py reads miners.residual_tree
 
 
@@ -84,25 +89,38 @@ class MIIResult:
 
 def unify(x: int, sets: dict[Itemset, int]) -> dict[Itemset, int]:
     """Dot-operation: include x in every member of the collection, keeping
-    each member's value. An empty collection stays empty."""
-    return {canonical_itemset((x, *s)): n for s, n in sets.items()}
+    each member's value. An empty collection stays empty. Members are
+    canonical, so x is inserted in place; a member holding x stays as it is."""
+    out = {}
+    for s, n in sets.items():
+        k = bisect_left(s, x)
+        out[s if k < len(s) and s[k] == x else (*s[:k], x, *s[k:])] = n
+    return out
 
 
-def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> dict[Itemset, int]:
-    """MIIs of the tree, which holds no node of an item below ``sigma``, with
-    their supports in it; consumes the tree. Dropping items leaves the other
-    itemsets' supports alone, and supp(x + s) here is supp(s) in x's projection."""
+def _mii_rec(tree: IFPTree, sorted_paths: SortedPaths, sigma: int, stats: MiningStats) -> dict[Itemset, int]:
+    """MIIs of the tree, which holds no item below ``sigma`` in its order,
+    with their supports in it; consumes the tree. ``sorted_paths`` are the
+    paths its nodes are inserted from, empty if they are in: only a tree
+    whose pair table holds a frequent pair is split and needs them. Dropping
+    items leaves the other itemsets' supports alone, and supp(x + s) here is
+    supp(s) in x's projection, whose supports are row x of the table."""
     # Infrequent items are MIIs alone; the tree gives them no nodes.
     result = {(i,): n for i, n in tree.supports.items() if n < sigma}
+    order, pairs = tree.order, tree.pairs
+    if not any(max(row.values()) >= sigma for row in pairs.values()):
+        # Every pair of frequent items is an MII, and nothing longer is.
+        for k, a in enumerate(order):
+            row = pairs.get(a, {})
+            result.update(((a, b) if a < b else (b, a), row.get(b, 0)) for b in order[k + 1:])
+        return result
+    stats.push(live := _insert(tree, sorted_paths))
     steps = []
     for x, t in split(tree):
-        proj = projected_tree(t, x, sigma)
-        # Taken before the recursion, which consumes the projection.
-        zero_pair_items = set(t.order[1:]).difference(proj.supports)
-        result.update(unify(x, {(y,): 0 for y in zero_pair_items}))
-        stats.push(proj_nodes := proj.node_count)
-        steps.append((x, _mii_rec(proj, sigma, stats)))
-        stats.pop(proj_nodes)
+        row = t.pairs.get(x, {})
+        result.update(unify(x, {(y,): 0 for y in t.order[1:] if y not in row}))
+        steps.append((x, _mii_rec(*_project(t, x, sigma), sigma, stats)))
+    stats.pop(live)
     # When the fold reaches x, ``result`` holds the MIIs of x's residual tree;
     # its other entries all hold an item outside x's projection.
     for x, s_p in reversed(steps):
@@ -120,11 +138,11 @@ def ifp_min(db: TransactionDatabase, sigma: int, stats: MiningStats | None = Non
     tree = build_tree(db, sigma)
     stats.push(live := tree.node_count)
     try:
-        found = _mii_rec(tree, sigma, stats)
+        found = _mii_rec(tree, [], sigma, stats)
     finally:
         stats.pop(live)
     return MIIResult(
-        miis=tuple(sorted(found, key=itemset_sort_key)),
+        miis=in_result_order(found),
         supports=found,
         sigma=sigma,
         algorithm="ifp",
@@ -180,7 +198,7 @@ def apriori_min(db: TransactionDatabase, sigma: int) -> MIIResult:
             else:
                 next_level[cand] = tids
         level = next_level
-    ordered = tuple(sorted(found, key=itemset_sort_key))
+    ordered = in_result_order(found)
     return MIIResult(
         miis=ordered,
         supports={s: found[s] for s in ordered},
@@ -205,7 +223,7 @@ def mine_mii(
         from .oracle import mii_oracle
 
         found = mii_oracle(db, sigma)
-        ordered = tuple(sorted(found, key=itemset_sort_key))
+        ordered = in_result_order(found)
         return MIIResult(
             miis=ordered,
             supports={s: support(db, s) for s in ordered},

@@ -9,14 +9,18 @@ with the least support item x come from x's projected tree, the others from
 the residual tree, the chain's next step. Itemsets mined from the projected
 tree carry x as an implied prefix, so a k-itemset found under a prefix of
 length p is tested against the threshold for length k+p ("frequent*").
-Itemsets whose extended length exceeds the last configured threshold are
-never frequent*, so x's projection is skipped when p + 1 reaches that length.
-Items below the smallest threshold are in none, so the tree the miner builds
-from the database leaves them out, and x's projection, whose itemsets get
-lengths p+2..L, leaves out the items below the least of those lengths'
-thresholds. At p = L-2 those itemsets are all singletons, so the projection
-is not built: its item supports, read from x's subtree, are all it gives.
-``sigma_low_prune=False`` turns off every one of these prunings.
+Under a prefix of length p a tree's singletons have length p+1 and are read
+from its supports, which keep every item; its pairs have length p+2 and are
+read from its pair table (see ``tree``), with no projection made. Only
+itemsets of three items or more need the tree split, so it is split, and
+its nodes inserted, only when p + 2 < L, the last configured length: longer
+itemsets are never frequent*. The tree the miner builds from the database
+leaves out the items below min(σ₂..σ_L) (σ₁ when L = 1), which are in no
+frequent* pair or longer itemset, and x's projection, whose pairs and
+longer itemsets get lengths p+3..L, leaves out the items below the least of
+those lengths' thresholds. Its supports, row x of the pair table, keep the
+items it leaves out. ``sigma_low_prune=False`` turns off every one of these
+prunings: each tree is built at floor 0 and split.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ from .data import (
     Itemset,
     SupportThreshold,
     TransactionDatabase,
-    itemset_sort_key,
+    in_result_order,
     itemsets_json,
     render_itemset_lines,
 )
 from .miners import unify
-from .tree import IFPTree, build_tree, projected_supports, projected_tree, split
+from .tree import IFPTree, SortedPaths, _insert, _project, build_tree, split
 
 
 @dataclass(frozen=True)
@@ -84,23 +88,28 @@ def is_frequent_star(k: int, p: int, supp: int, tv: ThresholdVector) -> bool:
     return total <= tv.max_length and supp >= tv.sigma(total)
 
 
-def _mlms_rec(tree: IFPTree, tv: ThresholdVector, p: int, prune: bool) -> dict[Itemset, int]:
-    """``ifp_mlms`` on a tree it consumes, pruned to ``tv.sigma_low`` if ``prune``."""
-    out: dict[Itemset, int] = {}
-    for x, t in split(tree):
-        x_supp = t.supports[x]
-        if is_frequent_star(1, p, x_supp, tv):
-            out[(x,)] = x_supp
-        if prune and p + 1 >= tv.max_length:
-            continue
-        if prune and p + 2 >= tv.max_length:
-            # The projection's itemsets are its items, of length p+2 = L.
+def _mlms_rec(
+    tree: IFPTree, sorted_paths: SortedPaths, tv: ThresholdVector, p: int, prune: bool
+) -> dict[Itemset, int]:
+    """``ifp_mlms`` under a prefix of length p on a tree it consumes, whose
+    nodes are inserted from ``sorted_paths`` (empty if they are in) only if
+    it is split. With ``prune`` the tree holds no item below the least
+    threshold of lengths p+2..L: no item that can be in one of its frequent*
+    itemsets beyond the singletons."""
+    # Singletons are read from the supports, which keep every item.
+    out = {(i,): n for i, n in tree.supports.items() if is_frequent_star(1, p, n, tv)}
+    if prune and p + 2 >= tv.max_length:
+        # Nothing longer than its pairs, of length p + 2, can be frequent*.
+        if p + 2 == tv.max_length:
             sigma = tv.sigma(p + 2)
-            out.update(unify(x, {(y,): n for y, n in projected_supports(t, x).items() if n >= sigma}))
-            continue
-        # The projection's itemsets get lengths p+2..L.
-        min_support = min(tv.sigmas[p + 1:]) if prune else 0
-        out.update(unify(x, _mlms_rec(projected_tree(t, x, min_support), tv, p + 1, prune)))
+            for a, row in tree.pairs.items():
+                out.update(((a, b) if a < b else (b, a), n) for b, n in row.items() if n >= sigma)
+        return out
+    _insert(tree, sorted_paths)
+    # x's projection holds the itemsets of lengths p+2..L: lengths p+3..L beyond its singletons.
+    floor = min(tv.sigmas[p + 2:]) if prune else 0
+    for x, t in split(tree):
+        out.update(unify(x, _mlms_rec(*_project(t, x, floor), tv, p + 1, prune)))
     return out
 
 
@@ -111,7 +120,9 @@ def ifp_mlms(
     sigma_low_prune: bool = True,
 ) -> dict[Itemset, int]:
     """Frequent* itemsets of the database under the empty prefix, with their
-    supports, mined on a tree built without the items below ``tv.sigma_low``.
+    supports, mined on a tree built without the items below min(σ₂..σ_L)
+    (σ₁ when L = 1). The singletons come from the tree's supports, which
+    keep every item, so an item between σ₁ and that floor is still found.
 
     Each step takes the lf-item x of the residual chain: supp(x + s) in the
     tree is supp(s) in x's projection, and the residual tree keeps the
@@ -119,11 +130,12 @@ def ifp_mlms(
     every skip of a projection and every item dropped from a tree; it never
     changes the result, only the work, which can grow exponentially in the
     transaction length: two identical n-item transactions at ``(2, 2)`` make
-    2^n - 1 projections, and at n = 1200 raise ``RecursionError``. The CLI
-    always prunes.
+    2^n - 1 projections, none with pruning, and every tree on the recursion
+    stack keeps its pair table of up to n(n - 1)/2 entries. The CLI always
+    prunes.
     """
-    floor = tv.sigma_low if sigma_low_prune else 0
-    return _mlms_rec(build_tree(db, floor), tv, 0, sigma_low_prune)
+    floor = min(tv.sigmas[1:] or tv.sigmas) if sigma_low_prune else 0
+    return _mlms_rec(build_tree(db, floor), [], tv, 0, sigma_low_prune)
 
 
 @dataclass(frozen=True)
@@ -154,7 +166,7 @@ def mine_mlms(
     length; see ``ifp_mlms``."""
     found = ifp_mlms(db, tv, sigma_low_prune=sigma_low_prune)
     return MLMSResult(
-        frequent=tuple(sorted(found, key=itemset_sort_key)),
+        frequent=in_result_order(found),
         supports=found,
         thresholds=tv,
     )

@@ -14,21 +14,24 @@ That makes two decompositions cheap:
 the root: O(x's subtree) per step, not O(tree). It consumes its tree;
 ``projected_tree`` and ``residual_tree`` leave theirs alone.
 
-One builder, ``_build``, makes every tree from weighted transactions, as
-FP-growth builds its conditional trees with its first tree's insert. One
-reader, ``_walk``, gives a tree's transactions back as weighted paths, for
-``projected_tree`` (x's subtree), ``residual_tree`` (the whole tree, x left
-out), ``decompress`` and ``tree_support``. ``_build``, and so ``build_tree``,
+Every tree carries a pair table, FP-growth*'s FP-array (Grahne and Zhu,
+IEEE TKDE 2005): ``pairs[a][b]`` is the support of {a, b} for each item b
+after a in the tree's order. One builder makes every tree from weighted
+transactions in three steps: ``_prepare`` sorts each transaction into the
+tree's order once and counts the table from those sorted paths, then
+``_insert`` makes the nodes from them. ``_build``, and so ``build_tree``,
 leaves out the items below its ``min_support``: such an item keeps its
-support in ``supports`` but gets no node and no place in the order. The
-miners build their tree at their floor this way.
+support in ``supports`` but gets no node, no place in the order and no row
+or column in the table. The miners build their tree at their floor this way.
 
-A second walk, ``_supports``, only counts: each item's support under a node.
-``projected_supports`` is that count for x's subtree, with no tree built.
-``projected_tree`` counts first, as FP-growth counts a conditional pattern
-base before it builds the conditional tree, and reads x's paths only if some
-item reaches its ``min_support``: a projection of infrequent items alone
-keeps its ``supports`` but reads no path and gets no node.
+The residual of x leaves every other itemset's support unchanged, so row x
+of the table is x's projected supports at x's step of the chain:
+``projected_supports`` reads it, with no walk. ``_project`` reads x's paths,
+with the one walk ``_walk``, only if some item of that row reaches its
+``min_support``, and prepares x's projection from them; the miners insert
+its nodes only when they are going to split it. ``projected_tree`` is
+``_project`` followed by ``_insert``. ``_walk`` also serves
+``residual_tree``, ``decompress`` and ``tree_support``.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class IFPNode:
 
 
 class IFPTree:
-    __slots__ = ("root", "order", "rank", "num_transactions", "supports", "node_count")
+    __slots__ = ("root", "order", "rank", "num_transactions", "supports", "pairs", "node_count")
 
     def __init__(self, order: Iterable[int], num_transactions: int, supports: dict[int, int]):
         self.root = IFPNode(None)
@@ -65,6 +68,8 @@ class IFPTree:
         self.rank: dict[int, int] = {item: i for i, item in enumerate(self.order)}
         self.num_transactions = num_transactions
         self.supports = supports  # item -> support, also of items pruned from the tree (no node)
+        # a -> b -> support of {a, b}, for b after a in the order; no row is empty
+        self.pairs: dict[int, dict[int, int]] = {}
         self.node_count = 0
 
     def is_empty(self) -> bool:
@@ -93,31 +98,71 @@ def _order_items(supports: dict[int, int]) -> list[int]:
     return sorted(supports, key=lambda i: (supports[i], i))
 
 
-def _build(
+SortedPaths = list[tuple[list[int], int]]
+
+
+def _prepare(
     supports: dict[int, int],
     paths: Iterable[tuple[Iterable[int], int]],
     num_transactions: int,
     min_support: int = 0,
-) -> IFPTree:
+) -> tuple[IFPTree, SortedPaths]:
     """The tree of the weighted transactions ``paths``, ``(items, count)``
-    pairs; it owns ``supports``. Only the items whose support reaches
-    ``min_support`` get nodes and a place in the order: the others are
-    dropped from the paths as they are inserted."""
+    pairs, with its order and its pair table but no nodes yet, and the
+    transactions sorted into its order, ready for ``_insert``. The tree owns
+    ``supports``. Only the items whose support reaches ``min_support`` get a
+    place in the order: the others are dropped from the sorted paths."""
     tree = IFPTree(
         (i for i in _order_items(supports) if supports[i] >= min_support),
         num_transactions,
         supports,
     )
     rank = tree.rank
+    pairs = tree.pairs
+    sorted_paths: SortedPaths = []
     for items, count in paths:
+        path = sorted([i for i in items if i in rank], key=rank.__getitem__)
+        if not path:
+            continue
+        sorted_paths.append((path, count))
+        for k in range(len(path) - 1):
+            row = pairs.get(path[k])
+            if row is None:
+                row = pairs[path[k]] = {}
+            for b in path[k + 1:]:  # the count once per pair, not once per unit
+                row[b] = row.get(b, 0) + count
+    return tree, sorted_paths
+
+
+def _insert(tree: IFPTree, sorted_paths: SortedPaths) -> int:
+    """Make the tree's nodes from the paths ``_prepare`` sorted for it, and
+    empty ``sorted_paths``: the nodes hold them now. Returns the number of
+    nodes made."""
+    made = 0
+    for path, count in sorted_paths:
         node = tree.root
-        for item in sorted((i for i in items if i in rank), key=rank.__getitem__):
+        for item in path:
             child = node.children.get(item)
             if child is None:
                 node.children[item] = child = IFPNode(item)
-                tree.node_count += 1
+                made += 1
             child.count += count
             node = child
+    sorted_paths.clear()
+    tree.node_count += made
+    return made
+
+
+def _build(
+    supports: dict[int, int],
+    paths: Iterable[tuple[Iterable[int], int]],
+    num_transactions: int,
+    min_support: int = 0,
+) -> IFPTree:
+    """The tree of the weighted transactions ``paths`` with its nodes; see
+    ``_prepare``."""
+    tree, sorted_paths = _prepare(supports, paths, num_transactions, min_support)
+    _insert(tree, sorted_paths)
     return tree
 
 
@@ -143,21 +188,9 @@ def lf_item(tree: IFPTree) -> int:
     return tree.order[0]
 
 
-def _check_lf(tree: IFPTree, x: int) -> IFPNode:
+def _check_lf(tree: IFPTree, x: int) -> None:
     if not tree.order or tree.order[0] != x:
         raise ValueError(f"item {x} is not the least-frequent item of this tree")
-    return tree.root.children[x]
-
-
-def _supports(top: IFPNode) -> dict[int, int]:
-    """Each item's support under ``top``, ``top`` left out."""
-    supports: dict[int, int] = {}
-    stack = list(top.children.values())
-    while stack:  # no recursion on long paths
-        node = stack.pop()
-        supports[node.item] = supports.get(node.item, 0) + node.count
-        stack.extend(node.children.values())
-    return supports
 
 
 def _walk(top: IFPNode) -> list[tuple[Itemset, int]]:
@@ -180,9 +213,20 @@ def _walk(top: IFPNode) -> list[tuple[Itemset, int]]:
 
 def projected_supports(tree: IFPTree, x: int) -> dict[int, int]:
     """Each item's support in the projected database of x, which must be the
-    lf-item, read from x's subtree without building a tree. Items that never
-    occur with x are absent."""
-    return _supports(_check_lf(tree, x))
+    lf-item: row x of the pair table, read with no walk and no tree built.
+    Items that never occur with x are absent, and so are the items the tree
+    holds no node of."""
+    _check_lf(tree, x)
+    return dict(tree.pairs.get(x, ()))
+
+
+def _project(tree: IFPTree, x: int, min_support: int = 0) -> tuple[IFPTree, SortedPaths]:
+    """``_prepare`` of x's projection: its supports are row x of the pair
+    table, and x's paths are read only if some item reaches ``min_support``."""
+    supports = projected_supports(tree, x)
+    xnode = tree.root.children[x]
+    keep = any(n >= min_support for n in supports.values())
+    return _prepare(supports, _walk(xnode) if keep else (), xnode.count, min_support)
 
 
 def projected_tree(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
@@ -191,13 +235,12 @@ def projected_tree(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
     single subtree rooted at x's node. Item order is recomputed because
     supports change under projection. ``supports`` holds every item's
     projected support, but the items below ``min_support`` get no node, so
-    the tree represents the projected database without them. They are
-    counted first: x's paths are read only if some item reaches
-    ``min_support``."""
-    xnode = _check_lf(tree, x)
-    supports = _supports(xnode)
-    keep = any(n >= min_support for n in supports.values())
-    return _build(supports, _walk(xnode) if keep else (), xnode.count, min_support)
+    the tree represents the projected database without them. The supports
+    are read from the pair table first: x's paths are read only if some item
+    reaches ``min_support``."""
+    proj, sorted_paths = _project(tree, x, min_support)
+    _insert(proj, sorted_paths)
+    return proj
 
 
 def _merge_into(target: IFPNode, extra: IFPNode) -> int:
@@ -220,8 +263,9 @@ def _merge_into(target: IFPNode, extra: IFPNode) -> int:
 def split(tree: IFPTree) -> Iterator[tuple[int, IFPTree]]:
     """Walk the tree's residual chain, consuming it: yield ``(x, tree)`` for
     each lf-item x, then turn the tree into x's residual tree in place (the
-    other supports stay, so the order just loses x). Take what x's step
-    needs, such as ``projected_tree(tree, x)``, before resuming."""
+    other supports stay, so the order just loses x and the pair table its
+    row x). Take what x's step needs, such as ``projected_tree(tree, x)``,
+    before resuming."""
     while tree.order:
         x = tree.order[0]
         yield x, tree
@@ -229,6 +273,7 @@ def split(tree: IFPTree) -> Iterator[tuple[int, IFPTree]]:
         tree.order = tree.order[1:]
         del tree.rank[x]
         del tree.supports[x]
+        tree.pairs.pop(x, None)
 
 
 def residual_tree(tree: IFPTree, x: int) -> IFPTree:

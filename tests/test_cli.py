@@ -199,6 +199,18 @@ class TestBench:
             assert captured.out == ""
             assert "timeout greater than 0" in captured.err
 
+    def test_timeout_beyond_the_wait_limit_is_usage_error_before_the_sweep(self, table1_path, capsys):
+        # The wait for a cell takes at most 2**31 - 1 ms; inf used to crash mid-sweep.
+        for timeout in ("inf", "1e300", "2147483.648"):
+            assert main(["bench", "--inputs", table1_path, "--algos", "ifp",
+                         "--thresholds", "2", f"--timeout={timeout}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "at most 2147483.647 s" in captured.err
+        assert main(["bench", "--inputs", table1_path, "--algos", "ifp",
+                     "--thresholds", "2", "--timeout=2147483.647"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith(f"{table1_path},ifp,2,")
+
     def test_empty_list_is_usage_error(self, table1_path, capsys):
         for algos, thresholds in (("ifp", ",,"), (",", "2"), ("ifp", "")):
             assert main(["bench", "--inputs", table1_path, "--algos", algos,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ifpmine import miners as miners_module
 from ifpmine import (
     InvalidThresholdError,
     MiningStats,
@@ -103,6 +104,28 @@ class TestIfpMin:
         assert stats.peak_nodes < build_tree(db).node_count
         assert result == apriori_min(db, 40)
         assert result.supports == apriori_min(db, 40).supports
+
+    def test_projections_without_a_frequent_pair_get_no_nodes(self, monkeypatch):
+        # Every pair of four items occurs twice and no triple occurs: the
+        # tree's pairs are frequent at sigma 2, its projections' are not.
+        # Their MIIs are read from their pair tables, and only the tree
+        # built from the database has nodes.
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        db = TransactionDatabase.from_itemsets([p for p in pairs for _ in range(2)])
+        made = []
+        real = miners_module._insert
+
+        def recording(tree, sorted_paths):
+            made.append(real(tree, sorted_paths))
+            return made[-1]
+
+        monkeypatch.setattr(miners_module, "_insert", recording)
+        stats = MiningStats()
+        result = ifp_min(db, 2, stats)
+        assert result == apriori_min(db, 2)
+        assert result.supports == apriori_min(db, 2).supports
+        assert made and sum(made) == 0
+        assert stats.peak_nodes == build_tree(db, 2).node_count > 0
 
 
 class TestAprioriMin:

@@ -158,47 +158,59 @@ class TestSigmaLowPruning:
         # Under the prefix of any item every itemset has length >= 2, and a
         # vector of one threshold makes none of them frequent*.
         calls = []
-        real = mlms_module.projected_tree
+        real = mlms_module._project
 
         def counting(tree, x, min_support=0):
             calls.append(x)
             return real(tree, x, min_support)
 
-        monkeypatch.setattr(mlms_module, "projected_tree", counting)
+        monkeypatch.setattr(mlms_module, "_project", counting)
         tv = ThresholdVector((1,))
         result = mine_mlms(mlms_db, tv)
         assert calls == []
         assert set(result.frequent) == mlms_oracle(mlms_db, tv)
+        mine_mlms(mlms_db, tv, sigma_low_prune=False)
+        assert calls
 
     def test_projections_drop_items_below_the_remaining_thresholds(self, mlms_db, monkeypatch):
-        # Under a prefix of length p a projection holds itemsets of lengths
-        # p+2..3: its floor is min(3, 2) = 2 at p = 0 and 2 at p = 1.
-        floors = []
-        real = mlms_module.projected_tree
+        # Beyond its singletons, read from the supports, the tree holds itemsets
+        # of lengths 2..3, so it is built at min(2, 3) = 2. Under the empty
+        # prefix a projection holds itemsets of lengths 2..3, of which only
+        # those of length 3 need its items to be in its order: its floor is 3.
+        tree_floors, floors = [], []
+        real_build, real_project = mlms_module.build_tree, mlms_module._project
+
+        def recording_build(db, min_support=0):
+            tree_floors.append(min_support)
+            return real_build(db, min_support)
 
         def recording(tree, x, min_support=0):
             floors.append(min_support)
-            return real(tree, x, min_support)
+            return real_project(tree, x, min_support)
 
-        monkeypatch.setattr(mlms_module, "projected_tree", recording)
-        tv = ThresholdVector((1, 3, 2))
-        for prune, want in ((True, {2}), (False, {0})):
+        monkeypatch.setattr(mlms_module, "build_tree", recording_build)
+        monkeypatch.setattr(mlms_module, "_project", recording)
+        tv = ThresholdVector((1, 2, 3))
+        for prune, want_tree, want in ((True, [2], {3}), (False, [0], {0})):
+            tree_floors.clear()
             floors.clear()
             result = mine_mlms(mlms_db, tv, sigma_low_prune=prune)
+            assert tree_floors == want_tree
             assert set(floors) == want
             assert set(result.frequent) == mlms_oracle(mlms_db, tv)
 
     def test_last_length_projections_are_read_not_built(self, mlms_db, monkeypatch):
-        # Under the empty prefix a projection holds only 2-itemsets, its items:
-        # their supports are read from x's subtree and no projection is built.
+        # Under the empty prefix the itemsets beyond the singletons are pairs,
+        # of the last length: their supports are read from the tree's pair
+        # table and no projection is made.
         calls = []
-        real = mlms_module.projected_tree
+        real = mlms_module._project
 
         def counting(tree, x, min_support=0):
             calls.append(x)
             return real(tree, x, min_support)
 
-        monkeypatch.setattr(mlms_module, "projected_tree", counting)
+        monkeypatch.setattr(mlms_module, "_project", counting)
         tv = ThresholdVector((2, 2))
         result = mine_mlms(mlms_db, tv)
         assert calls == []
@@ -206,6 +218,57 @@ class TestSigmaLowPruning:
         unpruned = mine_mlms(mlms_db, tv, sigma_low_prune=False)
         assert calls
         assert set(unpruned.frequent) == mlms_oracle(mlms_db, tv)
+
+    def test_only_the_top_tree_is_built_at_three_thresholds(self, mlms_db, monkeypatch):
+        # At L = 3 the projections under the empty prefix hold singletons and
+        # pairs, read from their supports and pair tables: none gets a node.
+        built, made = [], []
+        real_build, real_insert = mlms_module.build_tree, mlms_module._insert
+
+        def recording_build(db, min_support=0):
+            tree = real_build(db, min_support)
+            built.append(tree.node_count)  # before the split consumes it
+            return tree
+
+        def recording_insert(tree, sorted_paths):
+            made.append(real_insert(tree, sorted_paths))
+            return made[-1]
+
+        monkeypatch.setattr(mlms_module, "build_tree", recording_build)
+        monkeypatch.setattr(mlms_module, "_insert", recording_insert)
+        tv = ThresholdVector((3, 2, 2))
+        result = mine_mlms(mlms_db, tv)
+        assert set(result.frequent) == mlms_oracle(mlms_db, tv)
+        assert any(len(s) == 3 for s in result.frequent)
+        assert len(built) == 1 and built[0] > 0
+        assert sum(made) == 0
+        made.clear()
+        mine_mlms(mlms_db, tv, sigma_low_prune=False)
+        assert sum(made) > 0
+
+    def test_tree_is_built_at_the_least_threshold_beyond_the_first(self, monkeypatch):
+        # Items 0-9 occur 9 times each, items 10-9999 only in the long
+        # transaction. At (1, 3) those are frequent alone but in no frequent
+        # pair, so the tree leaves them out and its paths stay 10 items long.
+        db = TransactionDatabase.from_itemsets(
+            [range(10**4)] + [[i % 10, (i + 3) % 10] for i in range(40)]
+        )
+        floors = []
+        real = mlms_module.build_tree
+
+        def recording(db, min_support=0):
+            floors.append(min_support)
+            return real(db, min_support)
+
+        monkeypatch.setattr(mlms_module, "build_tree", recording)
+        tv = ThresholdVector((1, 3))
+        result = mine_mlms(db, tv)
+        assert floors == [3]
+        # The oracle's guard refuses the long transaction: cut it to items 0-9.
+        cut = TransactionDatabase.from_itemsets([range(10)] + [t.items for t in db.transactions[1:]])
+        expected = mlms_oracle(cut, tv) | {(i,) for i in range(10, 10**4)}
+        assert set(result.frequent) == expected
+        assert result.supports == {s: support(db, s) for s in expected}
 
     def test_lossless_on_random_instances(self):
         rng = random.Random(911)

@@ -30,6 +30,7 @@ from ifpmine import (
     tree_support,
 )
 from ifpmine.oracle import MAX_ORACLE_FREQUENT_ITEMS, MAX_ORACLE_TRANSACTION_LEN
+from ifpmine.tree import split
 
 NUM_ITEMS = 20
 
@@ -83,6 +84,18 @@ def _assert_same_tree(tree, db: TransactionDatabase) -> None:
     assert tree.order == rebuilt.order
     assert tree.node_count == rebuilt.node_count
     assert tree.num_transactions == rebuilt.num_transactions
+    _assert_pair_table(tree, db)
+
+
+def _assert_pair_table(tree, db: TransactionDatabase) -> None:
+    """The tree's pair table holds the database's support of each pair of
+    its items that occurs, under the item that comes first in its order."""
+    want = {}
+    for k, a in enumerate(tree.order):
+        row = {b: n for b in tree.order[k + 1:] if (n := support(db, (a, b)))}
+        if row:
+            want[a] = row
+    assert tree.pairs == want
 
 
 @PROPERTY
@@ -98,6 +111,11 @@ def test_tree_layer_matches_rebuilt_trees(db, data):
     pruned = build_tree(db, floor)
     _assert_same_tree(pruned, _rebuilt(rows, lambda i: db_supports[i] >= floor))
     assert pruned.supports == db_supports
+    # Each step of the chain drops its lf-item's row; the other pairs keep their supports.
+    chain = build_tree(db, floor)
+    for x, t in split(chain):
+        _assert_pair_table(t, db)
+    _assert_pair_table(chain, db)
     if tree.is_empty():
         return
 
