@@ -217,9 +217,18 @@ def bench_sweep(
 
     Each cell runs in its own process; a cell that exceeds the timeout or
     fails is recorded with -1 in every measured column instead of aborting
-    the sweep. Up to ``jobs`` cells run concurrently.
+    the sweep. Up to ``jobs`` cells run concurrently. A timeout that is not
+    greater than 0, or beyond the wait limit ``MAX_BENCH_TIMEOUT_S``, raises
+    ``ValueError`` here, before any cell runs.
     """
-    cells = [(d, a, t) for d in datasets for a in algorithms for t in thresholds]
+    if not 0 < timeout <= MAX_BENCH_TIMEOUT_S:  # nan too
+        raise ValueError(
+            f"bench needs a timeout greater than 0 and at most {MAX_BENCH_TIMEOUT_S} s, got {timeout}"
+        )
+    return _sweep([(d, a, t) for d in datasets for a in algorithms for t in thresholds], jobs, timeout)
+
+
+def _sweep(cells: list[tuple[str, str, str]], jobs: int, timeout: float):
     ctx = multiprocessing.get_context()
     running: list[tuple[int, multiprocessing.Process, object, float]] = []
     next_cell = 0
@@ -279,12 +288,8 @@ def _run_bench(spec: RunSpec) -> int:
         if algo not in MII_ALGORITHMS:
             print(f"unknown algorithm: {algo}", file=sys.stderr)
             return EXIT_USAGE
-    if not 0 < spec.timeout <= MAX_BENCH_TIMEOUT_S:  # nan too
-        print(
-            f"bench needs a timeout greater than 0 and at most {MAX_BENCH_TIMEOUT_S} s, got {spec.timeout}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    # Raises ValueError (exit 2) for a timeout the sweep cannot wait for.
+    sweep = bench_sweep(spec.inputs, spec.algorithms, thresholds, jobs=spec.jobs, timeout=spec.timeout)
     for threshold in thresholds:
         # Parsing raises InvalidThresholdError (exit 2). A 0 resolves to sigma 0 on
         # every dataset; a positive percentage resolves per dataset, in its cells.
@@ -295,9 +300,7 @@ def _run_bench(spec: RunSpec) -> int:
             pass
     records = []
     print(BENCH_CSV_HEADER)
-    for record in bench_sweep(
-        spec.inputs, spec.algorithms, thresholds, jobs=spec.jobs, timeout=spec.timeout
-    ):
+    for record in sweep:
         records.append(record)
         print(record.csv_row())
         sys.stdout.flush()

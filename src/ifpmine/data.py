@@ -231,7 +231,7 @@ def prune_infrequent_items(
 
 def render_itemset(s: Itemset, labels: dict[int, str] | None = None) -> str:
     if labels is None:
-        return " ".join(str(i) for i in s)
+        return " ".join(map(str, s))
     return " ".join(labels.get(i, str(i)) for i in s)
 
 
@@ -242,8 +242,6 @@ def render_itemset_lines(
 
     Callers pass entries already in canonical (length, lexicographic) order.
     """
-    if labels is None:
-        return "".join([f"{' '.join(list(map(str, s)))} ({n})\n" for s, n in entries])
     return "".join(f"{render_itemset(s, labels)} ({n})\n" for s, n in entries)
 
 

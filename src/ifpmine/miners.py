@@ -42,7 +42,7 @@ from .data import (
     render_itemset_lines,
     support,
 )
-from .tree import IFPTree, SortedPaths, _insert, _project, build_tree, split
+from .tree import IFPTree, build_tree, insert_pending, pending_projection, split
 from .tree import residual_tree  # noqa: F401 -- not called here; benchmark/test_benchmark.py reads miners.residual_tree
 
 
@@ -98,13 +98,13 @@ def unify(x: int, sets: dict[Itemset, int]) -> dict[Itemset, int]:
     return out
 
 
-def _mii_rec(tree: IFPTree, sorted_paths: SortedPaths, sigma: int, stats: MiningStats) -> dict[Itemset, int]:
+def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> dict[Itemset, int]:
     """MIIs of the tree, which holds no item below ``sigma`` in its order,
-    with their supports in it; consumes the tree. ``sorted_paths`` are the
-    paths its nodes are inserted from, empty if they are in: only a tree
-    whose pair table holds a frequent pair is split and needs them. Dropping
-    items leaves the other itemsets' supports alone, and supp(x + s) here is
-    supp(s) in x's projection, whose supports are row x of the table."""
+    with their supports in it; consumes the tree. Its pending paths get
+    nodes only if its pair table holds a frequent pair: only then is it
+    split. Dropping items leaves the other itemsets' supports alone, and
+    supp(x + s) here is supp(s) in x's projection, whose supports are row x
+    of the table."""
     # Infrequent items are MIIs alone; the tree gives them no nodes.
     result = {(i,): n for i, n in tree.supports.items() if n < sigma}
     order, pairs = tree.order, tree.pairs
@@ -114,12 +114,12 @@ def _mii_rec(tree: IFPTree, sorted_paths: SortedPaths, sigma: int, stats: Mining
             row = pairs.get(a, {})
             result.update(((a, b) if a < b else (b, a), row.get(b, 0)) for b in order[k + 1:])
         return result
-    stats.push(live := _insert(tree, sorted_paths))
+    stats.push(live := insert_pending(tree))
     steps = []
     for x, t in split(tree):
         row = t.pairs.get(x, {})
         result.update(unify(x, {(y,): 0 for y in t.order[1:] if y not in row}))
-        steps.append((x, _mii_rec(*_project(t, x, sigma), sigma, stats)))
+        steps.append((x, _mii_rec(pending_projection(t, x, sigma), sigma, stats)))
     stats.pop(live)
     # When the fold reaches x, ``result`` holds the MIIs of x's residual tree;
     # its other entries all hold an item outside x's projection.
@@ -138,7 +138,7 @@ def ifp_min(db: TransactionDatabase, sigma: int, stats: MiningStats | None = Non
     tree = build_tree(db, sigma)
     stats.push(live := tree.node_count)
     try:
-        found = _mii_rec(tree, [], sigma, stats)
+        found = _mii_rec(tree, sigma, stats)
     finally:
         stats.pop(live)
     return MIIResult(

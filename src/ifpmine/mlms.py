@@ -37,7 +37,7 @@ from .data import (
     render_itemset_lines,
 )
 from .miners import unify
-from .tree import IFPTree, SortedPaths, _insert, _project, build_tree, split
+from .tree import IFPTree, build_tree, insert_pending, pending_projection, split
 
 
 @dataclass(frozen=True)
@@ -88,14 +88,11 @@ def is_frequent_star(k: int, p: int, supp: int, tv: ThresholdVector) -> bool:
     return total <= tv.max_length and supp >= tv.sigma(total)
 
 
-def _mlms_rec(
-    tree: IFPTree, sorted_paths: SortedPaths, tv: ThresholdVector, p: int, prune: bool
-) -> dict[Itemset, int]:
+def _mlms_rec(tree: IFPTree, tv: ThresholdVector, p: int, prune: bool) -> dict[Itemset, int]:
     """``ifp_mlms`` under a prefix of length p on a tree it consumes, whose
-    nodes are inserted from ``sorted_paths`` (empty if they are in) only if
-    it is split. With ``prune`` the tree holds no item below the least
-    threshold of lengths p+2..L: no item that can be in one of its frequent*
-    itemsets beyond the singletons."""
+    pending paths get nodes only if it is split. With ``prune`` the tree
+    holds no item below the least threshold of lengths p+2..L: no item that
+    can be in one of its frequent* itemsets beyond the singletons."""
     # Singletons are read from the supports, which keep every item.
     out = {(i,): n for i, n in tree.supports.items() if is_frequent_star(1, p, n, tv)}
     if prune and p + 2 >= tv.max_length:
@@ -105,11 +102,11 @@ def _mlms_rec(
             for a, row in tree.pairs.items():
                 out.update(((a, b) if a < b else (b, a), n) for b, n in row.items() if n >= sigma)
         return out
-    _insert(tree, sorted_paths)
+    insert_pending(tree)
     # x's projection holds the itemsets of lengths p+2..L: lengths p+3..L beyond its singletons.
     floor = min(tv.sigmas[p + 2:]) if prune else 0
     for x, t in split(tree):
-        out.update(unify(x, _mlms_rec(*_project(t, x, floor), tv, p + 1, prune)))
+        out.update(unify(x, _mlms_rec(pending_projection(t, x, floor), tv, p + 1, prune)))
     return out
 
 
@@ -135,7 +132,7 @@ def ifp_mlms(
     prunes.
     """
     floor = min(tv.sigmas[1:] or tv.sigmas) if sigma_low_prune else 0
-    return _mlms_rec(build_tree(db, floor), [], tv, 0, sigma_low_prune)
+    return _mlms_rec(build_tree(db, floor), tv, 0, sigma_low_prune)
 
 
 @dataclass(frozen=True)

@@ -16,27 +16,31 @@ the root: O(x's subtree) per step, not O(tree). It consumes its tree;
 
 Every tree carries a pair table, FP-growth*'s FP-array (Grahne and Zhu,
 IEEE TKDE 2005): ``pairs[a][b]`` is the support of {a, b} for each item b
-after a in the tree's order. One builder makes every tree from weighted
-transactions in three steps: ``_prepare`` sorts each transaction into the
-tree's order once and counts the table from those sorted paths, then
-``_insert`` makes the nodes from them. ``_build``, and so ``build_tree``,
-leaves out the items below its ``min_support``: such an item keeps its
-support in ``supports`` but gets no node, no place in the order and no row
-or column in the table. The miners build their tree at their floor this way.
+after a in the tree's order. It is counted when first read, in one pass
+over the tree's weighted paths, so a tree whose table nothing reads never
+holds one. Every tree is made from weighted transactions, each sorted into
+the tree's order once by ``_sorted_paths``. ``_build``, and so
+``build_tree``, inserts each one as it is sorted; ``_prepare`` keeps them
+on the tree, where they give its table, and ``insert_pending`` makes their
+nodes later, if at all. Both leave out the items below their
+``min_support``: such an item keeps its support in ``supports`` but gets
+no node, no place in the order and no row or column in the table. The
+miners build their tree at their floor this way.
 
 The residual of x leaves every other itemset's support unchanged, so row x
 of the table is x's projected supports at x's step of the chain:
-``projected_supports`` reads it, with no walk. ``_project`` reads x's paths,
-with the one walk ``_walk``, only if some item of that row reaches its
-``min_support``, and prepares x's projection from them; the miners insert
-its nodes only when they are going to split it. ``projected_tree`` is
-``_project`` followed by ``_insert``. ``_walk`` also serves
-``residual_tree``, ``decompress`` and ``tree_support``.
+``projected_supports`` reads it, with no walk of x's subtree.
+``pending_projection`` reads x's paths, with the one walk ``_walk``, only
+if some item of that row reaches its ``min_support``, and prepares x's
+projection from them; the miners insert its nodes only when they are going
+to split it. ``projected_tree`` is ``pending_projection`` followed by
+``insert_pending``. ``_walk`` also serves ``residual_tree``, ``decompress``,
+``tree_support`` and the count of a built tree's table.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .data import Itemset, TransactionDatabase, item_supports
 
@@ -60,7 +64,7 @@ class IFPNode:
 
 
 class IFPTree:
-    __slots__ = ("root", "order", "rank", "num_transactions", "supports", "pairs", "node_count")
+    __slots__ = ("root", "order", "rank", "num_transactions", "supports", "pending", "_pairs", "node_count")
 
     def __init__(self, order: Iterable[int], num_transactions: int, supports: dict[int, int]):
         self.root = IFPNode(None)
@@ -68,9 +72,18 @@ class IFPTree:
         self.rank: dict[int, int] = {item: i for i, item in enumerate(self.order)}
         self.num_transactions = num_transactions
         self.supports = supports  # item -> support, also of items pruned from the tree (no node)
-        # a -> b -> support of {a, b}, for b after a in the order; no row is empty
-        self.pairs: dict[int, dict[int, int]] = {}
+        # (path sorted into the order, count) of each transaction with no nodes yet
+        self.pending: list[tuple[list[int], int]] = []
+        self._pairs: dict[int, dict[int, int]] | None = None
         self.node_count = 0
+
+    @property
+    def pairs(self) -> dict[int, dict[int, int]]:
+        """a -> b -> support of {a, b}, for b after a in the order; no row is
+        empty. Counted on first read, from the pending paths or the nodes."""
+        if self._pairs is None:
+            self._pairs = _count_pairs(self.pending or _walk(self.root))
+        return self._pairs
 
     def is_empty(self) -> bool:
         return not self.root.children
@@ -98,46 +111,44 @@ def _order_items(supports: dict[int, int]) -> list[int]:
     return sorted(supports, key=lambda i: (supports[i], i))
 
 
-SortedPaths = list[tuple[list[int], int]]
-
-
-def _prepare(
-    supports: dict[int, int],
-    paths: Iterable[tuple[Iterable[int], int]],
-    num_transactions: int,
-    min_support: int = 0,
-) -> tuple[IFPTree, SortedPaths]:
-    """The tree of the weighted transactions ``paths``, ``(items, count)``
-    pairs, with its order and its pair table but no nodes yet, and the
-    transactions sorted into its order, ready for ``_insert``. The tree owns
-    ``supports``. Only the items whose support reaches ``min_support`` get a
-    place in the order: the others are dropped from the sorted paths."""
-    tree = IFPTree(
-        (i for i in _order_items(supports) if supports[i] >= min_support),
-        num_transactions,
-        supports,
-    )
-    rank = tree.rank
-    pairs = tree.pairs
-    sorted_paths: SortedPaths = []
-    for items, count in paths:
-        path = sorted([i for i in items if i in rank], key=rank.__getitem__)
-        if not path:
-            continue
-        sorted_paths.append((path, count))
+def _count_pairs(paths: Iterable[tuple[Sequence[int], int]]) -> dict[int, dict[int, int]]:
+    """The pair table of weighted paths sorted into one order."""
+    pairs: dict[int, dict[int, int]] = {}
+    for path, count in paths:
         for k in range(len(path) - 1):
             row = pairs.get(path[k])
             if row is None:
                 row = pairs[path[k]] = {}
             for b in path[k + 1:]:  # the count once per pair, not once per unit
                 row[b] = row.get(b, 0) + count
-    return tree, sorted_paths
+    return pairs
 
 
-def _insert(tree: IFPTree, sorted_paths: SortedPaths) -> int:
-    """Make the tree's nodes from the paths ``_prepare`` sorted for it, and
-    empty ``sorted_paths``: the nodes hold them now. Returns the number of
-    nodes made."""
+def _empty_tree(supports: dict[int, int], num_transactions: int, min_support: int) -> IFPTree:
+    """A tree with no node that owns ``supports``; only the items whose
+    support reaches ``min_support`` get a place in its order."""
+    return IFPTree(
+        (i for i in _order_items(supports) if supports[i] >= min_support),
+        num_transactions,
+        supports,
+    )
+
+
+def _sorted_paths(
+    tree: IFPTree, paths: Iterable[tuple[Iterable[int], int]]
+) -> Iterator[tuple[list[int], int]]:
+    """Each weighted transaction sorted into the tree's order, without the
+    items that have no place in it; the ones left empty are dropped."""
+    rank = tree.rank
+    for items, count in paths:
+        path = sorted([i for i in items if i in rank], key=rank.__getitem__)
+        if path:
+            yield path, count
+
+
+def _grow(tree: IFPTree, sorted_paths: Iterable[tuple[list[int], int]]) -> int:
+    """Insert paths sorted into the tree's order as nodes; returns the
+    number of nodes made."""
     made = 0
     for path, count in sorted_paths:
         node = tree.root
@@ -148,9 +159,30 @@ def _insert(tree: IFPTree, sorted_paths: SortedPaths) -> int:
                 made += 1
             child.count += count
             node = child
-    sorted_paths.clear()
     tree.node_count += made
     return made
+
+
+def _prepare(
+    supports: dict[int, int],
+    paths: Iterable[tuple[Iterable[int], int]],
+    num_transactions: int,
+    min_support: int = 0,
+) -> IFPTree:
+    """The tree of the weighted transactions ``paths``, ``(items, count)``
+    pairs, with its order but no nodes yet: the transactions wait in
+    ``pending``, sorted into its order, for ``insert_pending``. See
+    ``_empty_tree`` for ``supports`` and ``min_support``."""
+    tree = _empty_tree(supports, num_transactions, min_support)
+    tree.pending = list(_sorted_paths(tree, paths))
+    return tree
+
+
+def insert_pending(tree: IFPTree) -> int:
+    """Make the nodes of the tree's pending paths, which it then drops: the
+    nodes hold them now. Returns the number of nodes made."""
+    pending, tree.pending = tree.pending, []
+    return _grow(tree, pending)
 
 
 def _build(
@@ -159,10 +191,11 @@ def _build(
     num_transactions: int,
     min_support: int = 0,
 ) -> IFPTree:
-    """The tree of the weighted transactions ``paths`` with its nodes; see
+    """The tree of the weighted transactions ``paths`` with its nodes, each
+    inserted as it is sorted, so they are never all held at once; see
     ``_prepare``."""
-    tree, sorted_paths = _prepare(supports, paths, num_transactions, min_support)
-    _insert(tree, sorted_paths)
+    tree = _empty_tree(supports, num_transactions, min_support)
+    _grow(tree, _sorted_paths(tree, paths))
     return tree
 
 
@@ -193,10 +226,9 @@ def _check_lf(tree: IFPTree, x: int) -> None:
         raise ValueError(f"item {x} is not the least-frequent item of this tree")
 
 
-def _walk(top: IFPNode) -> list[tuple[Itemset, int]]:
+def _walk(top: IFPNode) -> Iterator[tuple[Itemset, int]]:
     """Each path under ``top`` that transactions end on, with its
     multiplicity, in one walk in dict order."""
-    paths: list[tuple[Itemset, int]] = []
     path: list[int] = []
     stack = [(child, 0) for child in top.children.values()]
     while stack:  # (node, its depth): no recursion on long paths
@@ -207,22 +239,21 @@ def _walk(top: IFPNode) -> list[tuple[Itemset, int]]:
             count -= child.count
             stack.append((child, depth + 1))
         if count > 0:
-            paths.append((tuple(path), count))
-    return paths
+            yield tuple(path), count
 
 
 def projected_supports(tree: IFPTree, x: int) -> dict[int, int]:
     """Each item's support in the projected database of x, which must be the
-    lf-item: row x of the pair table, read with no walk and no tree built.
-    Items that never occur with x are absent, and so are the items the tree
-    holds no node of."""
+    lf-item: row x of the pair table, with no walk of x's subtree and no
+    tree built. Items that never occur with x are absent, and so are the
+    items the tree holds no node of."""
     _check_lf(tree, x)
     return dict(tree.pairs.get(x, ()))
 
 
-def _project(tree: IFPTree, x: int, min_support: int = 0) -> tuple[IFPTree, SortedPaths]:
-    """``_prepare`` of x's projection: its supports are row x of the pair
-    table, and x's paths are read only if some item reaches ``min_support``."""
+def pending_projection(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
+    """``projected_tree`` with its nodes pending: see ``insert_pending``.
+    x's paths are read only if some item reaches ``min_support``."""
     supports = projected_supports(tree, x)
     xnode = tree.root.children[x]
     keep = any(n >= min_support for n in supports.values())
@@ -238,8 +269,8 @@ def projected_tree(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
     the tree represents the projected database without them. The supports
     are read from the pair table first: x's paths are read only if some item
     reaches ``min_support``."""
-    proj, sorted_paths = _project(tree, x, min_support)
-    _insert(proj, sorted_paths)
+    proj = pending_projection(tree, x, min_support)
+    insert_pending(proj)
     return proj
 
 
@@ -273,7 +304,8 @@ def split(tree: IFPTree) -> Iterator[tuple[int, IFPTree]]:
         tree.order = tree.order[1:]
         del tree.rank[x]
         del tree.supports[x]
-        tree.pairs.pop(x, None)
+        if tree._pairs is not None:
+            tree._pairs.pop(x, None)
 
 
 def residual_tree(tree: IFPTree, x: int) -> IFPTree:

@@ -9,6 +9,7 @@ allow, against the brute-force oracle.
 
 import pytest
 
+import ifpmine.tree
 from ifpmine import (
     ThresholdVector,
     TransactionDatabase,
@@ -162,3 +163,23 @@ def test_one_transaction_of_ten_thousand_items(tmp_path, capsys):
     expected = sorted(mlms_oracle(cut, tv), key=itemset_sort_key)
     assert (code, out) == (0, render_itemset_lines((s, support(db, s)) for s in expected))
     assert len(expected) == 10 + 10
+
+
+def test_one_threshold_counts_no_pair_of_two_long_transactions(tmp_path, capsys, monkeypatch):
+    # Two copies of the 10**4-item transaction: at one threshold of 2 the
+    # tree keeps all their items, whose 5 * 10**7 pairs all co-occur. Only
+    # the items' supports are read, so no pair table is counted.
+    rows = [range(10**4)] * 2 + [[i % 10, (i + 3) % 10] for i in range(40)]
+    path = _write(tmp_path, _fimi(rows))
+    counted = []
+    real = ifpmine.tree._count_pairs
+
+    def counting(paths):
+        counted.append(1)
+        return real(paths)
+
+    monkeypatch.setattr(ifpmine.tree, "_count_pairs", counting)
+    code, out = _mine_mlms(path, "2", capsys)
+    assert counted == []
+    # Items 0-9 occur in both long transactions and 8 short ones.
+    assert (code, out) == (0, "".join(f"{i} ({10 if i < 10 else 2})\n" for i in range(10**4)))

@@ -113,13 +113,13 @@ class TestIfpMin:
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         db = TransactionDatabase.from_itemsets([p for p in pairs for _ in range(2)])
         made = []
-        real = miners_module._insert
+        real = miners_module.insert_pending
 
-        def recording(tree, sorted_paths):
-            made.append(real(tree, sorted_paths))
+        def recording(tree):
+            made.append(real(tree))
             return made[-1]
 
-        monkeypatch.setattr(miners_module, "_insert", recording)
+        monkeypatch.setattr(miners_module, "insert_pending", recording)
         stats = MiningStats()
         result = ifp_min(db, 2, stats)
         assert result == apriori_min(db, 2)

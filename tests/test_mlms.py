@@ -158,13 +158,13 @@ class TestSigmaLowPruning:
         # Under the prefix of any item every itemset has length >= 2, and a
         # vector of one threshold makes none of them frequent*.
         calls = []
-        real = mlms_module._project
+        real = mlms_module.pending_projection
 
         def counting(tree, x, min_support=0):
             calls.append(x)
             return real(tree, x, min_support)
 
-        monkeypatch.setattr(mlms_module, "_project", counting)
+        monkeypatch.setattr(mlms_module, "pending_projection", counting)
         tv = ThresholdVector((1,))
         result = mine_mlms(mlms_db, tv)
         assert calls == []
@@ -178,7 +178,7 @@ class TestSigmaLowPruning:
         # prefix a projection holds itemsets of lengths 2..3, of which only
         # those of length 3 need its items to be in its order: its floor is 3.
         tree_floors, floors = [], []
-        real_build, real_project = mlms_module.build_tree, mlms_module._project
+        real_build, real_project = mlms_module.build_tree, mlms_module.pending_projection
 
         def recording_build(db, min_support=0):
             tree_floors.append(min_support)
@@ -189,7 +189,7 @@ class TestSigmaLowPruning:
             return real_project(tree, x, min_support)
 
         monkeypatch.setattr(mlms_module, "build_tree", recording_build)
-        monkeypatch.setattr(mlms_module, "_project", recording)
+        monkeypatch.setattr(mlms_module, "pending_projection", recording)
         tv = ThresholdVector((1, 2, 3))
         for prune, want_tree, want in ((True, [2], {3}), (False, [0], {0})):
             tree_floors.clear()
@@ -204,13 +204,13 @@ class TestSigmaLowPruning:
         # of the last length: their supports are read from the tree's pair
         # table and no projection is made.
         calls = []
-        real = mlms_module._project
+        real = mlms_module.pending_projection
 
         def counting(tree, x, min_support=0):
             calls.append(x)
             return real(tree, x, min_support)
 
-        monkeypatch.setattr(mlms_module, "_project", counting)
+        monkeypatch.setattr(mlms_module, "pending_projection", counting)
         tv = ThresholdVector((2, 2))
         result = mine_mlms(mlms_db, tv)
         assert calls == []
@@ -223,19 +223,19 @@ class TestSigmaLowPruning:
         # At L = 3 the projections under the empty prefix hold singletons and
         # pairs, read from their supports and pair tables: none gets a node.
         built, made = [], []
-        real_build, real_insert = mlms_module.build_tree, mlms_module._insert
+        real_build, real_insert = mlms_module.build_tree, mlms_module.insert_pending
 
         def recording_build(db, min_support=0):
             tree = real_build(db, min_support)
             built.append(tree.node_count)  # before the split consumes it
             return tree
 
-        def recording_insert(tree, sorted_paths):
-            made.append(real_insert(tree, sorted_paths))
+        def recording_insert(tree):
+            made.append(real_insert(tree))
             return made[-1]
 
         monkeypatch.setattr(mlms_module, "build_tree", recording_build)
-        monkeypatch.setattr(mlms_module, "_insert", recording_insert)
+        monkeypatch.setattr(mlms_module, "insert_pending", recording_insert)
         tv = ThresholdVector((3, 2, 2))
         result = mine_mlms(mlms_db, tv)
         assert set(result.frequent) == mlms_oracle(mlms_db, tv)

@@ -30,7 +30,7 @@ from ifpmine import (
     tree_support,
 )
 from ifpmine.oracle import MAX_ORACLE_FREQUENT_ITEMS, MAX_ORACLE_TRANSACTION_LEN
-from ifpmine.tree import split
+from ifpmine.tree import insert_pending, pending_projection, split
 
 NUM_ITEMS = 20
 
@@ -116,6 +116,11 @@ def test_tree_layer_matches_rebuilt_trees(db, data):
     for x, t in split(chain):
         _assert_pair_table(t, db)
     _assert_pair_table(chain, db)
+    # A table first read after some steps is counted from the residual's nodes.
+    late = data.draw(st.integers(0, len(pruned.order)), label="first read")
+    for k, (x, t) in enumerate(split(build_tree(db, floor))):
+        if k >= late:
+            _assert_pair_table(t, db)
     if tree.is_empty():
         return
 
@@ -130,6 +135,12 @@ def test_tree_layer_matches_rebuilt_trees(db, data):
     proj = projected_tree(tree, x, m)
     kept = _rebuilt(proj_rows, lambda i: proj_supports[i] >= m)
     _assert_same_tree(proj, kept)
+    # The table of a projection whose nodes are pending is counted from its paths.
+    pending = pending_projection(tree, x, m)
+    _assert_pair_table(pending, kept)
+    assert pending.node_count == 0
+    assert insert_pending(pending) == proj.node_count
+    _assert_same_tree(pending, kept)
     assert proj.supports == proj_supports
     assert projected_supports(tree, x) == proj_supports
     for s in data.draw(itemsets, label="projected itemsets"):
