@@ -29,7 +29,7 @@ db = TransactionDatabase.from_itemsets(
 tv = ThresholdVector((4, 4, 3, 2, 1))
 result = mine_mlms(db, tv)
 
-print(f"thresholds per length: {tv.sigmas}  (sigma_low = {tv.sigma_low})")
+print(f"thresholds per length: {tv.sigmas}  (sigma_low = {min(tv.sigmas)})")
 by_length = defaultdict(list)
 for s, supp in result.entries():
     by_length[len(s)].append((s, supp))

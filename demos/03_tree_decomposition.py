@@ -28,7 +28,7 @@ db = TransactionDatabase.from_itemsets(
 
 tree = build_tree(db)
 x = lf_item(tree)
-print(f"least frequent item: {LABELS[x]} (support {tree.item_support(x)})")
+print(f"least frequent item: {LABELS[x]} (support {tree.supports[x]})")
 print()
 print("full tree:")
 print(tree.dump(LABELS))

@@ -9,10 +9,8 @@ from .data import (
     Transaction,
     TransactionDatabase,
     canonical_itemset,
-    iflist_order,
     item_supports,
     parse_fimi,
-    prune_infrequent_items,
     read_fimi,
     support,
     to_fimi,
@@ -22,12 +20,9 @@ from .tree import (
     IFPNode,
     IFPTree,
     build_tree,
-    decompress,
     lf_item,
-    projected_supports,
     projected_tree,
     residual_tree,
-    tree_items,
     tree_support,
 )
 from .miners import MIIResult, MiningStats, apriori_min, ifp_min, mine_mii, unify
@@ -57,10 +52,8 @@ __all__ = [
     "Transaction",
     "TransactionDatabase",
     "canonical_itemset",
-    "iflist_order",
     "item_supports",
     "parse_fimi",
-    "prune_infrequent_items",
     "read_fimi",
     "support",
     "to_fimi",
@@ -68,12 +61,9 @@ __all__ = [
     "IFPNode",
     "IFPTree",
     "build_tree",
-    "decompress",
     "lf_item",
-    "projected_supports",
     "projected_tree",
     "residual_tree",
-    "tree_items",
     "tree_support",
     "MIIResult",
     "MiningStats",

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import multiprocessing
-import queue
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 
 from .data import (
     FimiParseError,
@@ -41,27 +41,6 @@ MII_ALGORITHMS = ("ifp", "apriori", "oracle")
 
 # A bench cell's result is awaited with poll(), whose timeout is a C int of milliseconds.
 MAX_BENCH_TIMEOUT_S = (2**31 - 1) / 1000
-
-
-@dataclass
-class RunSpec:
-    """One fully-specified CLI invocation."""
-
-    command: str
-    input: str | None = None
-    inputs: list[str] = field(default_factory=list)
-    algorithm: str = "ifp"
-    algorithms: list[str] = field(default_factory=list)
-    min_sup: str | None = None
-    thresholds: str | None = None
-    fmt: str = "text"
-    out: str | None = None
-    jobs: int = 1
-    timeout: float = 60.0
-    items: int = 0
-    transactions: int = 0
-    density: float = 0.0
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -149,25 +128,25 @@ def _resolve_sigma(text: str, db: TransactionDatabase) -> int:
     return SupportThreshold.parse(text).resolve(len(db))
 
 
-def _run_mine_mii(spec: RunSpec) -> int:
-    db = read_fimi(spec.input)
-    sigma = _resolve_sigma(spec.min_sup, db)
-    result = mine_mii(db, sigma, algorithm=spec.algorithm)
-    _emit(_render(result, spec.fmt), spec.out)
+def _run_mine_mii(args: argparse.Namespace) -> int:
+    db = read_fimi(args.input)
+    sigma = _resolve_sigma(args.min_sup, db)
+    result = mine_mii(db, sigma, algorithm=args.algorithm)
+    _emit(_render(result, args.fmt), args.out)
     return EXIT_OK
 
 
-def _run_mine_mlms(spec: RunSpec) -> int:
-    db = read_fimi(spec.input)
-    tv = ThresholdVector.from_text(spec.thresholds, len(db))
+def _run_mine_mlms(args: argparse.Namespace) -> int:
+    db = read_fimi(args.input)
+    tv = ThresholdVector.from_text(args.thresholds, len(db))
     result = mine_mlms(db, tv)
-    _emit(_render(result, spec.fmt), spec.out)
+    _emit(_render(result, args.fmt), args.out)
     return EXIT_OK
 
 
-def _run_check(spec: RunSpec) -> int:
-    db = read_fimi(spec.input)
-    sigma = _resolve_sigma(spec.min_sup, db)
+def _run_check(args: argparse.Namespace) -> int:
+    db = read_fimi(args.input)
+    sigma = _resolve_sigma(args.min_sup, db)
     results = {algo: mine_mii(db, sigma, algorithm=algo) for algo in MII_ALGORITHMS}
     reference = results["oracle"]
     ok = True
@@ -191,7 +170,7 @@ def _run_check(spec: RunSpec) -> int:
     return EXIT_OK
 
 
-def _bench_worker(path: str, algo: str, threshold: str, out_queue) -> None:
+def _bench_worker(path: str, algo: str, threshold: str, conn: Connection) -> None:
     """Runs one bench cell in a child process so timeouts can be enforced."""
     try:
         db = read_fimi(path)
@@ -200,9 +179,9 @@ def _bench_worker(path: str, algo: str, threshold: str, out_queue) -> None:
         t0 = time.perf_counter()
         result = mine_mii(db, sigma, algorithm=algo, stats=stats)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        out_queue.put(("ok", round(elapsed_ms, 3), len(result.miis), stats.peak_nodes))
+        conn.send(("ok", round(elapsed_ms, 3), len(result.miis), stats.peak_nodes))
     except Exception as exc:  # reported by the parent, sweep continues
-        out_queue.put(("error", f"{type(exc).__name__}: {exc}"))
+        conn.send(("error", f"{type(exc).__name__}: {exc}"))
 
 
 def bench_sweep(
@@ -216,10 +195,11 @@ def bench_sweep(
     one record per cell in that deterministic order.
 
     Each cell runs in its own process; a cell that exceeds the timeout or
-    fails is recorded with -1 in every measured column instead of aborting
-    the sweep. Up to ``jobs`` cells run concurrently. A timeout that is not
-    greater than 0, or beyond the wait limit ``MAX_BENCH_TIMEOUT_S``, raises
-    ``ValueError`` here, before any cell runs.
+    fails, or whose worker exits without a result, is recorded with -1 in
+    every measured column instead of aborting the sweep. Up to ``jobs``
+    cells run concurrently. A timeout that is not greater than 0, or beyond
+    the wait limit ``MAX_BENCH_TIMEOUT_S``, raises ``ValueError`` here,
+    before any cell runs.
     """
     if not 0 < timeout <= MAX_BENCH_TIMEOUT_S:  # nan too
         raise ValueError(
@@ -230,33 +210,40 @@ def bench_sweep(
 
 def _sweep(cells: list[tuple[str, str, str]], jobs: int, timeout: float):
     ctx = multiprocessing.get_context()
-    running: list[tuple[int, multiprocessing.Process, object, float]] = []
+    running: list[tuple[int, multiprocessing.Process, Connection, float]] = []
     next_cell = 0
 
     def launch() -> None:
         nonlocal next_cell
         while next_cell < len(cells) and len(running) < max(1, jobs):
-            q = ctx.Queue()
-            p = ctx.Process(target=_bench_worker, args=(*cells[next_cell], q), daemon=True)
+            result, sender = ctx.Pipe(duplex=False)
+            p = ctx.Process(target=_bench_worker, args=(*cells[next_cell], sender), daemon=True)
             p.start()
-            running.append((next_cell, p, q, time.monotonic()))
+            sender.close()  # the worker holds the only copy, so its exit ends the pipe
+            running.append((next_cell, p, result, time.monotonic()))
             next_cell += 1
 
     launch()
     while running:
-        idx, proc, q, started = running.pop(0)
+        idx, proc, result, started = running.pop(0)
         remaining = timeout - (time.monotonic() - started)
         msg = None
-        try:
-            msg = q.get(timeout=max(0.0, remaining))
-        except queue.Empty:
+        # The sentinel wakes the wait as soon as the worker exits, reported or not.
+        if not wait([result, proc.sentinel], max(0.0, remaining)):
             proc.terminate()
+        else:
+            try:
+                msg = result.recv()  # a result sent before the worker exited still counts
+            except EOFError:
+                proc.join()
+                msg = ("error", f"worker exited with code {proc.exitcode}")
         proc.join()
+        result.close()
         dataset, algo, threshold = cells[idx]
         if msg is not None and msg[0] == "ok":
             record = BenchRecord(dataset, algo, threshold, msg[1], msg[2], msg[3])
         else:
-            if msg is not None and msg[0] == "error":
+            if msg is not None:  # an error; a cell that timed out has no message
                 print(f"bench cell failed ({dataset}, {algo}, {threshold}): {msg[1]}", file=sys.stderr)
             record = BenchRecord(dataset, algo, threshold, -1, -1, -1)
         launch()
@@ -278,24 +265,24 @@ def cross_check_counts(records: list[BenchRecord]) -> list[tuple[str, str, list[
     ]
 
 
-def _run_bench(spec: RunSpec) -> int:
+def _run_bench(args: argparse.Namespace) -> int:
     # Fail fast before spending time on the sweep.
-    thresholds = _comma_list(spec.thresholds)
-    if not spec.algorithms or not thresholds:
+    thresholds = _comma_list(args.thresholds)
+    if not args.algorithms or not thresholds:
         print("bench needs at least one algorithm and one threshold", file=sys.stderr)
         return EXIT_USAGE
-    for algo in spec.algorithms:
+    for algo in args.algorithms:
         if algo not in MII_ALGORITHMS:
             print(f"unknown algorithm: {algo}", file=sys.stderr)
             return EXIT_USAGE
     # Raises ValueError (exit 2) for a timeout the sweep cannot wait for.
-    sweep = bench_sweep(spec.inputs, spec.algorithms, thresholds, jobs=spec.jobs, timeout=spec.timeout)
+    sweep = bench_sweep(args.inputs, args.algorithms, thresholds, jobs=args.jobs, timeout=args.timeout)
     for threshold in thresholds:
         # Parsing raises InvalidThresholdError (exit 2). A 0 resolves to sigma 0 on
         # every dataset; a positive percentage resolves per dataset, in its cells.
         if SupportThreshold.parse(threshold).value == 0:
             raise InvalidThresholdError(f"threshold {threshold!r} is 0; sigma must be >= 1")
-    for path in spec.inputs:
+    for path in args.inputs:
         with open(path, "r", encoding="ascii"):
             pass
     records = []
@@ -314,20 +301,20 @@ def _run_bench(spec: RunSpec) -> int:
     return EXIT_DISAGREEMENT if mismatches else EXIT_OK
 
 
-def _run_gen(spec: RunSpec) -> int:
+def _run_gen(args: argparse.Namespace) -> int:
     cfg = SynthConfig(
-        num_items=spec.items,
-        num_transactions=spec.transactions,
-        density=spec.density,
-        seed=spec.seed,
+        num_items=args.items,
+        num_transactions=args.transactions,
+        density=args.density,
+        seed=args.seed,
     )
     db = gen_synthetic(cfg)
-    _emit(to_fimi(db), spec.out)
+    _emit(to_fimi(db), args.out)
     return EXIT_OK
 
 
-def run(spec: RunSpec) -> int:
-    """Execute one command; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command; returns the process exit code."""
     handlers = {
         "mine-mii": _run_mine_mii,
         "mine-mlms": _run_mine_mlms,
@@ -335,11 +322,8 @@ def run(spec: RunSpec) -> int:
         "bench": _run_bench,
         "gen": _run_gen,
     }
-    if spec.command not in handlers:
-        print(f"unknown command: {spec.command}", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        return handlers[spec.command](spec)
+        return handlers[args.command](args)
     except OracleGuardError as exc:
         print(f"oracle guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -358,8 +342,7 @@ def run(spec: RunSpec) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
-    return run(RunSpec(**vars(ns)))
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

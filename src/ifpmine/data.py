@@ -1,4 +1,4 @@
-"""Transaction databases, FIMI parsing, support counting and i-flist ordering.
+"""Transaction databases, FIMI parsing, support counting and result rendering.
 
 Itemsets are canonical tuples of item ids: sorted ascending, no duplicates.
 Two itemsets are equal exactly when they are equal as sets, so tuples double
@@ -30,14 +30,9 @@ def canonical_itemset(items: Iterable[int]) -> Itemset:
     return tuple(sorted(set(items)))
 
 
-def itemset_sort_key(s: Itemset) -> tuple[int, Itemset]:
-    """Result ordering: by length, then lexicographically by item ids."""
-    return (len(s), s)
-
-
 def in_result_order(itemsets: Iterable[Itemset]) -> tuple[Itemset, ...]:
-    """The itemsets in the order of ``itemset_sort_key``, sorted on builtin
-    keys: lexicographically, then stably by length."""
+    """The itemsets in result order: by length, then lexicographically by
+    item ids. Sorted on builtin keys: lexicographically, then stably by length."""
     return tuple(sorted(sorted(itemsets), key=len))
 
 
@@ -51,7 +46,6 @@ class Transaction:
 class TransactionDatabase:
     """An immutable ordered list of transactions over integer item ids.
 
-    ``universe`` is the set of items observed in at least one transaction.
     ``labels`` optionally maps item ids to display strings; items without a
     label render as the decimal id (the FIMI convention).
     """
@@ -77,10 +71,6 @@ class TransactionDatabase:
 
     def __iter__(self) -> Iterator[Transaction]:
         return iter(self.transactions)
-
-    @cached_property
-    def universe(self) -> frozenset[int]:
-        return frozenset(i for t in self.transactions for i in t.items)
 
     @cached_property
     def item_sets(self) -> tuple[frozenset[int], ...]:
@@ -198,35 +188,6 @@ def item_supports(db: TransactionDatabase) -> dict[int, int]:
         for i in t.items:
             counts[i] = counts.get(i, 0) + 1
     return counts
-
-
-def iflist_order(db: TransactionDatabase) -> list[int]:
-    """All universe items sorted ascending by support, ties ascending by id."""
-    counts = item_supports(db)
-    return sorted(counts, key=lambda i: (counts[i], i))
-
-
-def prune_infrequent_items(
-    db: TransactionDatabase, sigma: int
-) -> tuple[TransactionDatabase, list[tuple[Itemset, int]]]:
-    """Remove every item with support < sigma from every transaction.
-
-    Returns the pruned database (same transaction count; emptied transactions
-    are retained) and the removed items as 1-itemsets with their supports,
-    ordered by (support, id).
-    """
-    if sigma < 0:
-        raise InvalidThresholdError(f"sigma must be >= 0, got {sigma}")
-    counts = item_supports(db)
-    infrequent = {i for i, c in counts.items() if c < sigma}
-    removed = [((i,), counts[i]) for i in sorted(infrequent, key=lambda i: (counts[i], i))]
-    if not infrequent:
-        return db, []
-    txs = tuple(
-        Transaction(t.tid, tuple(i for i in t.items if i not in infrequent))
-        for t in db.transactions
-    )
-    return TransactionDatabase(transactions=txs, labels=db.labels), removed
 
 
 def render_itemset(s: Itemset, labels: dict[int, str] | None = None) -> str:

@@ -68,12 +68,6 @@ class ThresholdVector:
     def max_length(self) -> int:
         return len(self.sigmas)
 
-    @property
-    def sigma_low(self) -> int:
-        """The smallest threshold: items below it can never appear in any
-        frequent itemset of any length."""
-        return min(self.sigmas)
-
     def sigma(self, length: int) -> int:
         return self.sigmas[length - 1]
 

@@ -28,14 +28,14 @@ no node, no place in the order and no row or column in the table. The
 miners build their tree at their floor this way.
 
 The residual of x leaves every other itemset's support unchanged, so row x
-of the table is x's projected supports at x's step of the chain:
-``projected_supports`` reads it, with no walk of x's subtree.
-``pending_projection`` reads x's paths, with the one walk ``_walk``, only
-if some item of that row reaches its ``min_support``, and prepares x's
-projection from them; the miners insert its nodes only when they are going
-to split it. ``projected_tree`` is ``pending_projection`` followed by
-``insert_pending``. ``_walk`` also serves ``residual_tree``, ``decompress``,
-``tree_support`` and the count of a built tree's table.
+of the table is x's projected supports at x's step of the chain, read with
+no walk of x's subtree. ``pending_projection`` takes them from there, reads
+x's paths, with the one walk ``_walk``, only if some item of that row
+reaches its ``min_support``, and prepares x's projection from them; the
+miners insert its nodes only when they are going to split it.
+``projected_tree`` is ``pending_projection`` followed by ``insert_pending``.
+``_walk`` also serves ``residual_tree``, ``tree_support`` and the count of a
+built tree's table.
 """
 
 from __future__ import annotations
@@ -87,9 +87,6 @@ class IFPTree:
 
     def is_empty(self) -> bool:
         return not self.root.children
-
-    def item_support(self, item: int) -> int:
-        return self.supports.get(item, 0)
 
     def sorted_children(self, node: IFPNode) -> list[IFPNode]:
         return [node.children[i] for i in sorted(node.children, key=self.rank.__getitem__)]
@@ -206,14 +203,6 @@ def build_tree(db: TransactionDatabase, min_support: int = 0) -> IFPTree:
     return _build(item_supports(db), ((t.items, 1) for t in db.transactions), len(db), min_support)
 
 
-def decompress(tree: IFPTree) -> list[tuple[Itemset, int]]:
-    """Recover the represented database's nonempty ordered transactions as
-    (itemset, multiplicity) pairs, in deterministic tree order."""
-    rank = tree.rank.__getitem__
-    # Tree order lists a path before its extensions: the paths' rank tuples sort so.
-    return sorted(_walk(tree.root), key=lambda path: tuple(map(rank, path[0])))
-
-
 def lf_item(tree: IFPTree) -> int:
     """Least frequent item of the tree (first in i-flist order)."""
     if not tree.order:
@@ -242,19 +231,13 @@ def _walk(top: IFPNode) -> Iterator[tuple[Itemset, int]]:
             yield tuple(path), count
 
 
-def projected_supports(tree: IFPTree, x: int) -> dict[int, int]:
-    """Each item's support in the projected database of x, which must be the
-    lf-item: row x of the pair table, with no walk of x's subtree and no
-    tree built. Items that never occur with x are absent, and so are the
-    items the tree holds no node of."""
-    _check_lf(tree, x)
-    return dict(tree.pairs.get(x, ()))
-
-
 def pending_projection(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
     """``projected_tree`` with its nodes pending: see ``insert_pending``.
     x's paths are read only if some item reaches ``min_support``."""
-    supports = projected_supports(tree, x)
+    _check_lf(tree, x)
+    # Row x of the pair table: items that never occur with x are absent, and
+    # so are the items the tree holds no node of.
+    supports = dict(tree.pairs.get(x, ()))
     xnode = tree.root.children[x]
     keep = any(n >= min_support for n in supports.values())
     return _prepare(supports, _walk(xnode) if keep else (), xnode.count, min_support)
@@ -316,11 +299,6 @@ def residual_tree(tree: IFPTree, x: int) -> IFPTree:
     # The rest of the order reaches x's support; items with no node fall below it.
     floor = supports.pop(x)
     return _build(supports, _walk(tree.root), tree.num_transactions, floor)
-
-
-def tree_items(tree: IFPTree) -> set[int]:
-    """Items with at least one node in the tree: every item of its order."""
-    return set(tree.order)
 
 
 def tree_support(tree: IFPTree, s: Iterable[int]) -> int:

@@ -1,6 +1,6 @@
 import pytest
 
-from ifpmine import TransactionDatabase
+from ifpmine import TransactionDatabase, item_supports
 
 # Nine-transaction example database (labels A..F as ids 0..5).
 MII_LABELS = {0: "A", 1: "B", 2: "C", 3: "D", 4: "E", 5: "F"}
@@ -60,3 +60,35 @@ def mii_db() -> TransactionDatabase:
 @pytest.fixture
 def mlms_db() -> TransactionDatabase:
     return TransactionDatabase.from_itemsets(MLMS_ROWS, labels=MLMS_LABELS)
+
+
+def universe(db: TransactionDatabase) -> frozenset[int]:
+    """The items that occur in at least one transaction."""
+    return frozenset(i for t in db for i in t.items)
+
+
+def prune_infrequent_items(db: TransactionDatabase, sigma: int) -> TransactionDatabase:
+    """The database without the items whose support is below sigma; emptied
+    transactions stay, so the transaction count does not change."""
+    counts = item_supports(db)
+    return TransactionDatabase.from_itemsets(
+        [[i for i in t.items if counts[i] >= sigma] for t in db], labels=db.labels
+    )
+
+
+def decompress(tree) -> list[tuple[tuple[int, ...], int]]:
+    """The database a tree represents, read back by a walk of its own nodes:
+    each nonempty transaction as (items in the tree's order, multiplicity),
+    in tree order, a path before its extensions. No recursion, so long paths
+    read back too."""
+    out = []
+    stack = [(child, ()) for child in reversed(tree.sorted_children(tree.root))]
+    while stack:
+        node, above = stack.pop()
+        path = above + (node.item,)
+        children = tree.sorted_children(node)
+        ending = node.count - sum(child.count for child in children)
+        if ending > 0:
+            out.append((path, ending))
+        stack.extend((child, path) for child in reversed(children))
+    return out

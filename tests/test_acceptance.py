@@ -32,6 +32,7 @@ from conftest import (
     MLMS_EXPECTED,
     MLMS_ROWS,
     MLMS_SIGMAS,
+    universe,
 )
 
 DENSE_CFG = SynthConfig(num_items=50, num_transactions=10_000, density=0.3, seed=42)
@@ -174,7 +175,7 @@ def test_criterion_05_decomposition_identities():
         x = lf_item(tree)
         resid = residual_tree(tree, x)
         proj = projected_tree(tree, x)
-        others = [i for i in sorted(db.universe) if i != x]
+        others = [i for i in sorted(universe(db)) if i != x]
         for _ in range(8):
             k = rng.randint(0, min(4, len(others)))
             s = tuple(sorted(rng.sample(others, k)))

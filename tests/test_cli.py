@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 
 from ifpmine import cli, to_fimi, TransactionDatabase
-from ifpmine.cli import BENCH_CSV_HEADER, RunSpec, bench_sweep, main, run
+from ifpmine.cli import BENCH_CSV_HEADER, bench_sweep, main
 
 from conftest import MII_ROWS, MLMS_ROWS
 
@@ -225,6 +228,39 @@ class TestBench:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert rows[0].split(",")[4] == rows[1].split(",")[4]
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched worker reaches the cell's process only when it is forked",
+    )
+    def test_worker_that_exits_without_a_result_is_recorded_at_once(
+        self, table1_path, monkeypatch, capsys
+    ):
+        def dies(*args):
+            os._exit(9)
+
+        monkeypatch.setattr(cli, "_bench_worker", dies)
+        started = time.monotonic()
+        records = list(bench_sweep([table1_path], ["ifp"], ["2"], timeout=30))
+        assert time.monotonic() - started < 5
+        assert [r.csv_row() for r in records] == [f"{table1_path},ifp,2,-1,-1,-1"]
+        assert capsys.readouterr().err == (
+            f"bench cell failed ({table1_path}, ifp, 2): worker exited with code 9\n"
+        )
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched worker reaches the cell's process only when it is forked",
+    )
+    def test_result_sent_before_the_worker_exits_counts(self, table1_path, monkeypatch, capsys):
+        def reports_then_dies(path, algo, threshold, conn):
+            conn.send(("ok", 1.5, 8, 63))
+            os._exit(9)
+
+        monkeypatch.setattr(cli, "_bench_worker", reports_then_dies)
+        records = list(bench_sweep([table1_path], ["ifp"], ["2"], timeout=30))
+        assert [r.csv_row() for r in records] == [f"{table1_path},ifp,2,1.5,8,63"]
+        assert capsys.readouterr().err == ""
+
     def test_sweep_api_yields_records(self, table1_path):
         records = list(bench_sweep([table1_path], ["ifp"], ["2"], jobs=1, timeout=30))
         assert len(records) == 1
@@ -258,14 +294,12 @@ class TestGen:
                      "--seed", "1", "--out", str(tmp_path / "x.fimi")]) == 2
 
 
-class TestRunSpecApi:
-    def test_direct_runspec_invocation(self, table1_path, capsys):
-        rc = run(RunSpec(command="mine-mii", input=table1_path, min_sup="2"))
-        assert rc == 0
-        assert len(capsys.readouterr().out.splitlines()) == 8
-
+class TestMain:
     def test_unknown_command(self, capsys):
-        assert run(RunSpec(command="fly")) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["fly"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fly'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("error", [RecursionError, MemoryError])
     def test_resource_exhaustion_is_one_line(self, error, table1_path, monkeypatch, capsys):

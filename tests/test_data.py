@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -9,15 +10,17 @@ from ifpmine import (
     SupportThreshold,
     TransactionDatabase,
     SynthConfig,
+    build_tree,
     canonical_itemset,
     gen_synthetic,
-    iflist_order,
     item_supports,
     parse_fimi,
-    prune_infrequent_items,
     support,
     to_fimi,
+    tree_support,
 )
+
+from conftest import decompress, universe
 
 
 def random_db(rng: random.Random, max_items=8, max_tx=25) -> TransactionDatabase:
@@ -39,13 +42,13 @@ class TestParseFimi:
     def test_empty_input(self):
         db = parse_fimi("")
         assert len(db) == 0
-        assert db.universe == frozenset()
+        assert universe(db) == frozenset()
 
     def test_nine_transaction_example(self, mii_db):
         text = to_fimi(mii_db)
         db = parse_fimi(text)
         assert len(db) == 9
-        assert len(db.universe) == 6
+        assert len(universe(db)) == 6
 
     def test_blank_lines_become_empty_transactions(self):
         db = parse_fimi("1 2\n\n3\n")
@@ -98,7 +101,7 @@ class TestSupport:
         rng = random.Random(7)
         for _ in range(30):
             db = random_db(rng)
-            items = sorted(db.universe)
+            items = sorted(universe(db))
             if not items:
                 continue
             big = tuple(sorted(rng.sample(items, rng.randint(1, min(4, len(items))))))
@@ -108,61 +111,73 @@ class TestSupport:
 
 
 class TestIflistOrder:
+    """A database's i-flist order is the order of its tree."""
+
     def test_mlms_example(self, mlms_db):
         # B, A, D, T, W, C: supports 1, 4, 4, 4, 5, 6 with id tie-break
-        assert iflist_order(mlms_db) == [1, 0, 3, 4, 5, 2]
+        assert build_tree(mlms_db).order == (1, 0, 3, 4, 5, 2)
 
     def test_mii_example(self, mii_db):
         # F first (support 1); the rest tie at 4 and order by id
-        assert iflist_order(mii_db) == [5, 0, 1, 2, 3, 4]
+        assert build_tree(mii_db).order == (5, 0, 1, 2, 3, 4)
 
     def test_single_item(self):
         db = TransactionDatabase.from_itemsets([[9]])
-        assert iflist_order(db) == [9]
+        assert build_tree(db).order == (9,)
 
     def test_permutation_and_nondecreasing(self):
         rng = random.Random(11)
         for _ in range(30):
             db = random_db(rng)
-            order = iflist_order(db)
-            assert sorted(order) == sorted(db.universe)
+            order = build_tree(db).order
+            assert sorted(order) == sorted(universe(db))
             counts = item_supports(db)
             supports_in_order = [counts[i] for i in order]
             assert supports_in_order == sorted(supports_in_order)
 
 
+def _transactions(tree) -> Counter:
+    """The nonempty transactions a tree represents, as canonical itemsets."""
+    return Counter({canonical_itemset(s): n for s, n in decompress(tree)})
+
+
 class TestPruneInfrequentItems:
+    """Items below sigma are pruned where the tree is built: ``build_tree(db,
+    sigma)`` represents the database without them, and its ``supports``
+    keep theirs."""
+
     def test_removes_f(self, mii_db):
-        pruned, removed = prune_infrequent_items(mii_db, 2)
-        assert removed == [((5,), 1)]
-        assert pruned.transactions[0].items == (4,)
-        assert len(pruned) == len(mii_db)
+        tree = build_tree(mii_db, 2)
+        assert [(i, n) for i, n in tree.supports.items() if i not in tree.rank] == [(5, 1)]
+        assert _transactions(tree)[(4,)] == 1  # F E, without F
+        assert tree.num_transactions == len(mii_db)
 
     def test_sigma_zero_is_identity(self, mii_db):
-        pruned, removed = prune_infrequent_items(mii_db, 0)
-        assert removed == []
-        assert [t.items for t in pruned] == [t.items for t in mii_db]
+        tree = build_tree(mii_db, 0)
+        assert set(tree.order) == set(tree.supports)
+        assert _transactions(tree) == Counter(t.items for t in mii_db)
 
     def test_all_items_pruned(self):
         db = TransactionDatabase.from_itemsets([[1], [2]])
-        pruned, removed = prune_infrequent_items(db, 2)
-        assert [t.items for t in pruned] == [(), ()]
-        assert removed == [((1,), 1), ((2,), 1)]
+        tree = build_tree(db, 2)
+        assert tree.is_empty() and tree.num_transactions == 2
+        assert tree.order == () and tree.supports == {1: 1, 2: 1}
 
     def test_support_preserved_for_untouched_itemsets(self):
         rng = random.Random(3)
         for _ in range(20):
             db = random_db(rng)
-            if not db.universe:
+            if not universe(db):
                 continue
             sigma = rng.randint(1, 4)
-            pruned, removed = prune_infrequent_items(db, sigma)
-            gone = {i for (i,), _ in removed}
-            survivors = sorted(db.universe - gone)
+            tree = build_tree(db, sigma)
+            counts = item_supports(db)
+            survivors = sorted(i for i in universe(db) if counts[i] >= sigma)
+            assert survivors == sorted(tree.order)
             for _ in range(5):
                 k = rng.randint(0, min(3, len(survivors)))
                 s = tuple(sorted(rng.sample(survivors, k)))
-                assert support(db, s) == support(pruned, s)
+                assert support(db, s) == tree_support(tree, s)
 
 
 class TestSupportThreshold:

@@ -2,7 +2,7 @@
 64 bits, empty files, edge thresholds, thousands of items and one very long
 transaction.
 
-Every case goes through ``cli.run`` and checks its exit code, and checks the
+Every case goes through ``cli.main`` and checks its exit code, and checks the
 ``ifp`` miner's output against ``apriori`` and, where the oracle's guards
 allow, against the brute-force oracle.
 """
@@ -19,8 +19,8 @@ from ifpmine import (
     read_fimi,
     support,
 )
-from ifpmine.data import itemset_sort_key, render_itemset_lines
-from ifpmine.cli import RunSpec, run
+from ifpmine.data import render_itemset_lines
+from ifpmine.cli import main
 
 
 def _write(tmp_path, content: bytes, name: str = "data.fimi") -> str:
@@ -34,7 +34,7 @@ def _fimi(rows) -> bytes:
 
 
 def _mine_mii(path: str, min_sup: str, algorithm: str, capsys) -> tuple[int, str]:
-    code = run(RunSpec(command="mine-mii", input=path, min_sup=min_sup, algorithm=algorithm))
+    code = main(["mine-mii", "--input", path, "--min-sup", min_sup, "--algo", algorithm])
     return code, capsys.readouterr().out
 
 
@@ -49,7 +49,7 @@ def _mii_agree(path: str, min_sup: str, capsys, *, oracle: bool = True) -> tuple
 
 
 def _mine_mlms(path: str, thresholds: str, capsys) -> tuple[int, str]:
-    code = run(RunSpec(command="mine-mlms", input=path, thresholds=thresholds))
+    code = main(["mine-mlms", "--input", path, "--thresholds", thresholds])
     return code, capsys.readouterr().out
 
 
@@ -160,7 +160,7 @@ def test_one_transaction_of_ten_thousand_items(tmp_path, capsys):
     db = read_fimi(path)
     tv = ThresholdVector((3, 3))
     cut = TransactionDatabase.from_itemsets([range(10)] + [t.items for t in db.transactions[1:]])
-    expected = sorted(mlms_oracle(cut, tv), key=itemset_sort_key)
+    expected = sorted(mlms_oracle(cut, tv), key=lambda s: (len(s), s))
     assert (code, out) == (0, render_itemset_lines((s, support(db, s)) for s in expected))
     assert len(expected) == 10 + 10
 

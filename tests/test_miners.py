@@ -12,17 +12,16 @@ from ifpmine import (
     build_tree,
     gen_synthetic,
     ifp_min,
-    iflist_order,
     item_supports,
+    lf_item,
     mii_oracle,
     mine_mii,
     parse_fimi,
-    prune_infrequent_items,
     support,
     unify,
 )
 
-from conftest import MII_EXPECTED, MII_LABELS
+from conftest import MII_EXPECTED, MII_LABELS, prune_infrequent_items, universe
 
 
 def random_db(rng: random.Random, max_items=8, max_tx=20) -> TransactionDatabase:
@@ -179,9 +178,9 @@ class TestDecompositionTheorems:
         rng = random.Random(303)
         for _ in range(25):
             db = random_db(rng)
-            if not db.universe:
+            if not universe(db):
                 continue
-            x = iflist_order(db)[0]
+            x = lf_item(build_tree(db))
             sigma = rng.randint(1, 4)
             left = mii_oracle(_residual_db(db, x), sigma)
             right = {s for s in mii_oracle(db, sigma) if x not in s}
@@ -197,8 +196,8 @@ class TestDecompositionTheorems:
         while checked < 25:
             raw = random_db(rng)
             sigma = rng.randint(1, 4)
-            db, _ = prune_infrequent_items(raw, sigma)
-            frequent = sorted(db.universe)
+            db = prune_infrequent_items(raw, sigma)
+            frequent = sorted(universe(db))
             if not frequent:
                 continue
             counts = item_supports(db)
@@ -211,7 +210,7 @@ class TestDecompositionTheorems:
                 for s in mii_oracle(proj, sigma) - mii_oracle(resid, sigma)
             }
             zero_pairs = {
-                tuple(sorted((x, y))) for y in frequent if y != x and y not in proj.universe
+                tuple(sorted((x, y))) for y in frequent if y != x and y not in universe(proj)
             }
             assert with_x == from_projection | zero_pairs
             checked += 1

@@ -23,7 +23,6 @@ from ifpmine import (
     mine_mlms,
     mine_mii,
     mlms_oracle,
-    projected_supports,
     projected_tree,
     residual_tree,
     support,
@@ -142,7 +141,7 @@ def test_tree_layer_matches_rebuilt_trees(db, data):
     assert insert_pending(pending) == proj.node_count
     _assert_same_tree(pending, kept)
     assert proj.supports == proj_supports
-    assert projected_supports(tree, x) == proj_supports
+    assert projected_tree(tree, x).supports == proj_supports
     for s in data.draw(itemsets, label="projected itemsets"):
         assert tree_support(proj, s) == support(kept, s)
 

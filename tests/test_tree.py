@@ -9,20 +9,16 @@ from ifpmine import (
     SynthConfig,
     TransactionDatabase,
     build_tree,
-    decompress,
     gen_synthetic,
     lf_item,
     parse_fimi,
-    projected_supports,
     projected_tree,
-    prune_infrequent_items,
     residual_tree,
     support,
-    tree_items,
     tree_support,
 )
 
-from conftest import MII_LABELS, MII_ROWS
+from conftest import MII_LABELS, MII_ROWS, decompress, prune_infrequent_items, universe
 
 
 def random_db(rng: random.Random, max_items=9, max_tx=30) -> TransactionDatabase:
@@ -56,8 +52,7 @@ def t2_to_t9_tree():
 
 @pytest.fixture
 def pruned_tree(mii_db):
-    pruned, _ = prune_infrequent_items(mii_db, 2)
-    return build_tree(pruned)
+    return build_tree(prune_infrequent_items(mii_db, 2))
 
 
 class TestBuildTree:
@@ -117,8 +112,8 @@ class TestBuildTree:
         for _ in range(30):
             db = random_db(rng)
             tree = build_tree(db)
-            assert tree_items(tree) == db.universe
-            for item in db.universe:
+            assert set(tree.order) == universe(db)
+            for item in universe(db):
                 assert sum(n.count for n in _nodes(tree, item)) == support(db, (item,))
 
     def test_node_count_bounded_by_occurrences(self):
@@ -235,7 +230,7 @@ class TestProjectedTree:
         tree = build_tree(db)
         assert lf_item(tree) == 0
         full = projected_tree(tree, 0)
-        assert full.supports == projected_supports(tree, 0) == {1: 2, 2: 2, 3: 1}
+        assert full.supports == {1: 2, 2: 2, 3: 1}
         calls = []
         real = tree_module._walk
 
@@ -253,8 +248,9 @@ class TestProjectedTree:
         assert len(calls) == 1
 
     def test_projected_supports_not_lf_item_rejected(self, pruned_tree):
+        # The miners prepare a projection, and read its supports, without projected_tree.
         with pytest.raises(ValueError, match="least-frequent"):
-            projected_supports(pruned_tree, 4)
+            tree_module.pending_projection(pruned_tree, 4)
 
 
 class TestResidualTree:
@@ -332,12 +328,14 @@ class TestResidualTree:
 
 
 class TestTreeItems:
+    """The items with a node in a tree are the items of its order."""
+
     def test_residual_and_projected_items(self, pruned_tree):
-        assert tree_items(residual_tree(pruned_tree, 0)) == {1, 2, 3, 4}
-        assert tree_items(projected_tree(pruned_tree, 0)) == {1, 2, 3}
+        assert set(residual_tree(pruned_tree, 0).order) == {1, 2, 3, 4}
+        assert set(projected_tree(pruned_tree, 0).order) == {1, 2, 3}
 
     def test_empty(self):
-        assert tree_items(build_tree(parse_fimi(""))) == set()
+        assert build_tree(parse_fimi("")).order == ()
 
 
 class TestTreeSupport:
@@ -357,7 +355,7 @@ class TestTreeSupport:
         while checked < 1000:
             db = random_db(rng)
             tree = build_tree(db)
-            items = sorted(db.universe) or [0]
+            items = sorted(universe(db)) or [0]
             for _ in range(25):
                 k = rng.randint(0, min(4, len(items)))
                 s = tuple(sorted(rng.sample(items, k)))
@@ -375,7 +373,7 @@ class TestDecompositionIdentities:
                 continue
             x = lf_item(tree)
             resid = residual_tree(tree, x)
-            others = [i for i in sorted(db.universe) if i != x]
+            others = [i for i in sorted(universe(db)) if i != x]
             for _ in range(5):
                 k = rng.randint(0, min(4, len(others)))
                 s = tuple(sorted(rng.sample(others, k)))
@@ -390,7 +388,7 @@ class TestDecompositionIdentities:
                 continue
             x = lf_item(tree)
             proj = projected_tree(tree, x)
-            others = [i for i in sorted(db.universe) if i != x]
+            others = [i for i in sorted(universe(db)) if i != x]
             for _ in range(5):
                 k = rng.randint(0, min(4, len(others)))
                 s = tuple(sorted(rng.sample(others, k)))
