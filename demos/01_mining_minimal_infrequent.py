@@ -22,7 +22,6 @@ db = TransactionDatabase.from_itemsets(
         [4, 2],        # E C
         [4, 3],        # E D
     ],
-    labels=LABELS,
 )
 
 print(f"{len(db)} transactions over items", ", ".join(LABELS.values()))

@@ -23,7 +23,6 @@ db = TransactionDatabase.from_itemsets(
         [0, 4, 2, 5, 3],   # A T C W D
         [2, 3, 4, 1],      # C D T B
     ],
-    labels=LABELS,
 )
 
 tv = ThresholdVector((4, 4, 3, 2, 1))

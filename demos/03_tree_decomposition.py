@@ -23,7 +23,6 @@ LABELS = {0: "A", 1: "B", 2: "C", 3: "D", 4: "E"}
 
 db = TransactionDatabase.from_itemsets(
     [[4], [0, 1, 2], [0, 1], [0, 3], [0, 2, 3], [1, 2, 3], [4, 1], [4, 2], [4, 3]],
-    labels=LABELS,
 )
 
 tree = build_tree(db)

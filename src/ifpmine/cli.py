@@ -197,10 +197,12 @@ def bench_sweep(
     Each cell runs in its own process; a cell that exceeds the timeout or
     fails, or whose worker exits without a result, is recorded with -1 in
     every measured column instead of aborting the sweep. Up to ``jobs``
-    cells run concurrently. A timeout that is not greater than 0, or beyond
-    the wait limit ``MAX_BENCH_TIMEOUT_S``, raises ``ValueError`` here,
-    before any cell runs.
+    cells run concurrently. A ``jobs`` below 1, or a timeout that is not
+    greater than 0 or is beyond the wait limit ``MAX_BENCH_TIMEOUT_S``,
+    raises ``ValueError`` here, before any cell runs.
     """
+    if jobs < 1:
+        raise ValueError(f"bench needs jobs of at least 1, got {jobs}")
     if not 0 < timeout <= MAX_BENCH_TIMEOUT_S:  # nan too
         raise ValueError(
             f"bench needs a timeout greater than 0 and at most {MAX_BENCH_TIMEOUT_S} s, got {timeout}"
@@ -215,7 +217,7 @@ def _sweep(cells: list[tuple[str, str, str]], jobs: int, timeout: float):
 
     def launch() -> None:
         nonlocal next_cell
-        while next_cell < len(cells) and len(running) < max(1, jobs):
+        while next_cell < len(cells) and len(running) < jobs:
             result, sender = ctx.Pipe(duplex=False)
             p = ctx.Process(target=_bench_worker, args=(*cells[next_cell], sender), daemon=True)
             p.start()
@@ -275,7 +277,7 @@ def _run_bench(args: argparse.Namespace) -> int:
         if algo not in MII_ALGORITHMS:
             print(f"unknown algorithm: {algo}", file=sys.stderr)
             return EXIT_USAGE
-    # Raises ValueError (exit 2) for a timeout the sweep cannot wait for.
+    # Raises ValueError (exit 2) for jobs below 1 or a timeout the sweep cannot wait for.
     sweep = bench_sweep(args.inputs, args.algorithms, thresholds, jobs=args.jobs, timeout=args.timeout)
     for threshold in thresholds:
         # Parsing raises InvalidThresholdError (exit 2). A 0 resolves to sigma 0 on

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -44,27 +44,18 @@ class Transaction:
 
 @dataclass(frozen=True)
 class TransactionDatabase:
-    """An immutable ordered list of transactions over integer item ids.
-
-    ``labels`` optionally maps item ids to display strings; items without a
-    label render as the decimal id (the FIMI convention).
-    """
+    """An immutable ordered list of transactions over integer item ids."""
 
     transactions: tuple[Transaction, ...]
-    labels: dict[int, str] | None = field(default=None, compare=False)
 
     @classmethod
-    def from_itemsets(
-        cls,
-        itemsets: Iterable[Iterable[int]],
-        labels: dict[int, str] | None = None,
-    ) -> "TransactionDatabase":
+    def from_itemsets(cls, itemsets: Iterable[Iterable[int]]) -> "TransactionDatabase":
         """Build a database with tids assigned 0..m-1 in input order."""
         txs = tuple(
             Transaction(tid, canonical_itemset(items))
             for tid, items in enumerate(itemsets)
         )
-        return cls(transactions=txs, labels=labels)
+        return cls(transactions=txs)
 
     def __len__(self) -> int:
         return len(self.transactions)

@@ -10,13 +10,14 @@ Two miners produce identical output:
   itemsets minimally infrequent in the projected database but not in the
   residual one, plus the zero-support pairs of x with frequent items that
   never co-occur with it. Folding the steps back from the chain's end finds
-  the residual tree's MIIs collected by the time it reaches x. The tree it
-  builds from the database and the projections leave out the items below
-  ``sigma``; such an item keeps its support in the tree's ``supports``,
-  which makes it alone, or x joined with it in x's projection, an MII.
-  A projection's supports are row x of the tree's pair table (see ``tree``),
-  and its own pair table is counted from x's paths. Its nodes are inserted
-  only if that table holds a frequent pair: otherwise no itemset beyond a
+  the residual tree's MIIs collected by the time it reaches x. Every tree
+  is handled alike, the database's as the projection of the empty prefix:
+  it leaves out the items below ``sigma``, each of which keeps its support
+  in the tree's ``supports``, which makes it alone, or x joined with it in
+  x's projection, an MII. A projection's supports are row x of the tree's
+  pair table (see ``tree``), and its own pair table is counted from x's
+  paths, the database's from its transactions. A tree's nodes are inserted
+  only if its table holds a frequent pair: otherwise no itemset beyond a
   pair is minimal, and its MIIs are its infrequent items and every pair of
   its frequent items, with the table's support (0 when the pair is absent).
 * ``apriori_min`` is level-wise candidate generation where the rejected
@@ -42,7 +43,7 @@ from .data import (
     render_itemset_lines,
     support,
 )
-from .tree import IFPTree, build_tree, insert_pending, pending_projection, split
+from .tree import IFPTree, insert_pending, pending_projection, pending_tree, split
 from .tree import residual_tree  # noqa: F401 -- not called here; benchmark/test_benchmark.py reads miners.residual_tree
 
 
@@ -130,17 +131,13 @@ def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> dict[Itemset, int
 
 def ifp_min(db: TransactionDatabase, sigma: int, stats: MiningStats | None = None) -> MIIResult:
     """Mine all minimally infrequent itemsets of the database at absolute
-    threshold ``sigma`` (>= 1), on a tree built without the infrequent items."""
+    threshold ``sigma`` (>= 1), on its tree without the infrequent items,
+    whose nodes are made only if it is split."""
     if sigma < 1:
         raise InvalidThresholdError(f"sigma must be >= 1, got {sigma}")
     if stats is None:
         stats = MiningStats()
-    tree = build_tree(db, sigma)
-    stats.push(live := tree.node_count)
-    try:
-        found = _mii_rec(tree, sigma, stats)
-    finally:
-        stats.pop(live)
+    found = _mii_rec(pending_tree(db, sigma), sigma, stats)
     return MIIResult(
         miis=in_result_order(found),
         supports=found,

@@ -14,13 +14,13 @@ from its supports, which keep every item; its pairs have length p+2 and are
 read from its pair table (see ``tree``), with no projection made. Only
 itemsets of three items or more need the tree split, so it is split, and
 its nodes inserted, only when p + 2 < L, the last configured length: longer
-itemsets are never frequent*. The tree the miner builds from the database
-leaves out the items below min(σ₂..σ_L) (σ₁ when L = 1), which are in no
-frequent* pair or longer itemset, and x's projection, whose pairs and
-longer itemsets get lengths p+3..L, leaves out the items below the least of
-those lengths' thresholds. Its supports, row x of the pair table, keep the
-items it leaves out. ``sigma_low_prune=False`` turns off every one of these
-prunings: each tree is built at floor 0 and split.
+itemsets are never frequent*. The database's tree, the projection of the
+empty prefix, leaves out the items below min(σ₂..σ_L) (σ₁ when L = 1),
+which are in no frequent* pair or longer itemset, and x's projection,
+whose pairs and longer itemsets get lengths p+3..L, leaves out the items
+below the least of those lengths' thresholds. Its supports, row x of the
+pair table, keep the items it leaves out. ``sigma_low_prune=False`` turns off every one of these
+prunings: each tree is made at floor 0 and split.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .data import (
     render_itemset_lines,
 )
 from .miners import unify
-from .tree import IFPTree, build_tree, insert_pending, pending_projection, split
+from .tree import IFPTree, insert_pending, pending_projection, pending_tree, split
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,10 @@ def ifp_mlms(
     sigma_low_prune: bool = True,
 ) -> dict[Itemset, int]:
     """Frequent* itemsets of the database under the empty prefix, with their
-    supports, mined on a tree built without the items below min(σ₂..σ_L)
-    (σ₁ when L = 1). The singletons come from the tree's supports, which
-    keep every item, so an item between σ₁ and that floor is still found.
+    supports, mined on its tree without the items below min(σ₂..σ_L) (σ₁
+    when L = 1), whose nodes are made only if it is split, when L > 2. The
+    singletons come from the tree's supports, which keep every item, so an
+    item between σ₁ and that floor is still found.
 
     Each step takes the lf-item x of the residual chain: supp(x + s) in the
     tree is supp(s) in x's projection, and the residual tree keeps the
@@ -126,7 +127,7 @@ def ifp_mlms(
     prunes.
     """
     floor = min(tv.sigmas[1:] or tv.sigmas) if sigma_low_prune else 0
-    return _mlms_rec(build_tree(db, floor), tv, 0, sigma_low_prune)
+    return _mlms_rec(pending_tree(db, floor), tv, 0, sigma_low_prune)
 
 
 @dataclass(frozen=True)

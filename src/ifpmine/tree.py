@@ -18,24 +18,26 @@ Every tree carries a pair table, FP-growth*'s FP-array (Grahne and Zhu,
 IEEE TKDE 2005): ``pairs[a][b]`` is the support of {a, b} for each item b
 after a in the tree's order. It is counted when first read, in one pass
 over the tree's weighted paths, so a tree whose table nothing reads never
-holds one. Every tree is made from weighted transactions, each sorted into
-the tree's order once by ``_sorted_paths``. ``_build``, and so
-``build_tree``, inserts each one as it is sorted; ``_prepare`` keeps them
-on the tree, where they give its table, and ``insert_pending`` makes their
-nodes later, if at all. Both leave out the items below their
-``min_support``: such an item keeps its support in ``supports`` but gets
-no node, no place in the order and no row or column in the table. The
-miners build their tree at their floor this way.
+holds one.
+
+One constructor, ``_prepare``, makes every tree, from weighted transactions
+that it sorts into the tree's order and keeps, with no nodes, in
+``pending``, where they give its table; ``insert_pending`` makes their
+nodes later, if at all. It leaves out the items below its ``min_support``:
+such an item keeps its support in ``supports`` but gets no node, no place
+in the order and no row or column in the table. The database is the
+projected database of the empty prefix: ``pending_tree`` prepares its tree,
+at the miners' floor, and ``build_tree`` inserts its nodes.
 
 The residual of x leaves every other itemset's support unchanged, so row x
 of the table is x's projected supports at x's step of the chain, read with
 no walk of x's subtree. ``pending_projection`` takes them from there, reads
 x's paths, with the one walk ``_walk``, only if some item of that row
-reaches its ``min_support``, and prepares x's projection from them; the
-miners insert its nodes only when they are going to split it.
-``projected_tree`` is ``pending_projection`` followed by ``insert_pending``.
-``_walk`` also serves ``residual_tree``, ``tree_support`` and the count of a
-built tree's table.
+reaches its ``min_support``, and prepares x's projection from them. The
+miners insert the nodes of a tree, the one from the database or a
+projection, only when they are going to split it. ``_walk`` also serves
+``residual_tree``, ``tree_support`` and the count of a table once a tree
+has nodes.
 """
 
 from __future__ import annotations
@@ -80,7 +82,9 @@ class IFPTree:
     @property
     def pairs(self) -> dict[int, dict[int, int]]:
         """a -> b -> support of {a, b}, for b after a in the order; no row is
-        empty. Counted on first read, from the pending paths or the nodes."""
+        empty. Counted on first read: from the pending paths, or from a walk
+        of the nodes once they are made, as the public constructors make
+        them."""
         if self._pairs is None:
             self._pairs = _count_pairs(self.pending or _walk(self.root))
         return self._pairs
@@ -121,16 +125,6 @@ def _count_pairs(paths: Iterable[tuple[Sequence[int], int]]) -> dict[int, dict[i
     return pairs
 
 
-def _empty_tree(supports: dict[int, int], num_transactions: int, min_support: int) -> IFPTree:
-    """A tree with no node that owns ``supports``; only the items whose
-    support reaches ``min_support`` get a place in its order."""
-    return IFPTree(
-        (i for i in _order_items(supports) if supports[i] >= min_support),
-        num_transactions,
-        supports,
-    )
-
-
 def _sorted_paths(
     tree: IFPTree, paths: Iterable[tuple[Iterable[int], int]]
 ) -> Iterator[tuple[list[int], int]]:
@@ -143,11 +137,35 @@ def _sorted_paths(
             yield path, count
 
 
-def _grow(tree: IFPTree, sorted_paths: Iterable[tuple[list[int], int]]) -> int:
-    """Insert paths sorted into the tree's order as nodes; returns the
-    number of nodes made."""
+def _prepare(
+    supports: dict[int, int],
+    paths: Iterable[tuple[Iterable[int], int]],
+    num_transactions: int,
+    min_support: int = 0,
+) -> IFPTree:
+    """The tree of the weighted transactions ``paths``, ``(items, count)``
+    pairs, with no nodes yet: the transactions wait in ``pending``, sorted
+    into its order, for ``insert_pending``. The tree owns ``supports``;
+    only the items whose support reaches ``min_support`` get a place in its
+    order, and the others are left out of its paths."""
+    tree = IFPTree(
+        (i for i in _order_items(supports) if supports[i] >= min_support),
+        num_transactions,
+        supports,
+    )
+    tree.pending = list(_sorted_paths(tree, paths))
+    return tree
+
+
+def insert_pending(tree: IFPTree) -> int:
+    """Make the nodes of the tree's pending paths, which it then drops, each
+    once its nodes are made: the nodes hold them now. Returns the number of
+    nodes made."""
+    pending, tree.pending = tree.pending, []
+    pending.reverse()  # popped from the end: inserted in order, freed one by one
     made = 0
-    for path, count in sorted_paths:
+    while pending:
+        path, count = pending.pop()
         node = tree.root
         for item in path:
             child = node.children.get(item)
@@ -160,47 +178,18 @@ def _grow(tree: IFPTree, sorted_paths: Iterable[tuple[list[int], int]]) -> int:
     return made
 
 
-def _prepare(
-    supports: dict[int, int],
-    paths: Iterable[tuple[Iterable[int], int]],
-    num_transactions: int,
-    min_support: int = 0,
-) -> IFPTree:
-    """The tree of the weighted transactions ``paths``, ``(items, count)``
-    pairs, with its order but no nodes yet: the transactions wait in
-    ``pending``, sorted into its order, for ``insert_pending``. See
-    ``_empty_tree`` for ``supports`` and ``min_support``."""
-    tree = _empty_tree(supports, num_transactions, min_support)
-    tree.pending = list(_sorted_paths(tree, paths))
-    return tree
-
-
-def insert_pending(tree: IFPTree) -> int:
-    """Make the nodes of the tree's pending paths, which it then drops: the
-    nodes hold them now. Returns the number of nodes made."""
-    pending, tree.pending = tree.pending, []
-    return _grow(tree, pending)
-
-
-def _build(
-    supports: dict[int, int],
-    paths: Iterable[tuple[Iterable[int], int]],
-    num_transactions: int,
-    min_support: int = 0,
-) -> IFPTree:
-    """The tree of the weighted transactions ``paths`` with its nodes, each
-    inserted as it is sorted, so they are never all held at once; see
-    ``_prepare``."""
-    tree = _empty_tree(supports, num_transactions, min_support)
-    _grow(tree, _sorted_paths(tree, paths))
-    return tree
+def pending_tree(db: TransactionDatabase, min_support: int = 0) -> IFPTree:
+    """``build_tree`` with its nodes pending: see ``insert_pending``."""
+    return _prepare(item_supports(db), ((t.items, 1) for t in db.transactions), len(db), min_support)
 
 
 def build_tree(db: TransactionDatabase, min_support: int = 0) -> IFPTree:
     """Build the inverse FP-tree of a database without the items whose
     support is below ``min_support``; ``supports`` keeps every item. Empty
     transactions are counted in ``num_transactions`` but add no nodes."""
-    return _build(item_supports(db), ((t.items, 1) for t in db.transactions), len(db), min_support)
+    tree = pending_tree(db, min_support)
+    insert_pending(tree)
+    return tree
 
 
 def lf_item(tree: IFPTree) -> int:
@@ -298,7 +287,9 @@ def residual_tree(tree: IFPTree, x: int) -> IFPTree:
     supports = dict(tree.supports)
     # The rest of the order reaches x's support; items with no node fall below it.
     floor = supports.pop(x)
-    return _build(supports, _walk(tree.root), tree.num_transactions, floor)
+    res = _prepare(supports, _walk(tree.root), tree.num_transactions, floor)
+    insert_pending(res)
+    return res
 
 
 def tree_support(tree: IFPTree, s: Iterable[int]) -> int:

@@ -30,7 +30,6 @@ MII_EXPECTED = {
 
 # Six-transaction example for the per-length threshold model
 # (labels A,B,C,D,T,W as ids 0..5).
-MLMS_LABELS = {0: "A", 1: "B", 2: "C", 3: "D", 4: "T", 5: "W"}
 MLMS_ROWS = [
     [0, 2, 4, 5],      # A C T W
     [2, 3, 5],         # C D W
@@ -54,12 +53,12 @@ MLMS_EXPECTED = {
 
 @pytest.fixture
 def mii_db() -> TransactionDatabase:
-    return TransactionDatabase.from_itemsets(MII_ROWS, labels=MII_LABELS)
+    return TransactionDatabase.from_itemsets(MII_ROWS)
 
 
 @pytest.fixture
 def mlms_db() -> TransactionDatabase:
-    return TransactionDatabase.from_itemsets(MLMS_ROWS, labels=MLMS_LABELS)
+    return TransactionDatabase.from_itemsets(MLMS_ROWS)
 
 
 def universe(db: TransactionDatabase) -> frozenset[int]:
@@ -72,7 +71,7 @@ def prune_infrequent_items(db: TransactionDatabase, sigma: int) -> TransactionDa
     transactions stay, so the transaction count does not change."""
     counts = item_supports(db)
     return TransactionDatabase.from_itemsets(
-        [[i for i in t.items if counts[i] >= sigma] for t in db], labels=db.labels
+        [[i for i in t.items if counts[i] >= sigma] for t in db]
     )
 
 

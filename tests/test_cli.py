@@ -202,6 +202,17 @@ class TestBench:
             assert captured.out == ""
             assert "timeout greater than 0" in captured.err
 
+    def test_jobs_below_one_is_usage_error_before_the_sweep(self, table1_path, capsys):
+        # Both used to run the cells one at a time and exit 0.
+        for jobs in ("0", "-3"):
+            assert main(["bench", "--inputs", table1_path, "--algos", "ifp",
+                         "--thresholds", "2", f"--jobs={jobs}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"jobs of at least 1, got {jobs}" in captured.err
+        with pytest.raises(ValueError, match="at least 1"):
+            bench_sweep([table1_path], ["ifp"], ["2"], jobs=0)
+
     def test_timeout_beyond_the_wait_limit_is_usage_error_before_the_sweep(self, table1_path, capsys):
         # The wait for a cell takes at most 2**31 - 1 ms; inf used to crash mid-sweep.
         for timeout in ("inf", "1e300", "2147483.648"):

@@ -107,24 +107,43 @@ class TestIfpMin:
     def test_projections_without_a_frequent_pair_get_no_nodes(self, monkeypatch):
         # Every pair of four items occurs twice and no triple occurs: the
         # tree's pairs are frequent at sigma 2, its projections' are not.
-        # Their MIIs are read from their pair tables, and only the tree
-        # built from the database has nodes.
+        # Their MIIs are read from their pair tables, and only the tree of
+        # the database gets nodes.
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         db = TransactionDatabase.from_itemsets([p for p in pairs for _ in range(2)])
-        made = []
-        real = miners_module.insert_pending
+        top, made = [], []
+        real_tree, real_insert = miners_module.pending_tree, miners_module.insert_pending
 
-        def recording(tree):
-            made.append(real(tree))
-            return made[-1]
+        def recording_tree(db, min_support=0):
+            top.append(real_tree(db, min_support))
+            return top[-1]
 
-        monkeypatch.setattr(miners_module, "insert_pending", recording)
+        def recording_insert(tree):
+            made.append((tree is top[0], real_insert(tree)))
+            return made[-1][1]
+
+        monkeypatch.setattr(miners_module, "pending_tree", recording_tree)
+        monkeypatch.setattr(miners_module, "insert_pending", recording_insert)
         stats = MiningStats()
         result = ifp_min(db, 2, stats)
         assert result == apriori_min(db, 2)
         assert result.supports == apriori_min(db, 2).supports
-        assert made and sum(made) == 0
-        assert stats.peak_nodes == build_tree(db, 2).node_count > 0
+        assert len(top) == 1
+        assert made == [(True, build_tree(db, 2).node_count)]
+        assert stats.peak_nodes == made[0][1] > 0
+
+    def test_no_node_without_a_frequent_pair(self):
+        # Each pair of four items occurs once: every item is frequent at
+        # sigma 2 and no pair is, so the MIIs are read from the tree's pair
+        # table and the tree never gets a node.
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        db = TransactionDatabase.from_itemsets(pairs + [[4]])
+        stats = MiningStats()
+        result = ifp_min(db, 2, stats)
+        assert stats.peak_nodes == 0
+        assert result == apriori_min(db, 2)
+        assert result.supports == apriori_min(db, 2).supports
+        assert (4,) in result.miis and (0, 1) in result.miis
 
 
 class TestAprioriMin:

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from ifpmine import mlms as mlms_module
+from ifpmine import tree as tree_module
 from ifpmine import (
     InvalidThresholdError,
     SynthConfig,
     ThresholdVector,
     TransactionDatabase,
+    build_tree,
     gen_synthetic,
     ifp_mlms,
     is_frequent_star,
@@ -169,21 +171,21 @@ class TestSigmaLowPruning:
 
     def test_projections_drop_items_below_the_remaining_thresholds(self, mlms_db, monkeypatch):
         # Beyond its singletons, read from the supports, the tree holds itemsets
-        # of lengths 2..3, so it is built at min(2, 3) = 2. Under the empty
+        # of lengths 2..3, so it is made at min(2, 3) = 2. Under the empty
         # prefix a projection holds itemsets of lengths 2..3, of which only
         # those of length 3 need its items to be in its order: its floor is 3.
         tree_floors, floors = [], []
-        real_build, real_project = mlms_module.build_tree, mlms_module.pending_projection
+        real_tree, real_project = mlms_module.pending_tree, mlms_module.pending_projection
 
-        def recording_build(db, min_support=0):
+        def recording_tree(db, min_support=0):
             tree_floors.append(min_support)
-            return real_build(db, min_support)
+            return real_tree(db, min_support)
 
         def recording(tree, x, min_support=0):
             floors.append(min_support)
             return real_project(tree, x, min_support)
 
-        monkeypatch.setattr(mlms_module, "build_tree", recording_build)
+        monkeypatch.setattr(mlms_module, "pending_tree", recording_tree)
         monkeypatch.setattr(mlms_module, "pending_projection", recording)
         tv = ThresholdVector((1, 2, 3))
         for prune, want_tree, want in ((True, [2], {3}), (False, [0], {0})):
@@ -214,32 +216,56 @@ class TestSigmaLowPruning:
         assert calls
         assert set(unpruned.frequent) == mlms_oracle(mlms_db, tv)
 
+    def test_no_node_at_two_thresholds(self, mlms_db, monkeypatch):
+        # At L = 2 the pairs are read from the pair table of the database's
+        # tree, counted from its transactions: no tree is split, so no tree
+        # gets a node.
+        made = []
+
+        class CountingNode(tree_module.IFPNode):
+            __slots__ = ()
+
+            def __init__(self, item, count=0):
+                super().__init__(item, count)
+                if item is not None:  # not a root
+                    made.append(item)
+
+        monkeypatch.setattr(tree_module, "IFPNode", CountingNode)
+        for tv in (ThresholdVector((2, 2)), ThresholdVector((3, 1))):
+            result = mine_mlms(mlms_db, tv)
+            assert made == []
+            assert set(result.frequent) == mlms_oracle(mlms_db, tv)
+            assert result.supports == {s: support(mlms_db, s) for s in result.frequent}
+        mine_mlms(mlms_db, ThresholdVector((2, 2)), sigma_low_prune=False)
+        assert made  # unpruned, the tree is split and the count sees its nodes
+
     def test_only_the_top_tree_is_built_at_three_thresholds(self, mlms_db, monkeypatch):
         # At L = 3 the projections under the empty prefix hold singletons and
         # pairs, read from their supports and pair tables: none gets a node.
-        built, made = [], []
-        real_build, real_insert = mlms_module.build_tree, mlms_module.insert_pending
+        top, made = [], []
+        real_tree, real_insert = mlms_module.pending_tree, mlms_module.insert_pending
 
-        def recording_build(db, min_support=0):
-            tree = real_build(db, min_support)
-            built.append(tree.node_count)  # before the split consumes it
-            return tree
+        def recording_tree(db, min_support=0):
+            top.append(real_tree(db, min_support))
+            return top[-1]
 
         def recording_insert(tree):
-            made.append(real_insert(tree))
-            return made[-1]
+            made.append((tree is top[-1], real_insert(tree)))
+            return made[-1][1]
 
-        monkeypatch.setattr(mlms_module, "build_tree", recording_build)
+        monkeypatch.setattr(mlms_module, "pending_tree", recording_tree)
         monkeypatch.setattr(mlms_module, "insert_pending", recording_insert)
         tv = ThresholdVector((3, 2, 2))
         result = mine_mlms(mlms_db, tv)
         assert set(result.frequent) == mlms_oracle(mlms_db, tv)
         assert any(len(s) == 3 for s in result.frequent)
-        assert len(built) == 1 and built[0] > 0
-        assert sum(made) == 0
+        assert len(top) == 1
+        top_made = [n for is_top, n in made if is_top]
+        assert top_made == [build_tree(mlms_db, 2).node_count] and top_made[0] > 0
+        assert sum(n for is_top, n in made if not is_top) == 0
         made.clear()
         mine_mlms(mlms_db, tv, sigma_low_prune=False)
-        assert sum(made) > 0
+        assert sum(n for is_top, n in made if not is_top) > 0
 
     def test_tree_is_built_at_the_least_threshold_beyond_the_first(self, monkeypatch):
         # Items 0-9 occur 9 times each, items 10-9999 only in the long
@@ -249,13 +275,13 @@ class TestSigmaLowPruning:
             [range(10**4)] + [[i % 10, (i + 3) % 10] for i in range(40)]
         )
         floors = []
-        real = mlms_module.build_tree
+        real = mlms_module.pending_tree
 
         def recording(db, min_support=0):
             floors.append(min_support)
             return real(db, min_support)
 
-        monkeypatch.setattr(mlms_module, "build_tree", recording)
+        monkeypatch.setattr(mlms_module, "pending_tree", recording)
         tv = ThresholdVector((1, 3))
         result = mine_mlms(db, tv)
         assert floors == [3]

@@ -47,7 +47,7 @@ def _nodes(tree, item):
 def t2_to_t9_tree():
     """Tree over the example's transactions 2..9; item E then has support 3
     and becomes the least frequent item."""
-    return build_tree(TransactionDatabase.from_itemsets(MII_ROWS[1:], labels=MII_LABELS))
+    return build_tree(TransactionDatabase.from_itemsets(MII_ROWS[1:]))
 
 
 @pytest.fixture
