@@ -162,7 +162,9 @@ def insert_pending(tree: IFPTree) -> int:
     once its nodes are made: the nodes hold them now. Returns the number of
     nodes made."""
     pending, tree.pending = tree.pending, []
-    pending.reverse()  # popped from the end: inserted in order, freed one by one
+    # Popped from the end: inserted in order, and no path outlives its nodes,
+    # so a large database's sorted paths and its nodes are never all held.
+    pending.reverse()
     made = 0
     while pending:
         path, count = pending.pop()

@@ -27,9 +27,6 @@ def steady_bench_csv(out: str) -> str:
     return "".join(",".join([os.path.basename(r[0]), *r[1:3], *r[4:]]) + "\n" for r in rows)
 
 
-STEADY = {"04_synthetic_benchmark.py": steady_bench_csv}
-
-
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_runs(name):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -42,5 +39,5 @@ def test_demo_runs(name):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
-    out = STEADY[name](proc.stdout) if name in STEADY else proc.stdout
+    out = steady_bench_csv(proc.stdout) if name == "04_synthetic_benchmark.py" else proc.stdout
     assert hashlib.sha256(out.encode()).hexdigest() == DEMOS[name], out
