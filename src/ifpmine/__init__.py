@@ -6,7 +6,6 @@ from .data import (
     InvalidThresholdError,
     Itemset,
     SupportThreshold,
-    Transaction,
     TransactionDatabase,
     canonical_itemset,
     item_supports,
@@ -49,7 +48,6 @@ __all__ = [
     "InvalidThresholdError",
     "Itemset",
     "SupportThreshold",
-    "Transaction",
     "TransactionDatabase",
     "canonical_itemset",
     "item_supports",

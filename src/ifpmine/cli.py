@@ -59,8 +59,16 @@ class BenchRecord:
         )
 
 
-def _comma_list(text: str) -> list[str]:
-    return [part for part in text.split(",") if part.strip()]
+def _comma_list(text: str, field: str) -> list[str]:
+    """The fields of a comma list, none if every field is empty. An empty
+    field among others, as in ``"2,,4"``, is an error, not skipped."""
+    parts = text.split(",")
+    if not any(p.strip() for p in parts):
+        return []
+    for k, p in enumerate(parts, start=1):
+        if not p.strip():
+            raise ValueError(f"{field} {k} of {len(parts)} is empty in {text!r}")
+    return parts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algos",
         dest="algorithms",
         metavar="ALGOS",
-        type=_comma_list,
         default="ifp,apriori",
         help="comma list of ifp|apriori|oracle",
     )
@@ -269,16 +276,17 @@ def cross_check_counts(records: list[BenchRecord]) -> list[tuple[str, str, list[
 
 def _run_bench(args: argparse.Namespace) -> int:
     # Fail fast before spending time on the sweep.
-    thresholds = _comma_list(args.thresholds)
-    if not args.algorithms or not thresholds:
+    algorithms = _comma_list(args.algorithms, "algorithm")
+    thresholds = _comma_list(args.thresholds, "threshold")
+    if not algorithms or not thresholds:
         print("bench needs at least one algorithm and one threshold", file=sys.stderr)
         return EXIT_USAGE
-    for algo in args.algorithms:
+    for algo in algorithms:
         if algo not in MII_ALGORITHMS:
             print(f"unknown algorithm: {algo}", file=sys.stderr)
             return EXIT_USAGE
     # Raises ValueError (exit 2) for jobs below 1 or a timeout the sweep cannot wait for.
-    sweep = bench_sweep(args.inputs, args.algorithms, thresholds, jobs=args.jobs, timeout=args.timeout)
+    sweep = bench_sweep(args.inputs, algorithms, thresholds, jobs=args.jobs, timeout=args.timeout)
     for threshold in thresholds:
         # Parsing raises InvalidThresholdError (exit 2). A 0 resolves to sigma 0 on
         # every dataset; a positive percentage resolves per dataset, in its cells.

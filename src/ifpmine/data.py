@@ -37,36 +37,27 @@ def in_result_order(itemsets: Iterable[Itemset]) -> tuple[Itemset, ...]:
 
 
 @dataclass(frozen=True)
-class Transaction:
-    tid: int
-    items: Itemset
-
-
-@dataclass(frozen=True)
 class TransactionDatabase:
-    """An immutable ordered list of transactions over integer item ids."""
+    """An immutable ordered list of transactions over integer item ids, each
+    a canonical itemset; a transaction's id is its position."""
 
-    transactions: tuple[Transaction, ...]
+    transactions: tuple[Itemset, ...]
 
     @classmethod
     def from_itemsets(cls, itemsets: Iterable[Iterable[int]]) -> "TransactionDatabase":
-        """Build a database with tids assigned 0..m-1 in input order."""
-        txs = tuple(
-            Transaction(tid, canonical_itemset(items))
-            for tid, items in enumerate(itemsets)
-        )
-        return cls(transactions=txs)
+        """Build a database of the itemsets, in input order."""
+        return cls(transactions=tuple(canonical_itemset(items) for items in itemsets))
 
     def __len__(self) -> int:
         return len(self.transactions)
 
-    def __iter__(self) -> Iterator[Transaction]:
+    def __iter__(self) -> Iterator[Itemset]:
         return iter(self.transactions)
 
     @cached_property
     def item_sets(self) -> tuple[frozenset[int], ...]:
         """Per-transaction frozensets, cached for repeated subset tests."""
-        return tuple(frozenset(t.items) for t in self.transactions)
+        return tuple(frozenset(t) for t in self.transactions)
 
 
 @dataclass(frozen=True)
@@ -156,7 +147,7 @@ def read_fimi(path: str) -> TransactionDatabase:
 def to_fimi(db: TransactionDatabase) -> str:
     """Render a database back to FIMI text, one newline-terminated line per
     transaction (empty transactions become empty lines)."""
-    return "".join(" ".join(str(i) for i in t.items) + "\n" for t in db.transactions)
+    return "".join(" ".join(str(i) for i in t) + "\n" for t in db.transactions)
 
 
 def support(db: TransactionDatabase, s: Iterable[int]) -> int:
@@ -176,7 +167,7 @@ def item_supports(db: TransactionDatabase) -> dict[int, int]:
     """Support of every 1-itemset in one pass over the database."""
     counts: dict[int, int] = {}
     for t in db.transactions:
-        for i in t.items:
+        for i in t:
             counts[i] = counts.get(i, 0) + 1
     return counts
 

@@ -16,10 +16,11 @@ Two miners produce identical output:
   in the tree's ``supports``, which makes it alone, or x joined with it in
   x's projection, an MII. A projection's supports are row x of the tree's
   pair table (see ``tree``), and its own pair table is counted from x's
-  paths, the database's from its transactions. A tree's nodes are inserted
-  only if its table holds a frequent pair: otherwise no itemset beyond a
-  pair is minimal, and its MIIs are its infrequent items and every pair of
-  its frequent items, with the table's support (0 when the pair is absent).
+  paths, the database's from its transactions. A tree is split, which
+  makes its nodes, only if its table holds a frequent pair: otherwise no
+  itemset beyond a pair is minimal, and its MIIs are its infrequent items
+  and every pair of its frequent items, with the table's support (0 when
+  the pair is absent).
 * ``apriori_min`` is level-wise candidate generation where the rejected
   candidates are the MIIs. It counts supports on tidsets (one ``int`` bitset
   of transaction ids per item, ANDed along each candidate), as in Eclat and
@@ -43,7 +44,7 @@ from .data import (
     render_itemset_lines,
     support,
 )
-from .tree import IFPTree, insert_pending, pending_projection, pending_tree, split
+from .tree import IFPTree, build_tree, projected_tree, split
 from .tree import residual_tree  # noqa: F401 -- not called here; benchmark/test_benchmark.py reads miners.residual_tree
 
 
@@ -101,11 +102,10 @@ def unify(x: int, sets: dict[Itemset, int]) -> dict[Itemset, int]:
 
 def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> dict[Itemset, int]:
     """MIIs of the tree, which holds no item below ``sigma`` in its order,
-    with their supports in it; consumes the tree. Its pending paths get
-    nodes only if its pair table holds a frequent pair: only then is it
-    split. Dropping items leaves the other itemsets' supports alone, and
-    supp(x + s) here is supp(s) in x's projection, whose supports are row x
-    of the table."""
+    with their supports in it; consumes the tree. It is split, and so gets
+    its nodes, only if its pair table holds a frequent pair. Dropping items
+    leaves the other itemsets' supports alone, and supp(x + s) here is
+    supp(s) in x's projection, whose supports are row x of the table."""
     # Infrequent items are MIIs alone; the tree gives them no nodes.
     result = {(i,): n for i, n in tree.supports.items() if n < sigma}
     order, pairs = tree.order, tree.pairs
@@ -115,12 +115,12 @@ def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> dict[Itemset, int
             row = pairs.get(a, {})
             result.update(((a, b) if a < b else (b, a), row.get(b, 0)) for b in order[k + 1:])
         return result
-    stats.push(live := insert_pending(tree))
+    stats.push(live := tree.node_count)  # the first read of the nodes makes them
     steps = []
     for x, t in split(tree):
         row = t.pairs.get(x, {})
         result.update(unify(x, {(y,): 0 for y in t.order[1:] if y not in row}))
-        steps.append((x, _mii_rec(pending_projection(t, x, sigma), sigma, stats)))
+        steps.append((x, _mii_rec(projected_tree(t, x, sigma), sigma, stats)))
     stats.pop(live)
     # When the fold reaches x, ``result`` holds the MIIs of x's residual tree;
     # its other entries all hold an item outside x's projection.
@@ -131,13 +131,13 @@ def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> dict[Itemset, int
 
 def ifp_min(db: TransactionDatabase, sigma: int, stats: MiningStats | None = None) -> MIIResult:
     """Mine all minimally infrequent itemsets of the database at absolute
-    threshold ``sigma`` (>= 1), on its tree without the infrequent items,
-    whose nodes are made only if it is split."""
+    threshold ``sigma`` (>= 1), on ``build_tree(db, sigma)``, its tree
+    without the infrequent items, whose nodes are made only if it is split."""
     if sigma < 1:
         raise InvalidThresholdError(f"sigma must be >= 1, got {sigma}")
     if stats is None:
         stats = MiningStats()
-    found = _mii_rec(pending_tree(db, sigma), sigma, stats)
+    found = _mii_rec(build_tree(db, sigma), sigma, stats)
     return MIIResult(
         miis=in_result_order(found),
         supports=found,
@@ -177,7 +177,7 @@ def apriori_min(db: TransactionDatabase, sigma: int) -> MIIResult:
     tidsets: dict[int, int] = {}
     for tid, t in enumerate(db.transactions):
         bit = 1 << tid
-        for i in t.items:
+        for i in t:
             tidsets[i] = tidsets.get(i, 0) | bit
     found: dict[Itemset, int] = {}
     level: dict[Itemset, int] = {}

@@ -12,8 +12,8 @@ length p is tested against the threshold for length k+p ("frequent*").
 Under a prefix of length p a tree's singletons have length p+1 and are read
 from its supports, which keep every item; its pairs have length p+2 and are
 read from its pair table (see ``tree``), with no projection made. Only
-itemsets of three items or more need the tree split, so it is split, and
-its nodes inserted, only when p + 2 < L, the last configured length: longer
+itemsets of three items or more need the tree split, so it is split, which
+makes its nodes, only when p + 2 < L, the last configured length: longer
 itemsets are never frequent*. The database's tree, the projection of the
 empty prefix, leaves out the items below min(σ₂..σ_L) (σ₁ when L = 1),
 which are in no frequent* pair or longer itemset, and x's projection,
@@ -37,7 +37,7 @@ from .data import (
     render_itemset_lines,
 )
 from .miners import unify
-from .tree import IFPTree, insert_pending, pending_projection, pending_tree, split
+from .tree import IFPTree, build_tree, projected_tree, split
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,8 @@ def is_frequent_star(k: int, p: int, supp: int, tv: ThresholdVector) -> bool:
 
 
 def _mlms_rec(tree: IFPTree, tv: ThresholdVector, p: int, prune: bool) -> dict[Itemset, int]:
-    """``ifp_mlms`` under a prefix of length p on a tree it consumes, whose
-    pending paths get nodes only if it is split. With ``prune`` the tree
+    """``ifp_mlms`` under a prefix of length p on a tree it consumes, which
+    gets its nodes only if it is split. With ``prune`` the tree
     holds no item below the least threshold of lengths p+2..L: no item that
     can be in one of its frequent* itemsets beyond the singletons."""
     # Singletons are read from the supports, which keep every item.
@@ -96,11 +96,10 @@ def _mlms_rec(tree: IFPTree, tv: ThresholdVector, p: int, prune: bool) -> dict[I
             for a, row in tree.pairs.items():
                 out.update(((a, b) if a < b else (b, a), n) for b, n in row.items() if n >= sigma)
         return out
-    insert_pending(tree)
     # x's projection holds the itemsets of lengths p+2..L: lengths p+3..L beyond its singletons.
     floor = min(tv.sigmas[p + 2:]) if prune else 0
     for x, t in split(tree):
-        out.update(unify(x, _mlms_rec(pending_projection(t, x, floor), tv, p + 1, prune)))
+        out.update(unify(x, _mlms_rec(projected_tree(t, x, floor), tv, p + 1, prune)))
     return out
 
 
@@ -111,10 +110,10 @@ def ifp_mlms(
     sigma_low_prune: bool = True,
 ) -> dict[Itemset, int]:
     """Frequent* itemsets of the database under the empty prefix, with their
-    supports, mined on its tree without the items below min(σ₂..σ_L) (σ₁
-    when L = 1), whose nodes are made only if it is split, when L > 2. The
-    singletons come from the tree's supports, which keep every item, so an
-    item between σ₁ and that floor is still found.
+    supports, mined on ``build_tree(db, floor)``, its tree without the items
+    below min(σ₂..σ_L) (σ₁ when L = 1), whose nodes are made only if it is
+    split, when L > 2. The singletons come from the tree's supports, which
+    keep every item, so an item between σ₁ and that floor is still found.
 
     Each step takes the lf-item x of the residual chain: supp(x + s) in the
     tree is supp(s) in x's projection, and the residual tree keeps the
@@ -127,7 +126,7 @@ def ifp_mlms(
     prunes.
     """
     floor = min(tv.sigmas[1:] or tv.sigmas) if sigma_low_prune else 0
-    return _mlms_rec(pending_tree(db, floor), tv, 0, sigma_low_prune)
+    return _mlms_rec(build_tree(db, floor), tv, 0, sigma_low_prune)
 
 
 @dataclass(frozen=True)

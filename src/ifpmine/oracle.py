@@ -80,14 +80,14 @@ def mlms_oracle(db: TransactionDatabase, tv: ThresholdVector) -> set[Itemset]:
     """
     counts: dict[Itemset, int] = {}
     max_len = tv.max_length
-    for t in db.transactions:
-        if len(t.items) > MAX_ORACLE_TRANSACTION_LEN:
+    for tid, t in enumerate(db.transactions):
+        if len(t) > MAX_ORACLE_TRANSACTION_LEN:
             raise OracleGuardError(
-                f"transaction {t.tid} has {len(t.items)} items, over the "
+                f"transaction {tid} has {len(t)} items, over the "
                 f"subset-enumeration guard of {MAX_ORACLE_TRANSACTION_LEN}"
             )
-        for k in range(1, min(len(t.items), max_len) + 1):
-            for sub in combinations(t.items, k):
+        for k in range(1, min(len(t), max_len) + 1):
+            for sub in combinations(t, k):
                 counts[sub] = counts.get(sub, 0) + 1
     return {s for s, c in counts.items() if c >= tv.sigma(len(s))}
 

@@ -21,23 +21,24 @@ over the tree's weighted paths, so a tree whose table nothing reads never
 holds one.
 
 One constructor, ``_prepare``, makes every tree, from weighted transactions
-that it sorts into the tree's order and keeps, with no nodes, in
-``pending``, where they give its table; ``insert_pending`` makes their
-nodes later, if at all. It leaves out the items below its ``min_support``:
-such an item keeps its support in ``supports`` but gets no node, no place
-in the order and no row or column in the table. The database is the
-projected database of the empty prefix: ``pending_tree`` prepares its tree,
-at the miners' floor, and ``build_tree`` inserts its nodes.
+that it sorts into the tree's order and keeps in ``_pending``, where they
+give its table. A tree makes their nodes itself, the first time its
+``root`` or ``node_count`` is read, and drops each path once its nodes hold
+it; everything else a tree answers, its order, supports, table and whether
+it is empty, needs no node. So ``build_tree``, ``projected_tree`` and
+``residual_tree`` make none, and a tree that nothing walks or splits never
+gets any. ``_prepare`` leaves out the items below its ``min_support``: such
+an item keeps its support in ``supports`` but gets no node, no place in the
+order and no row or column in the table. The database is the projected
+database of the empty prefix, and ``build_tree`` makes its tree.
 
 The residual of x leaves every other itemset's support unchanged, so row x
 of the table is x's projected supports at x's step of the chain, read with
-no walk of x's subtree. ``pending_projection`` takes them from there, reads
-x's paths, with the one walk ``_walk``, only if some item of that row
-reaches its ``min_support``, and prepares x's projection from them. The
-miners insert the nodes of a tree, the one from the database or a
-projection, only when they are going to split it. ``_walk`` also serves
-``residual_tree``, ``tree_support`` and the count of a table once a tree
-has nodes.
+no walk of x's subtree. ``projected_tree`` takes them from there, reads x's
+paths, with the one walk ``_walk``, only if some item of that row reaches
+its ``min_support``, and makes x's projection from them. ``_walk`` also
+serves ``residual_tree``, ``tree_support`` and the count of a table once a
+tree has nodes.
 """
 
 from __future__ import annotations
@@ -66,31 +67,65 @@ class IFPNode:
 
 
 class IFPTree:
-    __slots__ = ("root", "order", "rank", "num_transactions", "supports", "pending", "_pairs", "node_count")
+    __slots__ = ("_root", "order", "rank", "num_transactions", "supports", "_pending", "_pairs", "_nodes")
 
     def __init__(self, order: Iterable[int], num_transactions: int, supports: dict[int, int]):
-        self.root = IFPNode(None)
+        self._root = IFPNode(None)
         self.order: tuple[int, ...] = tuple(order)
         self.rank: dict[int, int] = {item: i for i, item in enumerate(self.order)}
         self.num_transactions = num_transactions
         self.supports = supports  # item -> support, also of items pruned from the tree (no node)
         # (path sorted into the order, count) of each transaction with no nodes yet
-        self.pending: list[tuple[list[int], int]] = []
+        self._pending: list[tuple[list[int], int]] = []
         self._pairs: dict[int, dict[int, int]] | None = None
-        self.node_count = 0
+        self._nodes = 0
+
+    @property
+    def root(self) -> IFPNode:
+        """The unlabeled root. The first read makes the tree's nodes."""
+        if self._pending:
+            self._insert()
+        return self._root
+
+    @property
+    def node_count(self) -> int:
+        """Number of nodes below the root. Reading it makes them."""
+        if self._pending:
+            self._insert()
+        return self._nodes
+
+    def _insert(self) -> None:
+        """Make the nodes of the pending paths, dropping each path once its
+        nodes are made: the nodes hold it now."""
+        pending, self._pending = self._pending, []
+        # Popped from the end: inserted in order, and no path outlives its nodes,
+        # so a large database's sorted paths and its nodes are never all held.
+        pending.reverse()
+        made = 0
+        while pending:
+            path, count = pending.pop()
+            node = self._root
+            for item in path:
+                child = node.children.get(item)
+                if child is None:
+                    node.children[item] = child = IFPNode(item)
+                    made += 1
+                child.count += count
+                node = child
+        self._nodes += made
 
     @property
     def pairs(self) -> dict[int, dict[int, int]]:
         """a -> b -> support of {a, b}, for b after a in the order; no row is
         empty. Counted on first read: from the pending paths, or from a walk
-        of the nodes once they are made, as the public constructors make
-        them."""
+        of the nodes once they are made."""
         if self._pairs is None:
-            self._pairs = _count_pairs(self.pending or _walk(self.root))
+            self._pairs = _count_pairs(self._pending or _walk(self.root))
         return self._pairs
 
     def is_empty(self) -> bool:
-        return not self.root.children
+        # Every item of the order occurs in some path: no node is needed.
+        return not self.order
 
     def sorted_children(self, node: IFPNode) -> list[IFPNode]:
         return [node.children[i] for i in sorted(node.children, key=self.rank.__getitem__)]
@@ -144,8 +179,8 @@ def _prepare(
     min_support: int = 0,
 ) -> IFPTree:
     """The tree of the weighted transactions ``paths``, ``(items, count)``
-    pairs, with no nodes yet: the transactions wait in ``pending``, sorted
-    into its order, for ``insert_pending``. The tree owns ``supports``;
+    pairs, with no nodes yet: the transactions wait in ``_pending``, sorted
+    into its order, until the tree's nodes are read. The tree owns ``supports``;
     only the items whose support reaches ``min_support`` get a place in its
     order, and the others are left out of its paths."""
     tree = IFPTree(
@@ -153,45 +188,15 @@ def _prepare(
         num_transactions,
         supports,
     )
-    tree.pending = list(_sorted_paths(tree, paths))
+    tree._pending = list(_sorted_paths(tree, paths))
     return tree
-
-
-def insert_pending(tree: IFPTree) -> int:
-    """Make the nodes of the tree's pending paths, which it then drops, each
-    once its nodes are made: the nodes hold them now. Returns the number of
-    nodes made."""
-    pending, tree.pending = tree.pending, []
-    # Popped from the end: inserted in order, and no path outlives its nodes,
-    # so a large database's sorted paths and its nodes are never all held.
-    pending.reverse()
-    made = 0
-    while pending:
-        path, count = pending.pop()
-        node = tree.root
-        for item in path:
-            child = node.children.get(item)
-            if child is None:
-                node.children[item] = child = IFPNode(item)
-                made += 1
-            child.count += count
-            node = child
-    tree.node_count += made
-    return made
-
-
-def pending_tree(db: TransactionDatabase, min_support: int = 0) -> IFPTree:
-    """``build_tree`` with its nodes pending: see ``insert_pending``."""
-    return _prepare(item_supports(db), ((t.items, 1) for t in db.transactions), len(db), min_support)
 
 
 def build_tree(db: TransactionDatabase, min_support: int = 0) -> IFPTree:
     """Build the inverse FP-tree of a database without the items whose
     support is below ``min_support``; ``supports`` keeps every item. Empty
     transactions are counted in ``num_transactions`` but add no nodes."""
-    tree = pending_tree(db, min_support)
-    insert_pending(tree)
-    return tree
+    return _prepare(item_supports(db), ((t, 1) for t in db.transactions), len(db), min_support)
 
 
 def lf_item(tree: IFPTree) -> int:
@@ -222,18 +227,6 @@ def _walk(top: IFPNode) -> Iterator[tuple[Itemset, int]]:
             yield tuple(path), count
 
 
-def pending_projection(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
-    """``projected_tree`` with its nodes pending: see ``insert_pending``.
-    x's paths are read only if some item reaches ``min_support``."""
-    _check_lf(tree, x)
-    # Row x of the pair table: items that never occur with x are absent, and
-    # so are the items the tree holds no node of.
-    supports = dict(tree.pairs.get(x, ()))
-    xnode = tree.root.children[x]
-    keep = any(n >= min_support for n in supports.values())
-    return _prepare(supports, _walk(xnode) if keep else (), xnode.count, min_support)
-
-
 def projected_tree(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
     """Tree of the projected database of x: transactions containing x, with x
     removed. Requires x to be the lf-item, so the whole projection is the
@@ -243,9 +236,13 @@ def projected_tree(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
     the tree represents the projected database without them. The supports
     are read from the pair table first: x's paths are read only if some item
     reaches ``min_support``."""
-    proj = pending_projection(tree, x, min_support)
-    insert_pending(proj)
-    return proj
+    _check_lf(tree, x)
+    # Row x of the pair table: items that never occur with x are absent, and
+    # so are the items the tree holds no node of.
+    supports = dict(tree.pairs.get(x, ()))
+    xnode = tree.root.children[x]
+    keep = any(n >= min_support for n in supports.values())
+    return _prepare(supports, _walk(xnode) if keep else (), xnode.count, min_support)
 
 
 def _merge_into(target: IFPNode, extra: IFPNode) -> int:
@@ -274,7 +271,8 @@ def split(tree: IFPTree) -> Iterator[tuple[int, IFPTree]]:
     while tree.order:
         x = tree.order[0]
         yield x, tree
-        tree.node_count -= 1 + _merge_into(tree.root, tree.root.children.pop(x))
+        root = tree.root  # read before ``_nodes``: the first read makes the nodes
+        tree._nodes -= 1 + _merge_into(root, root.children.pop(x))
         tree.order = tree.order[1:]
         del tree.rank[x]
         del tree.supports[x]
@@ -289,9 +287,7 @@ def residual_tree(tree: IFPTree, x: int) -> IFPTree:
     supports = dict(tree.supports)
     # The rest of the order reaches x's support; items with no node fall below it.
     floor = supports.pop(x)
-    res = _prepare(supports, _walk(tree.root), tree.num_transactions, floor)
-    insert_pending(res)
-    return res
+    return _prepare(supports, _walk(tree.root), tree.num_transactions, floor)
 
 
 def tree_support(tree: IFPTree, s: Iterable[int]) -> int:

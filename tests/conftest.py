@@ -1,6 +1,9 @@
+from contextlib import contextmanager
+
 import pytest
 
 from ifpmine import TransactionDatabase, item_supports
+from ifpmine import tree as tree_module
 
 # Nine-transaction example database (labels A..F as ids 0..5).
 MII_LABELS = {0: "A", 1: "B", 2: "C", 3: "D", 4: "E", 5: "F"}
@@ -63,7 +66,7 @@ def mlms_db() -> TransactionDatabase:
 
 def universe(db: TransactionDatabase) -> frozenset[int]:
     """The items that occur in at least one transaction."""
-    return frozenset(i for t in db for i in t.items)
+    return frozenset(i for t in db for i in t)
 
 
 def prune_infrequent_items(db: TransactionDatabase, sigma: int) -> TransactionDatabase:
@@ -71,7 +74,7 @@ def prune_infrequent_items(db: TransactionDatabase, sigma: int) -> TransactionDa
     transactions stay, so the transaction count does not change."""
     counts = item_supports(db)
     return TransactionDatabase.from_itemsets(
-        [[i for i in t.items if counts[i] >= sigma] for t in db]
+        [[i for i in t if counts[i] >= sigma] for t in db]
     )
 
 
@@ -91,3 +94,24 @@ def decompress(tree) -> list[tuple[tuple[int, ...], int]]:
             out.append((path, ending))
         stack.extend((child, path) for child in reversed(children))
     return out
+
+
+@contextmanager
+def counting_nodes():
+    """Within the block the tree layer makes its nodes as a subclass that
+    appends each node's item, roots left out, to the yielded list. Unlike
+    reading ``node_count``, which makes the nodes it counts, this count
+    reads no tree."""
+    made = []
+
+    class CountingNode(tree_module.IFPNode):
+        __slots__ = ()
+
+        def __init__(self, item, count=0):
+            super().__init__(item, count)
+            if item is not None:  # not a root
+                made.append(item)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_module, "IFPNode", CountingNode)
+        yield made

@@ -233,6 +233,20 @@ class TestBench:
             assert captured.out == ""
             assert "at least one algorithm and one threshold" in captured.err
 
+    def test_empty_field_is_usage_error(self, table1_path, capsys):
+        # An empty field among others is refused before any cell runs, not skipped.
+        for algos, thresholds, field in (
+            ("ifp,,apriori", "2", "algorithm 2 of 3 is empty in 'ifp,,apriori'"),
+            (" ,ifp", "2", "algorithm 1 of 2 is empty in ' ,ifp'"),
+            ("ifp", "10%,,30%", "threshold 2 of 3 is empty in '10%,,30%'"),
+            ("ifp", "2,", "threshold 2 of 2 is empty in '2,'"),
+        ):
+            assert main(["bench", "--inputs", table1_path, "--algos", algos,
+                         "--thresholds", thresholds]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"invalid arguments: {field}\n"
+
     def test_same_dataset_twice_counts_identical(self, table1_path, capsys):
         main(["bench", "--inputs", table1_path, table1_path, "--algos", "ifp",
               "--thresholds", "2"])

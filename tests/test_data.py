@@ -36,8 +36,7 @@ def random_db(rng: random.Random, max_items=8, max_tx=25) -> TransactionDatabase
 class TestParseFimi:
     def test_two_lines(self):
         db = parse_fimi("5 6\n1 2 3\n")
-        assert [t.items for t in db] == [(5, 6), (1, 2, 3)]
-        assert [t.tid for t in db] == [0, 1]
+        assert list(db) == [(5, 6), (1, 2, 3)]
 
     def test_empty_input(self):
         db = parse_fimi("")
@@ -52,11 +51,11 @@ class TestParseFimi:
 
     def test_blank_lines_become_empty_transactions(self):
         db = parse_fimi("1 2\n\n3\n")
-        assert [t.items for t in db] == [(1, 2), (), (3,)]
+        assert list(db) == [(1, 2), (), (3,)]
 
     def test_duplicates_collapse(self):
         db = parse_fimi("3 1 3 3 2\n")
-        assert db.transactions[0].items == (1, 2, 3)
+        assert db.transactions[0] == (1, 2, 3)
 
     def test_non_integer_token(self):
         with pytest.raises(FimiParseError, match="line 2"):
@@ -74,14 +73,14 @@ class TestParseFimi:
 
     def test_leading_zeros_and_huge_ids(self):
         db = parse_fimi("007 18446744073709551616\n")
-        assert db.transactions[0].items == (7, 2**64)
+        assert db.transactions[0] == (7, 2**64)
 
     def test_roundtrip_identity(self):
         rng = random.Random(42)
         for _ in range(20):
             db = random_db(rng)
             again = parse_fimi(to_fimi(db))
-            assert [t.items for t in again] == [t.items for t in db]
+            assert list(again) == list(db)
 
 
 class TestSupport:
@@ -155,7 +154,7 @@ class TestPruneInfrequentItems:
     def test_sigma_zero_is_identity(self, mii_db):
         tree = build_tree(mii_db, 0)
         assert set(tree.order) == set(tree.supports)
-        assert _transactions(tree) == Counter(t.items for t in mii_db)
+        assert _transactions(tree) == Counter(mii_db)
 
     def test_all_items_pruned(self):
         db = TransactionDatabase.from_itemsets([[1], [2]])

@@ -89,7 +89,7 @@ def test_control_whitespace_ends_no_line(tmp_path, capsys, sep):
 def test_text_and_file_share_line_ends(tmp_path):
     text = "0 1\r2\r\n3\x0c4\n\r\n5"
     path = _write(tmp_path, text.encode())
-    assert [t.items for t in parse_fimi(text)] == [(0, 1), (2,), (3, 4), (), (5,)]
+    assert list(parse_fimi(text)) == [(0, 1), (2,), (3, 4), (), (5,)]
     assert parse_fimi(text) == read_fimi(path)
 
 
@@ -159,7 +159,7 @@ def test_one_transaction_of_ten_thousand_items(tmp_path, capsys):
     code, out = _mine_mlms(path, "3,3", capsys)
     db = read_fimi(path)
     tv = ThresholdVector((3, 3))
-    cut = TransactionDatabase.from_itemsets([range(10)] + [t.items for t in db.transactions[1:]])
+    cut = TransactionDatabase.from_itemsets([range(10), *db.transactions[1:]])
     expected = sorted(mlms_oracle(cut, tv), key=lambda s: (len(s), s))
     assert (code, out) == (0, render_itemset_lines((s, support(db, s)) for s in expected))
     assert len(expected) == 10 + 10

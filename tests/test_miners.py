@@ -21,7 +21,7 @@ from ifpmine import (
     unify,
 )
 
-from conftest import MII_EXPECTED, MII_LABELS, prune_infrequent_items, universe
+from conftest import MII_EXPECTED, MII_LABELS, counting_nodes, prune_infrequent_items, universe
 
 
 def random_db(rng: random.Random, max_items=8, max_tx=20) -> TransactionDatabase:
@@ -111,26 +111,28 @@ class TestIfpMin:
         # the database gets nodes.
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         db = TransactionDatabase.from_itemsets([p for p in pairs for _ in range(2)])
-        top, made = [], []
-        real_tree, real_insert = miners_module.pending_tree, miners_module.insert_pending
+        top_nodes = build_tree(db, 2).node_count
+        top, projections = [], []
+        real_tree, real_project = miners_module.build_tree, miners_module.projected_tree
 
         def recording_tree(db, min_support=0):
             top.append(real_tree(db, min_support))
             return top[-1]
 
-        def recording_insert(tree):
-            made.append((tree is top[0], real_insert(tree)))
-            return made[-1][1]
+        def recording_projection(tree, x, min_support=0):
+            projections.append(real_project(tree, x, min_support))
+            return projections[-1]
 
-        monkeypatch.setattr(miners_module, "pending_tree", recording_tree)
-        monkeypatch.setattr(miners_module, "insert_pending", recording_insert)
+        monkeypatch.setattr(miners_module, "build_tree", recording_tree)
+        monkeypatch.setattr(miners_module, "projected_tree", recording_projection)
         stats = MiningStats()
-        result = ifp_min(db, 2, stats)
+        with counting_nodes() as made:
+            result = ifp_min(db, 2, stats)
         assert result == apriori_min(db, 2)
         assert result.supports == apriori_min(db, 2).supports
-        assert len(top) == 1
-        assert made == [(True, build_tree(db, 2).node_count)]
-        assert stats.peak_nodes == made[0][1] > 0
+        assert len(top) == 1 and projections
+        assert len(made) == top_nodes > 0
+        assert stats.peak_nodes == top_nodes
 
     def test_no_node_without_a_frequent_pair(self):
         # Each pair of four items occurs once: every item is frequent at
@@ -181,12 +183,12 @@ class TestEquivalence:
 
 
 def _residual_db(db: TransactionDatabase, x: int) -> TransactionDatabase:
-    return TransactionDatabase.from_itemsets([[i for i in t.items if i != x] for t in db])
+    return TransactionDatabase.from_itemsets([[i for i in t if i != x] for t in db])
 
 
 def _projected_db(db: TransactionDatabase, x: int) -> TransactionDatabase:
     return TransactionDatabase.from_itemsets(
-        [[i for i in t.items if i != x] for t in db if x in t.items]
+        [[i for i in t if i != x] for t in db if x in t]
     )
 
 

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from ifpmine import mlms as mlms_module
-from ifpmine import tree as tree_module
 from ifpmine import (
     InvalidThresholdError,
     SynthConfig,
@@ -19,7 +18,7 @@ from ifpmine import (
     support,
 )
 
-from conftest import MLMS_EXPECTED, MLMS_SIGMAS, universe
+from conftest import MLMS_EXPECTED, MLMS_SIGMAS, counting_nodes, universe
 
 
 def random_db(rng: random.Random, max_items=8, max_tx=25) -> TransactionDatabase:
@@ -155,13 +154,13 @@ class TestSigmaLowPruning:
         # Under the prefix of any item every itemset has length >= 2, and a
         # vector of one threshold makes none of them frequent*.
         calls = []
-        real = mlms_module.pending_projection
+        real = mlms_module.projected_tree
 
         def counting(tree, x, min_support=0):
             calls.append(x)
             return real(tree, x, min_support)
 
-        monkeypatch.setattr(mlms_module, "pending_projection", counting)
+        monkeypatch.setattr(mlms_module, "projected_tree", counting)
         tv = ThresholdVector((1,))
         result = mine_mlms(mlms_db, tv)
         assert calls == []
@@ -175,7 +174,7 @@ class TestSigmaLowPruning:
         # prefix a projection holds itemsets of lengths 2..3, of which only
         # those of length 3 need its items to be in its order: its floor is 3.
         tree_floors, floors = [], []
-        real_tree, real_project = mlms_module.pending_tree, mlms_module.pending_projection
+        real_tree, real_project = mlms_module.build_tree, mlms_module.projected_tree
 
         def recording_tree(db, min_support=0):
             tree_floors.append(min_support)
@@ -185,8 +184,8 @@ class TestSigmaLowPruning:
             floors.append(min_support)
             return real_project(tree, x, min_support)
 
-        monkeypatch.setattr(mlms_module, "pending_tree", recording_tree)
-        monkeypatch.setattr(mlms_module, "pending_projection", recording)
+        monkeypatch.setattr(mlms_module, "build_tree", recording_tree)
+        monkeypatch.setattr(mlms_module, "projected_tree", recording)
         tv = ThresholdVector((1, 2, 3))
         for prune, want_tree, want in ((True, [2], {3}), (False, [0], {0})):
             tree_floors.clear()
@@ -201,13 +200,13 @@ class TestSigmaLowPruning:
         # of the last length: their supports are read from the tree's pair
         # table and no projection is made.
         calls = []
-        real = mlms_module.pending_projection
+        real = mlms_module.projected_tree
 
         def counting(tree, x, min_support=0):
             calls.append(x)
             return real(tree, x, min_support)
 
-        monkeypatch.setattr(mlms_module, "pending_projection", counting)
+        monkeypatch.setattr(mlms_module, "projected_tree", counting)
         tv = ThresholdVector((2, 2))
         result = mine_mlms(mlms_db, tv)
         assert calls == []
@@ -216,56 +215,42 @@ class TestSigmaLowPruning:
         assert calls
         assert set(unpruned.frequent) == mlms_oracle(mlms_db, tv)
 
-    def test_no_node_at_two_thresholds(self, mlms_db, monkeypatch):
+    def test_no_node_at_two_thresholds(self, mlms_db):
         # At L = 2 the pairs are read from the pair table of the database's
         # tree, counted from its transactions: no tree is split, so no tree
         # gets a node.
-        made = []
-
-        class CountingNode(tree_module.IFPNode):
-            __slots__ = ()
-
-            def __init__(self, item, count=0):
-                super().__init__(item, count)
-                if item is not None:  # not a root
-                    made.append(item)
-
-        monkeypatch.setattr(tree_module, "IFPNode", CountingNode)
-        for tv in (ThresholdVector((2, 2)), ThresholdVector((3, 1))):
-            result = mine_mlms(mlms_db, tv)
-            assert made == []
-            assert set(result.frequent) == mlms_oracle(mlms_db, tv)
-            assert result.supports == {s: support(mlms_db, s) for s in result.frequent}
-        mine_mlms(mlms_db, ThresholdVector((2, 2)), sigma_low_prune=False)
-        assert made  # unpruned, the tree is split and the count sees its nodes
+        with counting_nodes() as made:
+            for tv in (ThresholdVector((2, 2)), ThresholdVector((3, 1))):
+                result = mine_mlms(mlms_db, tv)
+                assert made == []
+                assert set(result.frequent) == mlms_oracle(mlms_db, tv)
+                assert result.supports == {s: support(mlms_db, s) for s in result.frequent}
+            mine_mlms(mlms_db, ThresholdVector((2, 2)), sigma_low_prune=False)
+            assert made  # unpruned, the tree is split and the count sees its nodes
 
     def test_only_the_top_tree_is_built_at_three_thresholds(self, mlms_db, monkeypatch):
         # At L = 3 the projections under the empty prefix hold singletons and
         # pairs, read from their supports and pair tables: none gets a node.
-        top, made = [], []
-        real_tree, real_insert = mlms_module.pending_tree, mlms_module.insert_pending
+        top_nodes, full_nodes = build_tree(mlms_db, 2).node_count, build_tree(mlms_db).node_count
+        top = []
+        real_tree = mlms_module.build_tree
 
         def recording_tree(db, min_support=0):
             top.append(real_tree(db, min_support))
             return top[-1]
 
-        def recording_insert(tree):
-            made.append((tree is top[-1], real_insert(tree)))
-            return made[-1][1]
-
-        monkeypatch.setattr(mlms_module, "pending_tree", recording_tree)
-        monkeypatch.setattr(mlms_module, "insert_pending", recording_insert)
+        monkeypatch.setattr(mlms_module, "build_tree", recording_tree)
         tv = ThresholdVector((3, 2, 2))
-        result = mine_mlms(mlms_db, tv)
-        assert set(result.frequent) == mlms_oracle(mlms_db, tv)
-        assert any(len(s) == 3 for s in result.frequent)
-        assert len(top) == 1
-        top_made = [n for is_top, n in made if is_top]
-        assert top_made == [build_tree(mlms_db, 2).node_count] and top_made[0] > 0
-        assert sum(n for is_top, n in made if not is_top) == 0
-        made.clear()
-        mine_mlms(mlms_db, tv, sigma_low_prune=False)
-        assert sum(n for is_top, n in made if not is_top) > 0
+        with counting_nodes() as made:
+            result = mine_mlms(mlms_db, tv)
+            assert set(result.frequent) == mlms_oracle(mlms_db, tv)
+            assert any(len(s) == 3 for s in result.frequent)
+            assert len(top) == 1
+            # Only the top tree's nodes are made: no projection gets one.
+            assert len(made) == top_nodes > 0
+            made.clear()
+            mine_mlms(mlms_db, tv, sigma_low_prune=False)
+            assert len(made) > full_nodes
 
     def test_tree_is_built_at_the_least_threshold_beyond_the_first(self, monkeypatch):
         # Items 0-9 occur 9 times each, items 10-9999 only in the long
@@ -275,18 +260,18 @@ class TestSigmaLowPruning:
             [range(10**4)] + [[i % 10, (i + 3) % 10] for i in range(40)]
         )
         floors = []
-        real = mlms_module.pending_tree
+        real = mlms_module.build_tree
 
         def recording(db, min_support=0):
             floors.append(min_support)
             return real(db, min_support)
 
-        monkeypatch.setattr(mlms_module, "pending_tree", recording)
+        monkeypatch.setattr(mlms_module, "build_tree", recording)
         tv = ThresholdVector((1, 3))
         result = mine_mlms(db, tv)
         assert floors == [3]
         # The oracle's guard refuses the long transaction: cut it to items 0-9.
-        cut = TransactionDatabase.from_itemsets([range(10)] + [t.items for t in db.transactions[1:]])
+        cut = TransactionDatabase.from_itemsets([range(10), *db.transactions[1:]])
         expected = mlms_oracle(cut, tv) | {(i,) for i in range(10, 10**4)}
         assert set(result.frequent) == expected
         assert result.supports == {s: support(db, s) for s in expected}
@@ -303,12 +288,12 @@ class TestSigmaLowPruning:
 
 def _projected_db(db, x):
     return TransactionDatabase.from_itemsets(
-        [[i for i in t.items if i != x] for t in db if x in t.items]
+        [[i for i in t if i != x] for t in db if x in t]
     )
 
 
 def _residual_db(db, x):
-    return TransactionDatabase.from_itemsets([[i for i in t.items if i != x] for t in db])
+    return TransactionDatabase.from_itemsets([[i for i in t if i != x] for t in db])
 
 
 class TestPrefixShiftTheorems:

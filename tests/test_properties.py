@@ -5,6 +5,7 @@ its operations stand for. Every database stays inside the oracles' guards
 items per transaction), and the runs are derandomized, so they repeat."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,9 @@ from ifpmine import (
     tree_support,
 )
 from ifpmine.oracle import MAX_ORACLE_FREQUENT_ITEMS, MAX_ORACLE_TRANSACTION_LEN
-from ifpmine.tree import insert_pending, pending_projection, split
+from ifpmine.tree import split
+
+from conftest import counting_nodes
 
 NUM_ITEMS = 20
 
@@ -101,7 +104,7 @@ def _assert_pair_table(tree, db: TransactionDatabase) -> None:
 @given(db=databases, data=st.data())
 def test_tree_layer_matches_rebuilt_trees(db, data):
     tree = build_tree(db)
-    rows = [t.items for t in db.transactions]
+    rows = list(db.transactions)
     db_supports = item_supports(db)
     for s in data.draw(itemsets, label="itemsets"):
         assert tree_support(tree, s) == support(db, s)
@@ -134,16 +137,56 @@ def test_tree_layer_matches_rebuilt_trees(db, data):
     proj = projected_tree(tree, x, m)
     kept = _rebuilt(proj_rows, lambda i: proj_supports[i] >= m)
     _assert_same_tree(proj, kept)
-    # The table of a projection whose nodes are pending is counted from its paths.
-    pending = pending_projection(tree, x, m)
-    _assert_pair_table(pending, kept)
-    assert pending.node_count == 0
-    assert insert_pending(pending) == proj.node_count
-    _assert_same_tree(pending, kept)
+    # A fresh projection's table is counted from its paths, before any node is made.
+    with counting_nodes() as made:
+        fresh = projected_tree(tree, x, m)
+        _assert_pair_table(fresh, kept)
+        assert made == []
+        assert fresh.node_count == len(made) == proj.node_count
+    _assert_same_tree(fresh, kept)
     assert proj.supports == proj_supports
     assert projected_tree(tree, x).supports == proj_supports
     for s in data.draw(itemsets, label="projected itemsets"):
         assert tree_support(proj, s) == support(kept, s)
+
+
+def _table(tree) -> dict:
+    return {a: dict(row) for a, row in tree.pairs.items()}
+
+
+def _state(tree) -> tuple:
+    """What a tree answers, copied, with the reads that make its nodes last."""
+    return (tree.order, dict(tree.supports), tree.num_transactions, tree.is_empty(), _table(tree),
+            tree.dump(), tree.node_count)
+
+
+@PROPERTY
+@given(db=databases, data=st.data())
+def test_a_tree_answers_alike_before_and_after_its_nodes_are_made(db, data):
+    floor = data.draw(st.integers(0, len(db) + 1), label="floor")
+    s = data.draw(st.lists(st.integers(0, NUM_ITEMS + 1), max_size=5), label="itemset")
+    m = data.draw(st.integers(0, len(db) + 1), label="projection floor")
+    k = data.draw(st.integers(0, NUM_ITEMS + 1), label="steps")
+    reads = {
+        "is_empty": lambda t: t.is_empty(),
+        "dump": lambda t: t.dump(),
+        "tree_support": lambda t: tree_support(t, s),
+        "node_count": lambda t: t.node_count,
+        "pairs": lambda t: t.pairs,
+        "residual_tree": lambda t: t.order and _state(residual_tree(t, t.order[0])),
+        "projected_tree": lambda t: t.order and _state(projected_tree(t, t.order[0], m)),
+        # Each step's table is read before its projection, which makes the nodes.
+        "split": lambda t: [(x, _table(r), _state(projected_tree(r, x, m)), _state(r)) for x, r in split(t)],
+        # k steps that read only the tables, then the nodes of what is left.
+        "split, nodes read last": lambda t: ([(x, _table(r)) for x, r in islice(split(t), k)], _state(t)),
+    }
+    for name, read in reads.items():
+        with_nodes = build_tree(db, floor)
+        with_nodes.node_count  # the first read makes the nodes
+        with counting_nodes() as made:
+            fresh = build_tree(db, floor)
+        assert made == []
+        assert read(fresh) == read(with_nodes), name
 
 
 def _wide_database(rng: random.Random) -> TransactionDatabase:

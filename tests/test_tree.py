@@ -18,7 +18,7 @@ from ifpmine import (
     tree_support,
 )
 
-from conftest import MII_LABELS, MII_ROWS, decompress, prune_infrequent_items, universe
+from conftest import MII_LABELS, MII_ROWS, counting_nodes, decompress, prune_infrequent_items, universe
 
 
 def random_db(rng: random.Random, max_items=9, max_tx=30) -> TransactionDatabase:
@@ -95,7 +95,7 @@ class TestBuildTree:
             got = Counter()
             for s, w in decompress(tree):
                 got[tuple(sorted(s))] += w
-            want = Counter(t.items for t in db if t.items)
+            want = Counter(t for t in db if t)
             assert got == want
 
     def test_decompress_long_transaction(self):
@@ -121,7 +121,7 @@ class TestBuildTree:
         for _ in range(30):
             db = random_db(rng)
             tree = build_tree(db)
-            occurrences = sum(len(t.items) for t in db)
+            occurrences = sum(len(t) for t in db)
             assert tree.node_count <= occurrences
 
     def test_counts_and_ranks_consistent(self):
@@ -247,11 +247,6 @@ class TestProjectedTree:
         projected_tree(tree, 0, 2)
         assert len(calls) == 1
 
-    def test_projected_supports_not_lf_item_rejected(self, pruned_tree):
-        # The miners prepare a projection, and read its supports, without projected_tree.
-        with pytest.raises(ValueError, match="least-frequent"):
-            tree_module.pending_projection(pruned_tree, 4)
-
 
 class TestResidualTree:
     def test_example_residual_of_a(self, pruned_tree):
@@ -280,7 +275,7 @@ class TestResidualTree:
             x = lf_item(tree)
             spliced = residual_tree(tree, x)
             raw = TransactionDatabase.from_itemsets(
-                [[i for i in t.items if i != x] for t in db]
+                [[i for i in t if i != x] for t in db]
             )
             rebuilt = build_tree(raw)
             assert spliced.dump() == rebuilt.dump()
@@ -300,7 +295,7 @@ class TestResidualTree:
             dropped = {i for i in tree.order if tree.supports[i] < floor}
             pruned = build_tree(db, floor)
             rebuilt = build_tree(
-                TransactionDatabase.from_itemsets([[i for i in t.items if i not in dropped] for t in db])
+                TransactionDatabase.from_itemsets([[i for i in t if i not in dropped] for t in db])
             )
             assert pruned.dump() == rebuilt.dump()
             assert pruned.order == rebuilt.order
@@ -312,7 +307,7 @@ class TestResidualTree:
         # database, hence on the rebuilt tree.
         db = TransactionDatabase.from_itemsets([[1, 2], [2, 3]])
         stripped = TransactionDatabase.from_itemsets(
-            [[i for i in t.items if i != 99] for t in db]
+            [[i for i in t if i != 99] for t in db]
         )
         assert build_tree(stripped).dump() == build_tree(db).dump()
 
@@ -325,6 +320,39 @@ class TestResidualTree:
         residual_tree(pruned_tree, 0)
         projected_tree(pruned_tree, 0)
         assert pruned_tree.dump() == before
+
+
+class TestNodesOnFirstRead:
+    """A tree makes its nodes the first time its root or node count is read.
+    The nodes are counted as they are made, never through ``node_count``,
+    which would make them."""
+
+    def test_constructors_make_no_node(self, mii_db):
+        with counting_nodes() as made:
+            tree = build_tree(mii_db)
+            assert made == []
+            # The order, supports and pair table need no node.
+            assert not tree.is_empty() and tree.pairs and lf_item(tree) == 5
+            assert made == []
+            n = tree.node_count
+            assert len(made) == n > 0
+            proj, resid = projected_tree(tree, 5), residual_tree(tree, 5)
+            assert len(made) == n
+            assert proj.node_count + resid.node_count == len(made) - n > 0
+
+    def test_each_read_of_the_nodes_makes_them(self, mii_db):
+        reads = {
+            "root": lambda t: t.root,
+            "node_count": lambda t: t.node_count,
+            "dump": lambda t: t.dump(),
+            "tree_support": lambda t: tree_support(t, (1,)),
+        }
+        for name, read in reads.items():
+            with counting_nodes() as made:
+                tree = build_tree(mii_db)
+                assert made == []
+                read(tree)
+                assert len(made) == tree.node_count == 16, name
 
 
 class TestTreeItems:
