@@ -201,10 +201,10 @@ def bench_sweep(
     """Run the full (dataset, algorithm, threshold) cross product and yield
     one record per cell in that deterministic order.
 
-    Each cell runs in its own process; a cell that exceeds the timeout or
-    fails, or whose worker exits without a result, is recorded with -1 in
-    every measured column instead of aborting the sweep. Up to ``jobs``
-    cells run concurrently. A ``jobs`` below 1, or a timeout that is not
+    Each cell runs in its own process; a cell that exceeds the timeout, by
+    the wait or by its own ``elapsed_ms``, or fails, or whose worker exits
+    without a result, is recorded with -1 in every measured column instead
+    of aborting the sweep. Up to ``jobs`` cells run concurrently. A ``jobs`` below 1, or a timeout that is not
     greater than 0 or is beyond the wait limit ``MAX_BENCH_TIMEOUT_S``,
     raises ``ValueError`` here, before any cell runs.
     """
@@ -246,6 +246,8 @@ def _sweep(cells: list[tuple[str, str, str]], jobs: int, timeout: float):
             except EOFError:
                 proc.join()
                 msg = ("error", f"worker exited with code {proc.exitcode}")
+        if msg is not None and msg[0] == "ok" and msg[1] > timeout * 1000:
+            msg = None  # the cell ran beyond the timeout, however soon its result came
         proc.join()
         result.close()
         dataset, algo, threshold = cells[idx]

@@ -3,24 +3,23 @@ whose every proper subset is frequent.
 
 Two miners produce identical output:
 
-* ``ifp_min`` loops over the tree's residual chain (``split``), splitting on
-  the least frequent item x into the residual tree (database without x, the
-  chain's next step) and the projected tree (transactions containing x,
-  without x), on which alone it recurses. MIIs containing x are x joined with
-  itemsets minimally infrequent in the projected database but not in the
-  residual one, plus the zero-support pairs of x with frequent items that
-  never co-occur with it. Folding the steps back from the chain's end finds
-  the residual tree's MIIs collected by the time it reaches x. Every tree
-  is handled alike, the database's as the projection of the empty prefix:
-  it leaves out the items below ``sigma``, each of which keeps its support
-  in the tree's ``supports``, which makes it alone, or x joined with it in
-  x's projection, an MII. A projection's supports are row x of the tree's
-  pair table (see ``tree``), and its own pair table is counted from x's
-  paths, the database's from its transactions. A tree is split, which
-  makes its nodes, only if its table holds a frequent pair: otherwise no
-  itemset beyond a pair is minimal, and its MIIs are its infrequent items
-  and every pair of its frequent items, with the table's support (0 when
-  the pair is absent).
+* ``ifp_min`` takes each itemset length from one source. The MIIs of one
+  item are the items below ``sigma``, read from the database tree's
+  ``supports``, which keep every item. Every tree leaves those items out,
+  the database's as the projection of the empty prefix, so its pair MIIs
+  are the pairs below ``sigma`` in its pair table (see ``tree``), with 0
+  when a pair is absent. Longer MIIs come from projections: ``_mii_rec``
+  loops over the tree's residual chain (``split``), splitting on the least
+  frequent item x into the residual tree (the tree without x, the chain's
+  next step) and the projected tree (transactions containing x, without
+  x), on which alone it recurses. MIIs containing x are x joined with
+  itemsets minimally infrequent in the projected tree but not in the
+  residual one; folding the steps back from the chain's end finds the
+  residual tree's MIIs collected by the time it reaches x. A projection's
+  supports are row x of the tree's pair table, and its own pair table is
+  counted from x's paths, the database's from its transactions. A tree is
+  split, which makes its nodes, only if its table holds a frequent pair:
+  otherwise no itemset beyond a pair is minimal.
 * ``apriori_min`` is level-wise candidate generation where the rejected
   candidates are the MIIs. It counts supports on tidsets (one ``int`` bitset
   of transaction ids per item, ANDed along each candidate), as in Eclat and
@@ -101,26 +100,21 @@ def unify(x: int, sets: dict[Itemset, int]) -> dict[Itemset, int]:
 
 
 def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> dict[Itemset, int]:
-    """MIIs of the tree, which holds no item below ``sigma`` in its order,
-    with their supports in it; consumes the tree. It is split, and so gets
-    its nodes, only if its pair table holds a frequent pair. Dropping items
-    leaves the other itemsets' supports alone, and supp(x + s) here is
-    supp(s) in x's projection, whose supports are row x of the table."""
-    # Infrequent items are MIIs alone; the tree gives them no nodes.
-    result = {(i,): n for i, n in tree.supports.items() if n < sigma}
+    """MIIs of two or more items of the tree, which holds no item below
+    ``sigma`` in its order, with their supports in it; consumes the tree.
+    Its pairs are read from its pair table, and it is split, and so gets its
+    nodes, only if the table holds a frequent pair. Dropping items leaves the
+    other itemsets' supports alone, and supp(x + s) here is supp(s) in x's
+    projection."""
+    result = {}  # its items are frequent: each pair of them below sigma is an MII
     order, pairs = tree.order, tree.pairs
+    for k, a in enumerate(order):
+        row = pairs.get(a, {})
+        result.update(((a, b) if a < b else (b, a), n) for b in order[k + 1:] if (n := row.get(b, 0)) < sigma)
     if not any(max(row.values()) >= sigma for row in pairs.values()):
-        # Every pair of frequent items is an MII, and nothing longer is.
-        for k, a in enumerate(order):
-            row = pairs.get(a, {})
-            result.update(((a, b) if a < b else (b, a), row.get(b, 0)) for b in order[k + 1:])
-        return result
+        return result  # no itemset beyond a pair is minimal
     stats.push(live := tree.node_count)  # the first read of the nodes makes them
-    steps = []
-    for x, t in split(tree):
-        row = t.pairs.get(x, {})
-        result.update(unify(x, {(y,): 0 for y in t.order[1:] if y not in row}))
-        steps.append((x, _mii_rec(projected_tree(t, x, sigma), sigma, stats)))
+    steps = [(x, _mii_rec(projected_tree(t, x, sigma), sigma, stats)) for x, t in split(tree)]
     stats.pop(live)
     # When the fold reaches x, ``result`` holds the MIIs of x's residual tree;
     # its other entries all hold an item outside x's projection.
@@ -132,12 +126,13 @@ def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> dict[Itemset, int
 def ifp_min(db: TransactionDatabase, sigma: int, stats: MiningStats | None = None) -> MIIResult:
     """Mine all minimally infrequent itemsets of the database at absolute
     threshold ``sigma`` (>= 1), on ``build_tree(db, sigma)``, its tree
-    without the infrequent items, whose nodes are made only if it is split."""
+    without the infrequent items, whose nodes are made only if it is split.
+    Those items, in its ``supports``, are the MIIs of one item."""
     if sigma < 1:
         raise InvalidThresholdError(f"sigma must be >= 1, got {sigma}")
-    if stats is None:
-        stats = MiningStats()
-    found = _mii_rec(build_tree(db, sigma), sigma, stats)
+    tree = build_tree(db, sigma)
+    found = {(i,): n for i, n in tree.supports.items() if n < sigma}  # before the tree is consumed
+    found.update(_mii_rec(tree, sigma, stats or MiningStats()))
     return MIIResult(
         miis=in_result_order(found),
         supports=found,
@@ -195,10 +190,9 @@ def apriori_min(db: TransactionDatabase, sigma: int) -> MIIResult:
             else:
                 next_level[cand] = tids
         level = next_level
-    ordered = in_result_order(found)
     return MIIResult(
-        miis=ordered,
-        supports={s: found[s] for s in ordered},
+        miis=in_result_order(found),
+        supports=found,
         sigma=sigma,
         algorithm="apriori",
     )

@@ -8,18 +8,17 @@ The miner walks the residual chain with the MII miner's ``split``: itemsets
 with the least support item x come from x's projected tree, the others from
 the residual tree, the chain's next step. Itemsets mined from the projected
 tree carry x as an implied prefix, so a k-itemset found under a prefix of
-length p is tested against the threshold for length k+p ("frequent*").
-Under a prefix of length p a tree's singletons have length p+1 and are read
-from its supports, which keep every item; its pairs have length p+2 and are
-read from its pair table (see ``tree``), with no projection made. Only
-itemsets of three items or more need the tree split, so it is split, which
-makes its nodes, only when p + 2 < L, the last configured length: longer
-itemsets are never frequent*. The database's tree, the projection of the
-empty prefix, leaves out the items below min(σ₂..σ_L) (σ₁ when L = 1),
-which are in no frequent* pair or longer itemset, and x's projection,
-whose pairs and longer itemsets get lengths p+3..L, leaves out the items
-below the least of those lengths' thresholds. Its supports, row x of the
-pair table, keep the items it leaves out. ``sigma_low_prune=False`` turns off every one of these
+length p is tested against the threshold for length k+p ("frequent*"). Each
+itemset length has one source. ``ifp_mlms`` reads the singletons from the
+database tree's supports, which keep every item. Under a prefix of length p
+a tree's pairs have length p+2 and are read from its pair table (see
+``tree``) if p + 2 <= L, the last configured length; longer itemsets come
+from projections, so a tree is split, which makes its nodes, only if
+p + 3 <= L. The database's tree, the projection of the empty prefix, leaves out
+the items below min(σ₂..σ_L) (σ₁ when L = 1), which are in no frequent*
+pair or longer itemset, and x's projection, whose pairs and longer itemsets
+get lengths p+3..L, leaves out the items below the least of those lengths'
+thresholds. ``sigma_low_prune=False`` turns off every one of these
 prunings: each tree is made at floor 0 and split.
 """
 
@@ -83,20 +82,19 @@ def is_frequent_star(k: int, p: int, supp: int, tv: ThresholdVector) -> bool:
 
 
 def _mlms_rec(tree: IFPTree, tv: ThresholdVector, p: int, prune: bool) -> dict[Itemset, int]:
-    """``ifp_mlms`` under a prefix of length p on a tree it consumes, which
-    gets its nodes only if it is split. With ``prune`` the tree
-    holds no item below the least threshold of lengths p+2..L: no item that
-    can be in one of its frequent* itemsets beyond the singletons."""
-    # Singletons are read from the supports, which keep every item.
-    out = {(i,): n for i, n in tree.supports.items() if is_frequent_star(1, p, n, tv)}
-    if prune and p + 2 >= tv.max_length:
-        # Nothing longer than its pairs, of length p + 2, can be frequent*.
-        if p + 2 == tv.max_length:
-            sigma = tv.sigma(p + 2)
-            for a, row in tree.pairs.items():
-                out.update(((a, b) if a < b else (b, a), n) for b, n in row.items() if n >= sigma)
+    """``ifp_mlms``'s frequent* itemsets of two or more items under a prefix
+    of length p, on a tree it consumes: its pairs, from its pair table, and
+    the longer ones, from its projections, made only if p + 3 <= L or
+    without ``prune``. With ``prune`` the tree holds no item below the least
+    threshold of lengths p+2..L, and gets its nodes only if it is split."""
+    out = {}
+    if p + 2 <= tv.max_length:  # else no pair table is counted
+        sigma = tv.sigma(p + 2)
+        for a, row in tree.pairs.items():
+            out.update(((a, b) if a < b else (b, a), n) for b, n in row.items() if n >= sigma)
+    if prune and p + 3 > tv.max_length:
         return out
-    # x's projection holds the itemsets of lengths p+2..L: lengths p+3..L beyond its singletons.
+    # x's projection gives the itemsets of lengths p+3..L: x joined with its pairs and longer ones.
     floor = min(tv.sigmas[p + 2:]) if prune else 0
     for x, t in split(tree):
         out.update(unify(x, _mlms_rec(projected_tree(t, x, floor), tv, p + 1, prune)))
@@ -112,8 +110,9 @@ def ifp_mlms(
     """Frequent* itemsets of the database under the empty prefix, with their
     supports, mined on ``build_tree(db, floor)``, its tree without the items
     below min(σ₂..σ_L) (σ₁ when L = 1), whose nodes are made only if it is
-    split, when L > 2. The singletons come from the tree's supports, which
-    keep every item, so an item between σ₁ and that floor is still found.
+    split, when L > 2. The singletons are read here, from the tree's
+    supports, which keep every item, so an item between σ₁ and that floor is
+    still found; ``_mlms_rec`` gives the rest.
 
     Each step takes the lf-item x of the residual chain: supp(x + s) in the
     tree is supp(s) in x's projection, and the residual tree keeps the
@@ -126,7 +125,10 @@ def ifp_mlms(
     prunes.
     """
     floor = min(tv.sigmas[1:] or tv.sigmas) if sigma_low_prune else 0
-    return _mlms_rec(build_tree(db, floor), tv, 0, sigma_low_prune)
+    tree = build_tree(db, floor)
+    found = {(i,): n for i, n in tree.supports.items() if n >= tv.sigma(1)}  # before the tree is consumed
+    found.update(_mlms_rec(tree, tv, 0, sigma_low_prune))
+    return found
 
 
 @dataclass(frozen=True)

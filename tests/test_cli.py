@@ -167,7 +167,9 @@ class TestBench:
         assert columns(1) == columns(4)
 
     def test_timeout_records_minus_one(self, table1_path, capsys):
-        # Far shorter than starting the cell's process takes; 0 is a usage error.
+        # Far shorter than mining the cell takes: it is a timeout whether the wait
+        # gives up first or the cell's result, timed beyond it, comes first. 0 is
+        # a usage error.
         rc = main(["bench", "--inputs", table1_path, "--algos", "ifp",
                    "--thresholds", "2", "--timeout", "1e-9"])
         assert rc == 0
@@ -284,6 +286,22 @@ class TestBench:
         monkeypatch.setattr(cli, "_bench_worker", reports_then_dies)
         records = list(bench_sweep([table1_path], ["ifp"], ["2"], timeout=30))
         assert [r.csv_row() for r in records] == [f"{table1_path},ifp,2,1.5,8,63"]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched worker reaches the cell's process only when it is forked",
+    )
+    def test_result_reporting_a_run_beyond_the_timeout_is_a_timeout(
+        self, table1_path, monkeypatch, capsys
+    ):
+        # The wait sees the result at once, but the cell itself ran for 5 s.
+        def reports_a_slow_run(path, algo, threshold, conn):
+            conn.send(("ok", 5000.0, 8, 63))
+
+        monkeypatch.setattr(cli, "_bench_worker", reports_a_slow_run)
+        records = list(bench_sweep([table1_path], ["ifp"], ["2"], timeout=1))
+        assert [r.csv_row() for r in records] == [f"{table1_path},ifp,2,-1,-1,-1"]
         assert capsys.readouterr().err == ""
 
     def test_sweep_api_yields_records(self, table1_path):

@@ -147,6 +147,25 @@ class TestIfpMin:
         assert result.supports == apriori_min(db, 2).supports
         assert (4,) in result.miis and (0, 1) in result.miis
 
+    def test_only_itemsets_of_two_or_more_items_are_unified(self, mii_db, monkeypatch):
+        # Singletons come from the database's tree alone and pairs from each
+        # tree's pair table, so no projection hands up a singleton.
+        members = []
+        real_unify = miners_module.unify
+
+        def recording_unify(x, sets):
+            members.extend(sets)
+            return real_unify(x, sets)
+
+        monkeypatch.setattr(miners_module, "unify", recording_unify)
+        seeded = gen_synthetic(SynthConfig(num_items=12, num_transactions=80, density=0.4, seed=17))
+        for db, sigma in ((mii_db, 2), (seeded, 6)):
+            members.clear()
+            result = ifp_min(db, sigma)
+            assert set(result.miis) == mii_oracle(db, sigma)
+            assert result.supports == apriori_min(db, sigma).supports
+            assert members and min(map(len, members)) >= 2
+
 
 class TestAprioriMin:
     def test_worked_example(self, mii_db):

@@ -136,6 +136,25 @@ class TestMineMlms:
                 assert support(db, s) >= tv.sigma(len(s))
                 assert result.supports[s] == support(db, s)
 
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_only_itemsets_of_two_or_more_items_are_unified(self, mlms_db, monkeypatch, prune):
+        # Singletons come from the database's tree alone and pairs from each
+        # tree's pair table, so no projection hands up a singleton.
+        members = []
+        real_unify = mlms_module.unify
+
+        def recording_unify(x, sets):
+            members.extend(sets)
+            return real_unify(x, sets)
+
+        monkeypatch.setattr(mlms_module, "unify", recording_unify)
+        seeded = gen_synthetic(SynthConfig(num_items=10, num_transactions=60, density=0.4, seed=23))
+        for db, tv in ((mlms_db, ThresholdVector(MLMS_SIGMAS)), (seeded, ThresholdVector((20, 9, 5, 3)))):
+            members.clear()
+            result = mine_mlms(db, tv, sigma_low_prune=prune)
+            assert result.supports == {s: support(db, s) for s in mlms_oracle(db, tv)}
+            assert members and min(map(len, members)) >= 2
+
 
 class TestNoDownwardClosure:
     def test_frequent_triple_with_infrequent_pairs(self):
