@@ -9,10 +9,10 @@ Two miners produce identical output:
   the database's as the projection of the empty prefix, so its pair MIIs
   are the pairs below ``sigma`` in its pair table (see ``tree``), with 0
   when a pair is absent. Longer MIIs come from projections: ``_mii_rec``
-  loops over the tree's residual chain (``split``), splitting on the least
-  frequent item x into the residual tree (the tree without x, the chain's
-  next step) and the projected tree (transactions containing x, without
-  x), on which alone it recurses. MIIs containing x are x joined with
+  loops over ``split``, which splits the tree on each least frequent item
+  x in turn into the projected tree (transactions containing x, without
+  x), on which alone it recurses, and the residual tree (the tree without
+  x, the next step). MIIs containing x are x joined with
   itemsets minimally infrequent in the projected tree but not in the
   residual one; folding the steps back from the chain's end finds the
   residual tree's MIIs collected by the time it reaches x. A projection's
@@ -43,30 +43,23 @@ from .data import (
     render_itemset_lines,
     support,
 )
-from .tree import IFPTree, build_tree, projected_tree, split
+from .tree import IFPTree, build_tree, split
 from .tree import residual_tree  # noqa: F401 -- not called here; benchmark/test_benchmark.py reads miners.residual_tree
 
 
 class MiningStats:
-    """Peak count of tree nodes simultaneously alive during a mining run.
+    """Peak count of tree nodes simultaneously alive during a mining run: the
+    nodes of the trees on the recursion stack, each counted as it was when
+    its split began.
 
     A deterministic memory proxy for benchmarking; miners that build no trees
     leave it at zero.
     """
 
-    __slots__ = ("live_nodes", "peak_nodes")
+    __slots__ = ("peak_nodes",)
 
     def __init__(self) -> None:
-        self.live_nodes = 0
         self.peak_nodes = 0
-
-    def push(self, nodes: int) -> None:
-        self.live_nodes += nodes
-        if self.live_nodes > self.peak_nodes:
-            self.peak_nodes = self.live_nodes
-
-    def pop(self, nodes: int) -> None:
-        self.live_nodes -= nodes
 
 
 @dataclass(frozen=True)
@@ -99,12 +92,13 @@ def unify(x: int, sets: dict[Itemset, int]) -> dict[Itemset, int]:
     return out
 
 
-def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> dict[Itemset, int]:
+def _mii_rec(tree: IFPTree, sigma: int, live: int, stats: MiningStats) -> dict[Itemset, int]:
     """MIIs of two or more items of the tree, which holds no item below
     ``sigma`` in its order, with their supports in it; consumes the tree.
     Its pairs are read from its pair table, and it is split, and so gets its
-    nodes, only if the table holds a frequent pair. Dropping items leaves the
-    other itemsets' supports alone, and supp(x + s) here is supp(s) in x's
+    nodes, only if the table holds a frequent pair; ``live`` counts the nodes
+    of the trees above it, for ``stats``. Dropping items leaves the other
+    itemsets' supports alone, and supp(x + s) here is supp(s) in x's
     projection."""
     result = {}  # its items are frequent: each pair of them below sigma is an MII
     order, pairs = tree.order, tree.pairs
@@ -113,9 +107,9 @@ def _mii_rec(tree: IFPTree, sigma: int, stats: MiningStats) -> dict[Itemset, int
         result.update(((a, b) if a < b else (b, a), n) for b in order[k + 1:] if (n := row.get(b, 0)) < sigma)
     if not any(max(row.values()) >= sigma for row in pairs.values()):
         return result  # no itemset beyond a pair is minimal
-    stats.push(live := tree.node_count)  # the first read of the nodes makes them
-    steps = [(x, _mii_rec(projected_tree(t, x, sigma), sigma, stats)) for x, t in split(tree)]
-    stats.pop(live)
+    live += tree.node_count  # the first read of the nodes makes them
+    stats.peak_nodes = max(stats.peak_nodes, live)
+    steps = [(x, _mii_rec(proj, sigma, live, stats)) for x, proj in split(tree, sigma)]
     # When the fold reaches x, ``result`` holds the MIIs of x's residual tree;
     # its other entries all hold an item outside x's projection.
     for x, s_p in reversed(steps):
@@ -132,7 +126,7 @@ def ifp_min(db: TransactionDatabase, sigma: int, stats: MiningStats | None = Non
         raise InvalidThresholdError(f"sigma must be >= 1, got {sigma}")
     tree = build_tree(db, sigma)
     found = {(i,): n for i, n in tree.supports.items() if n < sigma}  # before the tree is consumed
-    found.update(_mii_rec(tree, sigma, stats or MiningStats()))
+    found.update(_mii_rec(tree, sigma, 0, stats or MiningStats()))
     return MIIResult(
         miis=in_result_order(found),
         supports=found,

@@ -4,21 +4,22 @@ A k-itemset is frequent when its support reaches the k-th threshold. The
 thresholds need not be monotone, so the classic downward-closure pruning is
 unavailable: a 3-itemset can be frequent while its 2-subsets are not.
 
-The miner walks the residual chain with the MII miner's ``split``: itemsets
-with the least support item x come from x's projected tree, the others from
-the residual tree, the chain's next step. Itemsets mined from the projected
-tree carry x as an implied prefix, so a k-itemset found under a prefix of
-length p is tested against the threshold for length k+p ("frequent*"). Each
-itemset length has one source. ``ifp_mlms`` reads the singletons from the
-database tree's supports, which keep every item. Under a prefix of length p
-a tree's pairs have length p+2 and are read from its pair table (see
-``tree``) if p + 2 <= L, the last configured length; longer itemsets come
-from projections, so a tree is split, which makes its nodes, only if
-p + 3 <= L. The database's tree, the projection of the empty prefix, leaves out
-the items below min(σ₂..σ_L) (σ₁ when L = 1), which are in no frequent*
-pair or longer itemset, and x's projection, whose pairs and longer itemsets
-get lengths p+3..L, leaves out the items below the least of those lengths'
-thresholds. ``sigma_low_prune=False`` turns off every one of these
+The miner loops over ``split``, as the MII miner does: itemsets with the
+least support item x come from the projected tree that ``split`` yields
+with x, the others from the residual tree, the chain's next step. Itemsets
+mined from the projected tree carry x as an implied prefix, so a k-itemset
+found under a prefix of length p is tested against the threshold for
+length k+p ("frequent*"). Each itemset length has one source. ``ifp_mlms``
+reads the singletons from the database tree's supports, which keep every
+item. Under a prefix of length p a tree's pairs have length p+2 and are
+read from its pair table (see ``tree``) if p + 2 <= L, the last configured
+length; longer itemsets come from projections, so a tree is split, which
+makes its nodes, only if p + 3 <= L. The database's tree, the projection of
+the empty prefix, leaves out the items below min(σ₂..σ_L) (σ₁ when
+L = 1), which are in no frequent* pair or longer itemset, and x's
+projection, whose pairs and longer itemsets get lengths p+3..L, leaves out
+the items below the least of those lengths' thresholds: the ``min_support``
+``split`` is given. ``sigma_low_prune=False`` turns off every one of these
 prunings: each tree is made at floor 0 and split.
 """
 
@@ -36,7 +37,7 @@ from .data import (
     render_itemset_lines,
 )
 from .miners import unify
-from .tree import IFPTree, build_tree, projected_tree, split
+from .tree import IFPTree, build_tree, split
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ def _mlms_rec(tree: IFPTree, tv: ThresholdVector, p: int, prune: bool) -> dict[I
         return out
     # x's projection gives the itemsets of lengths p+3..L: x joined with its pairs and longer ones.
     floor = min(tv.sigmas[p + 2:]) if prune else 0
-    for x, t in split(tree):
-        out.update(unify(x, _mlms_rec(projected_tree(t, x, floor), tv, p + 1, prune)))
+    for x, proj in split(tree, floor):
+        out.update(unify(x, _mlms_rec(proj, tv, p + 1, prune)))
     return out
 
 
@@ -135,7 +136,6 @@ def ifp_mlms(
 class MLMSResult:
     frequent: tuple[Itemset, ...]
     supports: dict[Itemset, int] = field(compare=False)
-    thresholds: ThresholdVector | None = field(default=None, compare=False)
 
     def entries(self) -> list[tuple[Itemset, int]]:
         return [(s, self.supports[s]) for s in self.frequent]
@@ -161,5 +161,4 @@ def mine_mlms(
     return MLMSResult(
         frequent=in_result_order(found),
         supports=found,
-        thresholds=tv,
     )

@@ -10,9 +10,11 @@ That makes two decompositions cheap:
 * the residual tree of x: the whole database with x removed (x's node is
   spliced out and its subtree merged back into the root's children).
 
-``split`` walks a tree's residual chain in place, moving x's subtrees into
-the root: O(x's subtree) per step, not O(tree). It consumes its tree;
-``projected_tree`` and ``residual_tree`` leave theirs alone.
+``split`` is the paper's step, taken along the whole residual chain: it
+yields each lf-item x with x's projected tree, then turns its tree into x's
+residual tree in place, moving x's subtrees into the root: O(x's subtree)
+per step, not O(tree). It consumes its tree; ``projected_tree`` and
+``residual_tree`` leave theirs alone.
 
 Every tree carries a pair table, FP-growth*'s FP-array (Grahne and Zhu,
 IEEE TKDE 2005): ``pairs[a][b]`` is the support of {a, b} for each item b
@@ -67,12 +69,11 @@ class IFPNode:
 
 
 class IFPTree:
-    __slots__ = ("_root", "order", "rank", "num_transactions", "supports", "_pending", "_pairs", "_nodes")
+    __slots__ = ("_root", "order", "num_transactions", "supports", "_pending", "_pairs", "_nodes")
 
     def __init__(self, order: Iterable[int], num_transactions: int, supports: dict[int, int]):
         self._root = IFPNode(None)
         self.order: tuple[int, ...] = tuple(order)
-        self.rank: dict[int, int] = {item: i for i, item in enumerate(self.order)}
         self.num_transactions = num_transactions
         self.supports = supports  # item -> support, also of items pruned from the tree (no node)
         # (path sorted into the order, count) of each transaction with no nodes yet
@@ -128,7 +129,7 @@ class IFPTree:
         return not self.order
 
     def sorted_children(self, node: IFPNode) -> list[IFPNode]:
-        return [node.children[i] for i in sorted(node.children, key=self.rank.__getitem__)]
+        return [node.children[i] for i in sorted(node.children, key=self.order.index)]
 
     def dump(self, labels: dict[int, str] | None = None) -> str:
         """Deterministic indented rendering, one ``item:count`` line per node,
@@ -160,18 +161,6 @@ def _count_pairs(paths: Iterable[tuple[Sequence[int], int]]) -> dict[int, dict[i
     return pairs
 
 
-def _sorted_paths(
-    tree: IFPTree, paths: Iterable[tuple[Iterable[int], int]]
-) -> Iterator[tuple[list[int], int]]:
-    """Each weighted transaction sorted into the tree's order, without the
-    items that have no place in it; the ones left empty are dropped."""
-    rank = tree.rank
-    for items, count in paths:
-        path = sorted([i for i in items if i in rank], key=rank.__getitem__)
-        if path:
-            yield path, count
-
-
 def _prepare(
     supports: dict[int, int],
     paths: Iterable[tuple[Iterable[int], int]],
@@ -182,13 +171,19 @@ def _prepare(
     pairs, with no nodes yet: the transactions wait in ``_pending``, sorted
     into its order, until the tree's nodes are read. The tree owns ``supports``;
     only the items whose support reaches ``min_support`` get a place in its
-    order, and the others are left out of its paths."""
+    order, the others are left out of its paths, and the paths left empty
+    are dropped."""
     tree = IFPTree(
         (i for i in _order_items(supports) if supports[i] >= min_support),
         num_transactions,
         supports,
     )
-    tree._pending = list(_sorted_paths(tree, paths))
+    rank = {item: k for k, item in enumerate(tree.order)}
+    tree._pending = [
+        (path, count)
+        for items, count in paths
+        if (path := sorted([i for i in items if i in rank], key=rank.__getitem__))
+    ]
     return tree
 
 
@@ -262,22 +257,19 @@ def _merge_into(target: IFPNode, extra: IFPNode) -> int:
     return merged
 
 
-def split(tree: IFPTree) -> Iterator[tuple[int, IFPTree]]:
-    """Walk the tree's residual chain, consuming it: yield ``(x, tree)`` for
-    each lf-item x, then turn the tree into x's residual tree in place (the
-    other supports stay, so the order just loses x and the pair table its
-    row x). Take what x's step needs, such as ``projected_tree(tree, x)``,
-    before resuming."""
+def split(tree: IFPTree, min_support: int = 0) -> Iterator[tuple[int, IFPTree]]:
+    """Walk the tree's residual chain, consuming it: for each lf-item x,
+    yield ``(x, projected_tree(tree, x, min_support))``, then turn the tree
+    into x's residual tree in place (the other supports stay, so the order
+    just loses x and the pair table its row x)."""
     while tree.order:
         x = tree.order[0]
-        yield x, tree
-        root = tree.root  # read before ``_nodes``: the first read makes the nodes
+        yield x, projected_tree(tree, x, min_support)  # reads the pair table and makes the nodes
+        root = tree.root
         tree._nodes -= 1 + _merge_into(root, root.children.pop(x))
         tree.order = tree.order[1:]
-        del tree.rank[x]
         del tree.supports[x]
-        if tree._pairs is not None:
-            tree._pairs.pop(x, None)
+        tree._pairs.pop(x, None)
 
 
 def residual_tree(tree: IFPTree, x: int) -> IFPTree:

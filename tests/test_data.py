@@ -147,7 +147,7 @@ class TestPruneInfrequentItems:
 
     def test_removes_f(self, mii_db):
         tree = build_tree(mii_db, 2)
-        assert [(i, n) for i, n in tree.supports.items() if i not in tree.rank] == [(5, 1)]
+        assert [(i, n) for i, n in tree.supports.items() if i not in tree.order] == [(5, 1)]
         assert _transactions(tree)[(4,)] == 1  # F E, without F
         assert tree.num_transactions == len(mii_db)
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ifpmine import miners as miners_module
+from ifpmine import tree as tree_module
 from ifpmine import (
     InvalidThresholdError,
     MiningStats,
@@ -104,6 +105,17 @@ class TestIfpMin:
         assert result == apriori_min(db, 40)
         assert result.supports == apriori_min(db, 40).supports
 
+    def test_peak_counts_every_split_tree_on_the_stack(self):
+        # At sigma 2 the database's tree has 6 nodes and frequent pairs, so it
+        # is split. 0's projection, {1, 2} twice, {1} and {2}, has 3 nodes and
+        # the frequent pair {1, 2}, so it is split too, under the first.
+        db = TransactionDatabase.from_itemsets([[0, 1, 2]] * 2 + [[0, 1], [0, 2], [1, 2]])
+        stats = MiningStats()
+        result = ifp_min(db, 2, stats)
+        assert build_tree(db, 2).node_count == 6
+        assert stats.peak_nodes == 6 + 3
+        assert result == apriori_min(db, 2)
+
     def test_projections_without_a_frequent_pair_get_no_nodes(self, monkeypatch):
         # Every pair of four items occurs twice and no triple occurs: the
         # tree's pairs are frequent at sigma 2, its projections' are not.
@@ -113,7 +125,7 @@ class TestIfpMin:
         db = TransactionDatabase.from_itemsets([p for p in pairs for _ in range(2)])
         top_nodes = build_tree(db, 2).node_count
         top, projections = [], []
-        real_tree, real_project = miners_module.build_tree, miners_module.projected_tree
+        real_tree, real_project = miners_module.build_tree, tree_module.projected_tree
 
         def recording_tree(db, min_support=0):
             top.append(real_tree(db, min_support))
@@ -124,7 +136,7 @@ class TestIfpMin:
             return projections[-1]
 
         monkeypatch.setattr(miners_module, "build_tree", recording_tree)
-        monkeypatch.setattr(miners_module, "projected_tree", recording_projection)
+        monkeypatch.setattr(tree_module, "projected_tree", recording_projection)
         stats = MiningStats()
         with counting_nodes() as made:
             result = ifp_min(db, 2, stats)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ifpmine import mlms as mlms_module
+from ifpmine import tree as tree_module
 from ifpmine import (
     InvalidThresholdError,
     SynthConfig,
@@ -173,13 +174,13 @@ class TestSigmaLowPruning:
         # Under the prefix of any item every itemset has length >= 2, and a
         # vector of one threshold makes none of them frequent*.
         calls = []
-        real = mlms_module.projected_tree
+        real = tree_module.projected_tree
 
         def counting(tree, x, min_support=0):
             calls.append(x)
             return real(tree, x, min_support)
 
-        monkeypatch.setattr(mlms_module, "projected_tree", counting)
+        monkeypatch.setattr(tree_module, "projected_tree", counting)
         tv = ThresholdVector((1,))
         result = mine_mlms(mlms_db, tv)
         assert calls == []
@@ -193,7 +194,7 @@ class TestSigmaLowPruning:
         # prefix a projection holds itemsets of lengths 2..3, of which only
         # those of length 3 need its items to be in its order: its floor is 3.
         tree_floors, floors = [], []
-        real_tree, real_project = mlms_module.build_tree, mlms_module.projected_tree
+        real_tree, real_project = mlms_module.build_tree, tree_module.projected_tree
 
         def recording_tree(db, min_support=0):
             tree_floors.append(min_support)
@@ -204,7 +205,7 @@ class TestSigmaLowPruning:
             return real_project(tree, x, min_support)
 
         monkeypatch.setattr(mlms_module, "build_tree", recording_tree)
-        monkeypatch.setattr(mlms_module, "projected_tree", recording)
+        monkeypatch.setattr(tree_module, "projected_tree", recording)
         tv = ThresholdVector((1, 2, 3))
         for prune, want_tree, want in ((True, [2], {3}), (False, [0], {0})):
             tree_floors.clear()
@@ -219,13 +220,13 @@ class TestSigmaLowPruning:
         # of the last length: their supports are read from the tree's pair
         # table and no projection is made.
         calls = []
-        real = mlms_module.projected_tree
+        real = tree_module.projected_tree
 
         def counting(tree, x, min_support=0):
             calls.append(x)
             return real(tree, x, min_support)
 
-        monkeypatch.setattr(mlms_module, "projected_tree", counting)
+        monkeypatch.setattr(tree_module, "projected_tree", counting)
         tv = ThresholdVector((2, 2))
         result = mine_mlms(mlms_db, tv)
         assert calls == []

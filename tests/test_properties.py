@@ -115,14 +115,16 @@ def test_tree_layer_matches_rebuilt_trees(db, data):
     assert pruned.supports == db_supports
     # Each step of the chain drops its lf-item's row; the other pairs keep their supports.
     chain = build_tree(db, floor)
-    for x, t in split(chain):
-        _assert_pair_table(t, db)
+    for x, _ in split(chain):
+        _assert_pair_table(chain, db)
     _assert_pair_table(chain, db)
-    # A table first read after some steps is counted from the residual's nodes.
+    # ``split`` counts the table at step 0, for the first projection, so a
+    # table read first after some steps is that one less the rows split off.
     late = data.draw(st.integers(0, len(pruned.order)), label="first read")
-    for k, (x, t) in enumerate(split(build_tree(db, floor))):
+    rest = build_tree(db, floor)
+    for k, (x, _) in enumerate(split(rest)):
         if k >= late:
-            _assert_pair_table(t, db)
+            _assert_pair_table(rest, db)
     if tree.is_empty():
         return
 
@@ -148,6 +150,15 @@ def test_tree_layer_matches_rebuilt_trees(db, data):
     assert projected_tree(tree, x).supports == proj_supports
     for s in data.draw(itemsets, label="projected itemsets"):
         assert tree_support(proj, s) == support(kept, s)
+
+    # ``split`` yields x's projection in the residual tree of the items before
+    # x, without the items below its ``min_support``.
+    m = data.draw(st.integers(0, len(db) + 1), label="split floor")
+    for k, (x, proj) in enumerate(split(build_tree(db, floor), m)):
+        later = set(pruned.order[k + 1:])
+        x_rows = [[i for i in r if i in later] for r in rows if x in r]
+        x_supports = item_supports(TransactionDatabase.from_itemsets(x_rows))
+        _assert_same_tree(proj, _rebuilt(x_rows, lambda i: x_supports[i] >= m))
 
 
 def _table(tree) -> dict:
@@ -175,10 +186,10 @@ def test_a_tree_answers_alike_before_and_after_its_nodes_are_made(db, data):
         "pairs": lambda t: t.pairs,
         "residual_tree": lambda t: t.order and _state(residual_tree(t, t.order[0])),
         "projected_tree": lambda t: t.order and _state(projected_tree(t, t.order[0], m)),
-        # Each step's table is read before its projection, which makes the nodes.
-        "split": lambda t: [(x, _table(r), _state(projected_tree(r, x, m)), _state(r)) for x, r in split(t)],
-        # k steps that read only the tables, then the nodes of what is left.
-        "split, nodes read last": lambda t: ([(x, _table(r)) for x, r in islice(split(t), k)], _state(t)),
+        # Each step's projection, which makes the tree's nodes, before its table.
+        "split": lambda t: [(x, _state(p), _table(t), _state(t)) for x, p in split(t, m)],
+        # k steps that read only the tables, then all of what is left.
+        "split, nodes read last": lambda t: ([(x, _table(t)) for x, _ in islice(split(t), k)], _state(t)),
     }
     for name, read in reads.items():
         with_nodes = build_tree(db, floor)

@@ -133,7 +133,7 @@ class TestBuildTree:
                 assert node.count >= sum(c.count for c in node.children.values())
                 for item, child in node.children.items():
                     if node.item is not None:
-                        assert tree.rank[item] > tree.rank[node.item]
+                        assert tree.order.index(item) > tree.order.index(node.item)
                     walk(child)
 
             for child in tree.root.children.values():
@@ -217,7 +217,7 @@ class TestProjectedTree:
             dropped = {i for i, n in full.supports.items() if n < min_support}
             kept = sorted(full.supports.keys() - dropped)
             assert proj.supports == full.supports
-            assert set(proj.order) == set(proj.rank) == set(kept)
+            assert set(proj.order) == set(kept)
             assert all(not _nodes(proj, i) for i in dropped)
             for _ in range(5):
                 k = rng.randint(0, min(4, len(kept)))
