@@ -18,8 +18,8 @@ Two miners produce identical output:
   residual tree's MIIs collected by the time it reaches x. A projection's
   supports are row x of the tree's pair table, and its own pair table is
   counted from x's paths, the database's from its transactions. A tree is
-  split, which makes its nodes, only if its table holds a frequent pair:
-  otherwise no itemset beyond a pair is minimal.
+  split only if its table holds a frequent pair: otherwise no itemset
+  beyond a pair is minimal.
 * ``apriori_min`` is level-wise candidate generation where the rejected
   candidates are the MIIs. It counts supports on tidsets (one ``int`` bitset
   of transaction ids per item, ANDed along each candidate), as in Eclat and
@@ -48,12 +48,12 @@ from .tree import residual_tree  # noqa: F401 -- not called here; benchmark/test
 
 
 class MiningStats:
-    """Peak count of tree nodes simultaneously alive during a mining run: the
-    nodes of the trees on the recursion stack, each counted as it was when
-    its split began.
+    """Peak count of tree nodes on the recursion stack during a mining run:
+    the ``node_count`` of each tree being split, the distinct prefixes of its
+    paths as they were when its split began. No node is made to count them.
 
-    A deterministic memory proxy for benchmarking; miners that build no trees
-    leave it at zero.
+    A deterministic memory proxy for benchmarking; a run that splits no tree
+    leaves it at zero.
     """
 
     __slots__ = ("peak_nodes",)
@@ -92,14 +92,14 @@ def unify(x: int, sets: dict[Itemset, int]) -> dict[Itemset, int]:
     return out
 
 
-def _mii_rec(tree: IFPTree, sigma: int, live: int, stats: MiningStats) -> dict[Itemset, int]:
+def _mii_rec(tree: IFPTree, sigma: int, live: int, stats: MiningStats | None) -> dict[Itemset, int]:
     """MIIs of two or more items of the tree, which holds no item below
     ``sigma`` in its order, with their supports in it; consumes the tree.
-    Its pairs are read from its pair table, and it is split, and so gets its
-    nodes, only if the table holds a frequent pair; ``live`` counts the nodes
-    of the trees above it, for ``stats``. Dropping items leaves the other
-    itemsets' supports alone, and supp(x + s) here is supp(s) in x's
-    projection."""
+    Its pairs are read from its pair table, and it is split only if the
+    table holds a frequent pair; ``live`` counts the nodes of the split
+    trees above it, for ``stats``, and is read only if ``stats`` is given.
+    Dropping items leaves the other itemsets' supports alone, and
+    supp(x + s) here is supp(s) in x's projection."""
     result = {}  # its items are frequent: each pair of them below sigma is an MII
     order, pairs = tree.order, tree.pairs
     for k, a in enumerate(order):
@@ -107,8 +107,9 @@ def _mii_rec(tree: IFPTree, sigma: int, live: int, stats: MiningStats) -> dict[I
         result.update(((a, b) if a < b else (b, a), n) for b in order[k + 1:] if (n := row.get(b, 0)) < sigma)
     if not any(max(row.values()) >= sigma for row in pairs.values()):
         return result  # no itemset beyond a pair is minimal
-    live += tree.node_count  # the first read of the nodes makes them
-    stats.peak_nodes = max(stats.peak_nodes, live)
+    if stats is not None:
+        live += tree.node_count
+        stats.peak_nodes = max(stats.peak_nodes, live)
     steps = [(x, _mii_rec(proj, sigma, live, stats)) for x, proj in split(tree, sigma)]
     # When the fold reaches x, ``result`` holds the MIIs of x's residual tree;
     # its other entries all hold an item outside x's projection.
@@ -120,13 +121,13 @@ def _mii_rec(tree: IFPTree, sigma: int, live: int, stats: MiningStats) -> dict[I
 def ifp_min(db: TransactionDatabase, sigma: int, stats: MiningStats | None = None) -> MIIResult:
     """Mine all minimally infrequent itemsets of the database at absolute
     threshold ``sigma`` (>= 1), on ``build_tree(db, sigma)``, its tree
-    without the infrequent items, whose nodes are made only if it is split.
-    Those items, in its ``supports``, are the MIIs of one item."""
+    without the infrequent items. Those items, in its ``supports``, are the
+    MIIs of one item. ``stats``, if given, gets the run's ``peak_nodes``."""
     if sigma < 1:
         raise InvalidThresholdError(f"sigma must be >= 1, got {sigma}")
     tree = build_tree(db, sigma)
     found = {(i,): n for i, n in tree.supports.items() if n < sigma}  # before the tree is consumed
-    found.update(_mii_rec(tree, sigma, 0, stats or MiningStats()))
+    found.update(_mii_rec(tree, sigma, 0, stats))
     return MIIResult(
         miis=in_result_order(found),
         supports=found,

@@ -13,8 +13,8 @@ length k+p ("frequent*"). Each itemset length has one source. ``ifp_mlms``
 reads the singletons from the database tree's supports, which keep every
 item. Under a prefix of length p a tree's pairs have length p+2 and are
 read from its pair table (see ``tree``) if p + 2 <= L, the last configured
-length; longer itemsets come from projections, so a tree is split, which
-makes its nodes, only if p + 3 <= L. The database's tree, the projection of
+length; longer itemsets come from projections, so a tree is split only
+if p + 3 <= L. The database's tree, the projection of
 the empty prefix, leaves out the items below min(σ₂..σ_L) (σ₁ when
 L = 1), which are in no frequent* pair or longer itemset, and x's
 projection, whose pairs and longer itemsets get lengths p+3..L, leaves out
@@ -87,7 +87,7 @@ def _mlms_rec(tree: IFPTree, tv: ThresholdVector, p: int, prune: bool) -> dict[I
     of length p, on a tree it consumes: its pairs, from its pair table, and
     the longer ones, from its projections, made only if p + 3 <= L or
     without ``prune``. With ``prune`` the tree holds no item below the least
-    threshold of lengths p+2..L, and gets its nodes only if it is split."""
+    threshold of lengths p+2..L."""
     out = {}
     if p + 2 <= tv.max_length:  # else no pair table is counted
         sigma = tv.sigma(p + 2)
@@ -110,8 +110,8 @@ def ifp_mlms(
 ) -> dict[Itemset, int]:
     """Frequent* itemsets of the database under the empty prefix, with their
     supports, mined on ``build_tree(db, floor)``, its tree without the items
-    below min(σ₂..σ_L) (σ₁ when L = 1), whose nodes are made only if it is
-    split, when L > 2. The singletons are read here, from the tree's
+    below min(σ₂..σ_L) (σ₁ when L = 1), which is split only when L > 2.
+    The singletons are read here, from the tree's
     supports, which keep every item, so an item between σ₁ and that floor is
     still found; ``_mlms_rec`` gives the rest.
 

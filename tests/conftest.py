@@ -99,9 +99,9 @@ def decompress(tree) -> list[tuple[tuple[int, ...], int]]:
 @contextmanager
 def counting_nodes():
     """Within the block the tree layer makes its nodes as a subclass that
-    appends each node's item, roots left out, to the yielded list. Unlike
-    reading ``node_count``, which makes the nodes it counts, this count
-    reads no tree."""
+    appends each node's item, roots left out, to the yielded list: the
+    nodes of each ``root`` view as it is made, counted with no read of a
+    tree."""
     made = []
 
     class CountingNode(tree_module.IFPNode):

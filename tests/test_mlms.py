@@ -9,7 +9,6 @@ from ifpmine import (
     SynthConfig,
     ThresholdVector,
     TransactionDatabase,
-    build_tree,
     gen_synthetic,
     ifp_mlms,
     is_frequent_star,
@@ -235,42 +234,56 @@ class TestSigmaLowPruning:
         assert calls
         assert set(unpruned.frequent) == mlms_oracle(mlms_db, tv)
 
-    def test_no_node_at_two_thresholds(self, mlms_db):
+    def test_no_node_at_two_thresholds(self, mlms_db, monkeypatch):
         # At L = 2 the pairs are read from the pair table of the database's
-        # tree, counted from its transactions: no tree is split, so no tree
+        # tree, counted from its transactions: no tree is split, and no tree
         # gets a node.
+        calls = []
+        real = tree_module.projected_tree
+
+        def recording(tree, x, min_support=0):
+            calls.append(x)
+            return real(tree, x, min_support)
+
+        monkeypatch.setattr(tree_module, "projected_tree", recording)
         with counting_nodes() as made:
             for tv in (ThresholdVector((2, 2)), ThresholdVector((3, 1))):
                 result = mine_mlms(mlms_db, tv)
-                assert made == []
+                assert made == [] and calls == []
                 assert set(result.frequent) == mlms_oracle(mlms_db, tv)
                 assert result.supports == {s: support(mlms_db, s) for s in result.frequent}
             mine_mlms(mlms_db, ThresholdVector((2, 2)), sigma_low_prune=False)
-            assert made  # unpruned, the tree is split and the count sees its nodes
+            assert calls  # unpruned, the tree is split
+            assert made == []  # and still no tree gets a node
 
     def test_only_the_top_tree_is_built_at_three_thresholds(self, mlms_db, monkeypatch):
         # At L = 3 the projections under the empty prefix hold singletons and
-        # pairs, read from their supports and pair tables: none gets a node.
-        top_nodes, full_nodes = build_tree(mlms_db, 2).node_count, build_tree(mlms_db).node_count
-        top = []
-        real_tree = mlms_module.build_tree
+        # pairs, read from their supports and pair tables: only the top tree
+        # is split, and no tree gets a node.
+        top, split_trees = [], []
+        real_tree, real_split = mlms_module.build_tree, mlms_module.split
 
         def recording_tree(db, min_support=0):
             top.append(real_tree(db, min_support))
             return top[-1]
 
+        def recording_split(tree, min_support=0):
+            split_trees.append(tree)
+            return real_split(tree, min_support)
+
         monkeypatch.setattr(mlms_module, "build_tree", recording_tree)
+        monkeypatch.setattr(mlms_module, "split", recording_split)
         tv = ThresholdVector((3, 2, 2))
         with counting_nodes() as made:
             result = mine_mlms(mlms_db, tv)
             assert set(result.frequent) == mlms_oracle(mlms_db, tv)
             assert any(len(s) == 3 for s in result.frequent)
             assert len(top) == 1
-            # Only the top tree's nodes are made: no projection gets one.
-            assert len(made) == top_nodes > 0
-            made.clear()
+            assert split_trees == top  # no projection is split
+            split_trees.clear()
             mine_mlms(mlms_db, tv, sigma_low_prune=False)
-            assert len(made) > full_nodes
+            assert len(split_trees) > 1  # unpruned, the projections are split too
+            assert made == []
 
     def test_tree_is_built_at_the_least_threshold_beyond_the_first(self, monkeypatch):
         # Items 0-9 occur 9 times each, items 10-9999 only in the long

@@ -113,18 +113,13 @@ def test_tree_layer_matches_rebuilt_trees(db, data):
     pruned = build_tree(db, floor)
     _assert_same_tree(pruned, _rebuilt(rows, lambda i: db_supports[i] >= floor))
     assert pruned.supports == db_supports
-    # Each step of the chain drops its lf-item's row; the other pairs keep their supports.
+    # At each step of the chain the tree is the one rebuilt without the items
+    # split off so far: its paths, its view and the table that lost their rows.
     chain = build_tree(db, floor)
-    for x, _ in split(chain):
-        _assert_pair_table(chain, db)
-    _assert_pair_table(chain, db)
-    # ``split`` counts the table at step 0, for the first projection, so a
-    # table read first after some steps is that one less the rows split off.
-    late = data.draw(st.integers(0, len(pruned.order)), label="first read")
-    rest = build_tree(db, floor)
-    for k, (x, _) in enumerate(split(rest)):
-        if k >= late:
-            _assert_pair_table(rest, db)
+    for k, (x, _) in enumerate(split(chain)):
+        later = set(pruned.order[k:])
+        _assert_same_tree(chain, _rebuilt(rows, later.__contains__))
+    _assert_same_tree(chain, _rebuilt(rows, lambda i: False))
     if tree.is_empty():
         return
 
@@ -139,12 +134,12 @@ def test_tree_layer_matches_rebuilt_trees(db, data):
     proj = projected_tree(tree, x, m)
     kept = _rebuilt(proj_rows, lambda i: proj_supports[i] >= m)
     _assert_same_tree(proj, kept)
-    # A fresh projection's table is counted from its paths, before any node is made.
+    # A fresh projection's table and node count need no node.
     with counting_nodes() as made:
         fresh = projected_tree(tree, x, m)
         _assert_pair_table(fresh, kept)
+        assert fresh.node_count == proj.node_count
         assert made == []
-        assert fresh.node_count == len(made) == proj.node_count
     _assert_same_tree(fresh, kept)
     assert proj.supports == proj_supports
     assert projected_tree(tree, x).supports == proj_supports
@@ -166,7 +161,7 @@ def _table(tree) -> dict:
 
 
 def _state(tree) -> tuple:
-    """What a tree answers, copied, with the reads that make its nodes last."""
+    """What a tree answers, copied, with the read that makes its nodes last."""
     return (tree.order, dict(tree.supports), tree.num_transactions, tree.is_empty(), _table(tree),
             tree.dump(), tree.node_count)
 
@@ -186,18 +181,47 @@ def test_a_tree_answers_alike_before_and_after_its_nodes_are_made(db, data):
         "pairs": lambda t: t.pairs,
         "residual_tree": lambda t: t.order and _state(residual_tree(t, t.order[0])),
         "projected_tree": lambda t: t.order and _state(projected_tree(t, t.order[0], m)),
-        # Each step's projection, which makes the tree's nodes, before its table.
+        # Each step's projection, then the tree's table and nodes.
         "split": lambda t: [(x, _state(p), _table(t), _state(t)) for x, p in split(t, m)],
-        # k steps that read only the tables, then all of what is left.
+        # k steps that read only the tables, then all of what is left: the
+        # view made before the first step must not outlive it.
         "split, nodes read last": lambda t: ([(x, _table(t)) for x, _ in islice(split(t), k)], _state(t)),
     }
     for name, read in reads.items():
         with_nodes = build_tree(db, floor)
-        with_nodes.node_count  # the first read makes the nodes
+        with_nodes.root  # the first read makes the nodes
         with counting_nodes() as made:
             fresh = build_tree(db, floor)
         assert made == []
         assert read(fresh) == read(with_nodes), name
+
+
+@PROPERTY
+@given(db=databases, data=st.data())
+def test_node_count_is_the_number_of_nodes_the_root_makes(db, data):
+    floor = data.draw(st.integers(0, len(db) + 1), label="floor")
+    m = data.draw(st.integers(0, len(db) + 1), label="projection floor")
+    with counting_nodes() as made:
+
+        def assert_prefix_count(tree):
+            before = len(made)
+            n = tree.node_count
+            assert len(made) == before  # counted with no node made
+            tree.root
+            assert len(made) - before == n
+
+        tree = build_tree(db, floor)
+        assert_prefix_count(tree)
+        if tree.order:
+            x = tree.order[0]
+            assert_prefix_count(projected_tree(tree, x, m))
+            assert_prefix_count(residual_tree(tree, x))
+        # At each step the tree's view of the step before is dropped.
+        chain = build_tree(db, floor)
+        for x, proj in split(chain, m):
+            assert_prefix_count(chain)
+            assert_prefix_count(proj)
+        assert_prefix_count(chain)
 
 
 def _wide_database(rng: random.Random) -> TransactionDatabase:

@@ -3,7 +3,6 @@ from collections import Counter
 
 import pytest
 
-from ifpmine import tree as tree_module
 from ifpmine import (
     EmptyTreeError,
     SynthConfig,
@@ -224,28 +223,34 @@ class TestProjectedTree:
                 s = tuple(rng.sample(kept, k))
                 assert tree_support(proj, s) == tree_support(full, s)
 
-    def test_projection_of_infrequent_items_reads_no_path(self, monkeypatch):
+    def test_projection_of_infrequent_items_reads_no_path(self):
         # x = 0 occurs in three transactions, its projected items at most twice.
         db = TransactionDatabase.from_itemsets([[0, 1, 2], [0, 1], [0, 2, 3]] + [[1, 2, 3]] * 3)
         tree = build_tree(db)
         assert lf_item(tree) == 0
         full = projected_tree(tree, 0)
         assert full.supports == {1: 2, 2: 2, 3: 1}
-        calls = []
-        real = tree_module._walk
+        reads = []
 
-        def counting(top):
-            calls.append(top)
-            return real(top)
+        class WatchedBucket(dict):
+            """x's bucket, recording each read of its paths."""
 
-        monkeypatch.setattr(tree_module, "_walk", counting)
+            def items(self):
+                reads.append("items")
+                return super().items()
+
+            def __iter__(self):
+                reads.append("iter")
+                return super().__iter__()
+
+        tree._paths[0] = WatchedBucket(tree._paths[0])
         proj = projected_tree(tree, 0, 3)
-        assert calls == []
+        assert reads == []
         assert proj.order == () and proj.node_count == 0 and proj.is_empty()
         assert proj.supports == full.supports
         assert proj.num_transactions == full.num_transactions == 3
         projected_tree(tree, 0, 2)
-        assert len(calls) == 1
+        assert len(reads) == 1
 
 
 class TestResidualTree:
@@ -323,36 +328,49 @@ class TestResidualTree:
 
 
 class TestNodesOnFirstRead:
-    """A tree makes its nodes the first time its root or node count is read.
-    The nodes are counted as they are made, never through ``node_count``,
-    which would make them."""
+    """A tree's nodes are a view of its paths, made the first time its root
+    is read, as ``dump`` does. The nodes are counted as they are made;
+    ``node_count`` counts them with none made."""
 
     def test_constructors_make_no_node(self, mii_db):
         with counting_nodes() as made:
             tree = build_tree(mii_db)
             assert made == []
-            # The order, supports and pair table need no node.
+            # The order, supports, pair table and node count need no node.
             assert not tree.is_empty() and tree.pairs and lf_item(tree) == 5
-            assert made == []
             n = tree.node_count
+            assert made == []
+            tree.root
             assert len(made) == n > 0
             proj, resid = projected_tree(tree, 5), residual_tree(tree, 5)
             assert len(made) == n
-            assert proj.node_count + resid.node_count == len(made) - n > 0
+            m = proj.node_count + resid.node_count
+            assert len(made) == n
+            proj.root, resid.root
+            assert len(made) - n == m > 0
 
     def test_each_read_of_the_nodes_makes_them(self, mii_db):
         reads = {
             "root": lambda t: t.root,
-            "node_count": lambda t: t.node_count,
             "dump": lambda t: t.dump(),
-            "tree_support": lambda t: tree_support(t, (1,)),
         }
         for name, read in reads.items():
             with counting_nodes() as made:
                 tree = build_tree(mii_db)
                 assert made == []
                 read(tree)
+                read(tree)  # the view is made once
                 assert len(made) == tree.node_count == 16, name
+
+    def test_counting_and_supports_make_no_node(self, mii_db):
+        reads = {
+            "node_count": lambda t: t.node_count,
+            "tree_support": lambda t: tree_support(t, (1,)),
+        }
+        for name, read in reads.items():
+            with counting_nodes() as made:
+                read(build_tree(mii_db))
+                assert made == [], name
 
 
 class TestTreeItems:
