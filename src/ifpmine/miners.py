@@ -19,7 +19,9 @@ Two miners produce identical output:
   supports are row x of the tree's pair table, and its own pair table is
   counted from x's paths, the database's from its transactions. A tree is
   split only if its table holds a frequent pair: otherwise no itemset
-  beyond a pair is minimal.
+  beyond a pair is minimal. A tree of one distinct path, FP-growth's
+  single-path case (Han, Pei and Yin, SIGMOD 2000), holds no MII of two
+  or more items, so its table is not counted and it is not split.
 * ``apriori_min`` is level-wise candidate generation where the rejected
   candidates are the MIIs. It counts supports on tidsets (one ``int`` bitset
   of transaction ids per item, ANDed along each candidate), as in Eclat and
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .data import (
     InvalidThresholdError,
@@ -99,7 +102,11 @@ def _mii_rec(tree: IFPTree, sigma: int, live: int, stats: MiningStats | None) ->
     table holds a frequent pair; ``live`` counts the nodes of the split
     trees above it, for ``stats``, and is read only if ``stats`` is given.
     Dropping items leaves the other itemsets' supports alone, and
-    supp(x + s) here is supp(s) in x's projection."""
+    supp(x + s) here is supp(s) in x's projection. A tree of one distinct
+    path is cut before its table is read: there every itemset has its
+    deepest item's support, which reaches ``sigma``."""
+    if len(list(islice(tree.paths(), 2))) < 2:
+        return {}
     result = {}  # its items are frequent: each pair of them below sigma is an MII
     order, pairs = tree.order, tree.pairs
     for k, a in enumerate(order):

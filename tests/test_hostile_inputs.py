@@ -9,6 +9,7 @@ allow, against the brute-force oracle.
 
 import pytest
 
+import ifpmine.miners
 import ifpmine.tree
 from ifpmine import (
     ThresholdVector,
@@ -174,12 +175,50 @@ def test_one_threshold_counts_no_pair_of_two_long_transactions(tmp_path, capsys,
     counted = []
     real = ifpmine.tree._count_pairs
 
-    def counting(paths):
+    def counting(*args):
         counted.append(1)
-        return real(paths)
+        return real(*args)
 
     monkeypatch.setattr(ifpmine.tree, "_count_pairs", counting)
     code, out = _mine_mlms(path, "2", capsys)
     assert counted == []
     # Items 0-9 occur in both long transactions and 8 short ones.
     assert (code, out) == (0, "".join(f"{i} ({10 if i < 10 else 2})\n" for i in range(10**4)))
+
+
+def test_one_path_projections_are_cut_before_their_pairs(tmp_path, capsys, monkeypatch):
+    # Two copies of a 250-item transaction, whose items meet no short row's.
+    # Each of its items' projections is one path of its later items, whose
+    # every itemset is frequent at 2: mined, they would split 2**249 ways.
+    # Short items k and k + 3 (mod 10) meet 4 times and no other two short
+    # items meet, and the pairs of short items are a 10-cycle, which holds
+    # no triangle: the MIIs are the 250 * 10 + 35 pairs of support 0.
+    rows = [range(250)] * 2 + [[250 + i % 10, 250 + (i + 3) % 10] for i in range(40)]
+    path = _write(tmp_path, _fimi(rows))
+    one_path, real_rec = [], ifpmine.miners._mii_rec
+
+    def distinct_paths(tree):
+        return sum(1 for _ in tree.paths())
+
+    def recording(tree, *args):
+        one_path.append(distinct_paths(tree) == 1)
+        return real_rec(tree, *args)
+
+    def refusing_one_path(real):
+        def stand_in(tree, *args):
+            assert distinct_paths(tree) > 1, f"{real.__name__} reached a tree of one path"
+            return real(tree, *args)
+
+        return stand_in
+
+    monkeypatch.setattr(ifpmine.miners, "_mii_rec", recording)
+    monkeypatch.setattr(ifpmine.tree, "_count_pairs", refusing_one_path(ifpmine.tree._count_pairs))
+    monkeypatch.setattr(ifpmine.miners, "split", refusing_one_path(ifpmine.miners.split))
+    code, out = _mine_mii(path, "2", "ifp", capsys)
+    assert one_path.count(True) >= 249  # the projections of items 0-248 reached the recursion
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 250 * 10 + 35
+    db = read_fimi(path)
+    assert all(support(db, tuple(map(int, line.split()[:-1]))) == 0 for line in lines)
+    assert all(line.endswith(" (0)") for line in lines)

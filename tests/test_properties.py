@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ifpmine.miners
+import ifpmine.tree
 from ifpmine import (
     ThresholdVector,
     TransactionDatabase,
@@ -48,14 +49,31 @@ WIDE_ITEMS = 20
 assert max(NUM_ITEMS, WIDE_ITEMS) <= min(MAX_ORACLE_FREQUENT_ITEMS, MAX_ORACLE_TRANSACTION_LEN)
 
 
-@PROPERTY
-@given(db=databases, data=st.data())
-def test_mii_miners_agree_with_oracle(db, data):
+def _assert_mii_miners_match_oracle(db, data):
     sigma = data.draw(st.integers(1, len(db) + 1), label="sigma")
     want = mii_oracle(db, sigma)
     for result in (ifp_min(db, sigma), apriori_min(db, sigma)):
         assert set(result.miis) == want
         assert result.supports == {s: support(db, s) for s in want}
+
+
+@PROPERTY
+@given(db=databases, data=st.data())
+def test_mii_miners_agree_with_oracle(db, data):
+    _assert_mii_miners_match_oracle(db, data)
+
+
+# A few rows, each repeated: many projections are one distinct path.
+repeated_rows = st.lists(
+    st.tuples(st.lists(st.integers(0, NUM_ITEMS - 1), max_size=MAX_ORACLE_TRANSACTION_LEN), st.integers(1, 4)),
+    max_size=5,
+).map(lambda rows: TransactionDatabase.from_itemsets([r for r, n in rows for _ in range(n)]))
+
+
+@PROPERTY
+@given(db=repeated_rows, data=st.data())
+def test_mii_miners_agree_with_oracle_on_repeated_rows(db, data):
+    _assert_mii_miners_match_oracle(db, data)
 
 
 @PROPERTY
@@ -154,6 +172,30 @@ def test_tree_layer_matches_rebuilt_trees(db, data):
         x_rows = [[i for i in r if i in later] for r in rows if x in r]
         x_supports = item_supports(TransactionDatabase.from_itemsets(x_rows))
         _assert_same_tree(proj, _rebuilt(x_rows, lambda i: x_supports[i] >= m))
+
+
+# Paths of up to 8 items of 0..NUM_ITEMS - 1 with counts up to 70, so a
+# tree's width can pass a 64-bit machine word; the order leaves out some
+# items, which the paths then skip, and may hold items on no path.
+weighted_rows = st.lists(
+    st.tuples(st.lists(st.integers(0, NUM_ITEMS - 1), unique=True, max_size=8), st.integers(1, 70)),
+    max_size=12,
+)
+
+
+@PROPERTY
+@given(rows=weighted_rows, data=st.data())
+def test_pair_kernels_agree_on_weighted_paths(rows, data):
+    order = data.draw(st.permutations(range(NUM_ITEMS)), label="order")[:data.draw(st.integers(0, NUM_ITEMS))]
+    rank = {item: k for k, item in enumerate(order)}
+    paths = [(p, n) for r, n in rows if (p := tuple(sorted((i for i in r if i in rank), key=rank.get)))]
+    db = TransactionDatabase.from_itemsets([r for r, n in rows for _ in range(n)])
+    want = {}
+    for k, a in enumerate(order):
+        if row := {b: n for b in order[k + 1:] if (n := support(db, (a, b)))}:
+            want[a] = row
+    assert ifpmine.tree._path_pairs(paths) == want
+    assert ifpmine.tree._bitset_pairs(order, paths) == want
 
 
 def _table(tree) -> dict:

@@ -16,6 +16,7 @@ from ifpmine import (
     support,
     tree_support,
 )
+from ifpmine import tree as tree_module
 
 from conftest import MII_LABELS, MII_ROWS, counting_nodes, decompress, prune_infrequent_items, universe
 
@@ -371,6 +372,40 @@ class TestNodesOnFirstRead:
             with counting_nodes() as made:
                 read(build_tree(mii_db))
                 assert made == [], name
+
+
+class TestPairKernelChoice:
+    """A tree's pair table is counted on transaction bitsets when the tree is
+    dense, and on its paths when its many transactions make each AND dear."""
+
+    @staticmethod
+    def _kernels(tree, monkeypatch) -> list[str]:
+        """The kernels that count the tree's table on its first read."""
+        used = []
+        for name in ("_path_pairs", "_bitset_pairs"):
+
+            def recording(*args, name=name, real=getattr(tree_module, name)):
+                used.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(tree_module, name, recording)
+        tree.pairs
+        return used
+
+    def test_dense_tree_takes_bitsets(self, monkeypatch):
+        # The shape of the benchmark's dense workloads.
+        db = gen_synthetic(SynthConfig(num_items=40, num_transactions=600, density=0.3, seed=1))
+        assert self._kernels(build_tree(db), monkeypatch) == ["_bitset_pairs"]
+
+    def test_wide_sparse_tree_takes_paths(self, monkeypatch):
+        # 5,000 transactions of 2-8 of 200 items: each AND spans 5,000 bits.
+        # The paths' increments outweigh 200 * 199 ANDs of 600 bits, but not
+        # ANDs this wide, which take about 1.5 times as long as the paths here.
+        rng = random.Random(1)
+        db = TransactionDatabase.from_itemsets(rng.sample(range(200), rng.randint(2, 8)) for _ in range(5000))
+        tree = build_tree(db)
+        assert len(tree.order) == 200
+        assert self._kernels(tree, monkeypatch) == ["_path_pairs"]
 
 
 class TestTreeItems:
