@@ -16,7 +16,6 @@ from .data import (
 )
 from .tree import (
     EmptyTreeError,
-    IFPNode,
     IFPTree,
     build_tree,
     lf_item,
@@ -56,7 +55,6 @@ __all__ = [
     "support",
     "to_fimi",
     "EmptyTreeError",
-    "IFPNode",
     "IFPTree",
     "build_tree",
     "lf_item",

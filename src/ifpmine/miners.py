@@ -52,8 +52,8 @@ from .tree import residual_tree  # noqa: F401 -- not called here; benchmark/test
 
 class MiningStats:
     """Peak count of tree nodes on the recursion stack during a mining run:
-    the ``node_count`` of each tree being split, the distinct prefixes of its
-    paths as they were when its split began. No node is made to count them.
+    the summed ``node_count`` of the trees being split, each the distinct
+    prefixes of its paths, the lines of its ``dump``, when its split began.
 
     A deterministic memory proxy for benchmarking; a run that splits no tree
     leaves it at zero.

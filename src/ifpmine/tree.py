@@ -43,12 +43,9 @@ so row x of the table is x's projected supports at x's step of the chain.
 ``projected_tree`` takes them from there and reads x's paths only if some
 item of that row reaches its ``min_support``.
 
-Nodes are only a view: ``root`` builds the FP-growth-style prefix tree of
-the paths on first read, for ``dump`` and for walking by hand, and ``split``
-drops it at each step. ``node_count``, the number of distinct prefixes of
-the paths, is the number of nodes that view has, counted without making
-it. Reading ``pairs`` or ``root`` the first time writes to the tree: read
-them before sharing a tree between threads.
+``dump`` renders the paths as the paper's prefix tree, one line per distinct
+prefix; ``node_count`` counts those lines. Reading ``pairs`` the first
+time writes to the tree: read it before sharing a tree between threads.
 """
 
 from __future__ import annotations
@@ -63,22 +60,8 @@ class EmptyTreeError(ValueError):
     """Raised when an operation needs a least-frequent item but the tree is empty."""
 
 
-class IFPNode:
-    """One node of a tree's view: item id, path count and children by item id."""
-
-    __slots__ = ("item", "count", "children")
-
-    def __init__(self, item: int | None, count: int = 0):
-        self.item = item
-        self.count = count
-        self.children: dict[int, IFPNode] = {}
-
-    def __repr__(self) -> str:
-        return f"IFPNode({self.item}, count={self.count}, children={len(self.children)})"
-
-
 class IFPTree:
-    __slots__ = ("order", "num_transactions", "supports", "_paths", "_pairs", "_root")
+    __slots__ = ("order", "num_transactions", "supports", "_paths", "_pairs")
 
     def __init__(self, order: Iterable[int], num_transactions: int, supports: dict[int, int]):
         self.order: tuple[int, ...] = tuple(order)
@@ -87,40 +70,21 @@ class IFPTree:
         # first item -> {path sorted into the order: number of transactions on it}
         self._paths: dict[int, dict[tuple[int, ...], int]] = {}
         self._pairs: dict[int, dict[int, int]] | None = None
-        self._root: IFPNode | None = None
 
     def paths(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Each distinct nonempty transaction, sorted into the order, with its count."""
         return chain.from_iterable(map(dict.items, self._paths.values()))
 
     @property
-    def root(self) -> IFPNode:
-        """The unlabeled root of the paths' prefix tree, made on first read."""
-        if self._root is None:
-            self._root = root = IFPNode(None)
-            for path, count in self.paths():
-                node = root
-                for item in path:
-                    child = node.children.get(item)
-                    if child is None:
-                        node.children[item] = child = IFPNode(item)
-                    child.count += count
-                    node = child
-        return self._root
-
-    @property
     def node_count(self) -> int:
-        """Number of nodes below the root: the distinct nonempty prefixes of
-        the paths, counted with no node made. Sorted, each path adds its
-        items after the prefix it shares with the one before it."""
+        """Number of lines of ``dump``: the distinct nonempty prefixes of the
+        paths. Sorted, each path adds its items after the prefix it shares
+        with the one before it."""
         total = 0
         for bucket in self._paths.values():
             prev: Sequence[int] = ()
             for path in sorted(bucket):
-                k, n = 0, min(len(path), len(prev))
-                while k < n and path[k] == prev[k]:
-                    k += 1
-                total += len(path) - k
+                total += len(path) - _common_prefix(prev, path)
                 prev = path
         return total
 
@@ -128,7 +92,8 @@ class IFPTree:
     def pairs(self) -> dict[int, dict[int, int]]:
         """a -> b -> support of {a, b}, for b after a in the order; no row is
         empty and no entry is 0. Counted on first read, on the paths or, for
-        a dense tree, on transaction bitsets (see ``_count_pairs``)."""
+        a dense tree, on transaction bitsets (see ``_count_pairs``). The
+        only read that writes to the tree."""
         if self._pairs is None:
             self._pairs = _count_pairs(self)
         return self._pairs
@@ -137,20 +102,36 @@ class IFPTree:
         # Every item of the order occurs in some path.
         return not self.order
 
-    def sorted_children(self, node: IFPNode) -> list[IFPNode]:
-        return [node.children[i] for i in sorted(node.children, key=self.order.index)]
-
     def dump(self, labels: dict[int, str] | None = None) -> str:
-        """Deterministic indented rendering, one ``item:count`` line per node,
-        children in tree order. The unlabeled root is omitted."""
-        lines: list[str] = []
-        stack = [(child, 0) for child in reversed(self.sorted_children(self.root))]
-        while stack:
-            node, depth = stack.pop()
-            name = labels.get(node.item, str(node.item)) if labels else str(node.item)
-            lines.append("  " * depth + f"{name}:{node.count}")
-            stack.extend((child, depth + 1) for child in reversed(self.sorted_children(node)))
-        return "\n".join(lines)
+        """The paths' prefix tree, one ``item:count`` line per distinct
+        prefix, indented by its depth, children in tree order, the empty
+        prefix left out. The paths are walked once in that order: each adds
+        its items after the prefix it shares with the one before it, and
+        its count to each line of its own prefixes."""
+        rank = {item: k for k, item in enumerate(self.order)}
+        heads: list[str] = []
+        counts: list[int] = []
+        stack: list[int] = []  # the lines of the current path's prefixes
+        prev: Sequence[int] = ()
+        for path, count in sorted(self.paths(), key=lambda pc: [rank[i] for i in pc[0]]):
+            k = _common_prefix(prev, path)
+            del stack[k:]
+            for depth in range(k, len(path)):
+                stack.append(len(heads))
+                name = labels.get(path[depth], str(path[depth])) if labels else str(path[depth])
+                heads.append("  " * depth + name)
+                counts.append(0)
+            for line in stack:
+                counts[line] += count
+            prev = path
+        return "\n".join(f"{head}:{count}" for head, count in zip(heads, counts))
+
+def _common_prefix(prev: Sequence[int], path: Sequence[int]) -> int:
+    """Number of leading items ``path`` shares with ``prev``."""
+    k, n = 0, min(len(path), len(prev))
+    while k < n and path[k] == prev[k]:
+        k += 1
+    return k
 
 
 def _order_items(supports: dict[int, int]) -> list[int]:
@@ -285,7 +266,6 @@ def split(tree: IFPTree, min_support: int = 0) -> Iterator[tuple[int, IFPTree]]:
     while tree.order:
         x = tree.order[0]
         yield x, projected_tree(tree, x, min_support)  # reads the pair table
-        tree._root = None
         buckets = tree._paths
         for path, count in buckets.pop(x).items():
             if rest := path[1:]:  # the transaction's other items, merged with equal ones

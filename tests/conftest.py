@@ -1,9 +1,6 @@
-from contextlib import contextmanager
-
 import pytest
 
 from ifpmine import TransactionDatabase, item_supports
-from ifpmine import tree as tree_module
 
 # Nine-transaction example database (labels A..F as ids 0..5).
 MII_LABELS = {0: "A", 1: "B", 2: "C", 3: "D", 4: "E", 5: "F"}
@@ -78,40 +75,27 @@ def prune_infrequent_items(db: TransactionDatabase, sigma: int) -> TransactionDa
     )
 
 
-def decompress(tree) -> list[tuple[tuple[int, ...], int]]:
-    """The database a tree represents, read back by a walk of its own nodes:
-    each nonempty transaction as (items in the tree's order, multiplicity),
-    in tree order, a path before its extensions. No recursion, so long paths
-    read back too."""
+def dump_lines(tree) -> list[tuple[int, int, int]]:
+    """The tree's unlabeled ``dump`` read back: (depth, item, count) per line."""
     out = []
-    stack = [(child, ()) for child in reversed(tree.sorted_children(tree.root))]
-    while stack:
-        node, above = stack.pop()
-        path = above + (node.item,)
-        children = tree.sorted_children(node)
-        ending = node.count - sum(child.count for child in children)
-        if ending > 0:
-            out.append((path, ending))
-        stack.extend((child, path) for child in reversed(children))
+    for line in tree.dump().splitlines():
+        name = line.lstrip(" ")
+        item, count = map(int, name.split(":"))
+        out.append(((len(line) - len(name)) // 2, item, count))
     return out
 
 
-@contextmanager
-def counting_nodes():
-    """Within the block the tree layer makes its nodes as a subclass that
-    appends each node's item, roots left out, to the yielded list: the
-    nodes of each ``root`` view as it is made, counted with no read of a
-    tree."""
-    made = []
-
-    class CountingNode(tree_module.IFPNode):
-        __slots__ = ()
-
-        def __init__(self, item, count=0):
-            super().__init__(item, count)
-            if item is not None:  # not a root
-                made.append(item)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tree_module, "IFPNode", CountingNode)
-        yield made
+def decompress(tree) -> list[tuple[tuple[int, ...], int]]:
+    """The database a tree represents, read back from its ``dump``: each
+    nonempty transaction as (items in the tree's order, multiplicity), in
+    tree order, a path before its extensions. The transactions that end at
+    a line are its count minus its children's counts."""
+    out, stack = [], []  # stack: the [path, ending] of each line on the current path
+    for depth, item, count in dump_lines(tree):
+        del stack[depth:]
+        if stack:
+            stack[-1][1] -= count
+        entry = [(stack[-1][0] if stack else ()) + (item,), count]
+        out.append(entry)
+        stack.append(entry)
+    return [(path, ending) for path, ending in out if ending > 0]

@@ -18,7 +18,7 @@ from ifpmine import (
     support,
 )
 
-from conftest import MLMS_EXPECTED, MLMS_SIGMAS, counting_nodes, universe
+from conftest import MLMS_EXPECTED, MLMS_SIGMAS, universe
 
 
 def random_db(rng: random.Random, max_items=8, max_tx=25) -> TransactionDatabase:
@@ -234,10 +234,9 @@ class TestSigmaLowPruning:
         assert calls
         assert set(unpruned.frequent) == mlms_oracle(mlms_db, tv)
 
-    def test_no_node_at_two_thresholds(self, mlms_db, monkeypatch):
+    def test_no_split_at_two_thresholds(self, mlms_db, monkeypatch):
         # At L = 2 the pairs are read from the pair table of the database's
-        # tree, counted from its transactions: no tree is split, and no tree
-        # gets a node.
+        # tree, counted from its transactions: no tree is split.
         calls = []
         real = tree_module.projected_tree
 
@@ -246,20 +245,18 @@ class TestSigmaLowPruning:
             return real(tree, x, min_support)
 
         monkeypatch.setattr(tree_module, "projected_tree", recording)
-        with counting_nodes() as made:
-            for tv in (ThresholdVector((2, 2)), ThresholdVector((3, 1))):
-                result = mine_mlms(mlms_db, tv)
-                assert made == [] and calls == []
-                assert set(result.frequent) == mlms_oracle(mlms_db, tv)
-                assert result.supports == {s: support(mlms_db, s) for s in result.frequent}
-            mine_mlms(mlms_db, ThresholdVector((2, 2)), sigma_low_prune=False)
-            assert calls  # unpruned, the tree is split
-            assert made == []  # and still no tree gets a node
+        for tv in (ThresholdVector((2, 2)), ThresholdVector((3, 1))):
+            result = mine_mlms(mlms_db, tv)
+            assert calls == []
+            assert set(result.frequent) == mlms_oracle(mlms_db, tv)
+            assert result.supports == {s: support(mlms_db, s) for s in result.frequent}
+        mine_mlms(mlms_db, ThresholdVector((2, 2)), sigma_low_prune=False)
+        assert calls  # unpruned, the tree is split
 
     def test_only_the_top_tree_is_built_at_three_thresholds(self, mlms_db, monkeypatch):
         # At L = 3 the projections under the empty prefix hold singletons and
         # pairs, read from their supports and pair tables: only the top tree
-        # is split, and no tree gets a node.
+        # is split.
         top, split_trees = [], []
         real_tree, real_split = mlms_module.build_tree, mlms_module.split
 
@@ -274,16 +271,14 @@ class TestSigmaLowPruning:
         monkeypatch.setattr(mlms_module, "build_tree", recording_tree)
         monkeypatch.setattr(mlms_module, "split", recording_split)
         tv = ThresholdVector((3, 2, 2))
-        with counting_nodes() as made:
-            result = mine_mlms(mlms_db, tv)
-            assert set(result.frequent) == mlms_oracle(mlms_db, tv)
-            assert any(len(s) == 3 for s in result.frequent)
-            assert len(top) == 1
-            assert split_trees == top  # no projection is split
-            split_trees.clear()
-            mine_mlms(mlms_db, tv, sigma_low_prune=False)
-            assert len(split_trees) > 1  # unpruned, the projections are split too
-            assert made == []
+        result = mine_mlms(mlms_db, tv)
+        assert set(result.frequent) == mlms_oracle(mlms_db, tv)
+        assert any(len(s) == 3 for s in result.frequent)
+        assert len(top) == 1
+        assert split_trees == top  # no projection is split
+        split_trees.clear()
+        mine_mlms(mlms_db, tv, sigma_low_prune=False)
+        assert len(split_trees) > 1  # unpruned, the projections are split too
 
     def test_tree_is_built_at_the_least_threshold_beyond_the_first(self, monkeypatch):
         # Items 0-9 occur 9 times each, items 10-9999 only in the long

@@ -5,8 +5,6 @@ its operations stand for. Every database stays inside the oracles' guards
 items per transaction), and the runs are derandomized, so they repeat."""
 
 import random
-from itertools import islice
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,8 +30,6 @@ from ifpmine import (
 )
 from ifpmine.oracle import MAX_ORACLE_FREQUENT_ITEMS, MAX_ORACLE_TRANSACTION_LEN
 from ifpmine.tree import split
-
-from conftest import counting_nodes
 
 NUM_ITEMS = 20
 
@@ -76,9 +72,7 @@ def test_mii_miners_agree_with_oracle_on_repeated_rows(db, data):
     _assert_mii_miners_match_oracle(db, data)
 
 
-@PROPERTY
-@given(db=databases, data=st.data())
-def test_mlms_agrees_with_oracle_on_non_monotone_thresholds(db, data):
+def _assert_mlms_matches_oracle(db, data):
     sigmas = data.draw(
         st.lists(st.integers(1, len(db) + 1), min_size=1, max_size=6), label="sigmas"
     )
@@ -88,6 +82,18 @@ def test_mlms_agrees_with_oracle_on_non_monotone_thresholds(db, data):
         result = mine_mlms(db, tv, sigma_low_prune=prune)
         assert set(result.frequent) == want
         assert result.supports == {s: support(db, s) for s in want}
+
+
+@PROPERTY
+@given(db=databases, data=st.data())
+def test_mlms_agrees_with_oracle_on_non_monotone_thresholds(db, data):
+    _assert_mlms_matches_oracle(db, data)
+
+
+@PROPERTY
+@given(db=repeated_rows, data=st.data())
+def test_mlms_agrees_with_oracle_on_repeated_rows(db, data):
+    _assert_mlms_matches_oracle(db, data)
 
 
 # Ids NUM_ITEMS and NUM_ITEMS + 1 occur in no database.
@@ -132,7 +138,7 @@ def test_tree_layer_matches_rebuilt_trees(db, data):
     _assert_same_tree(pruned, _rebuilt(rows, lambda i: db_supports[i] >= floor))
     assert pruned.supports == db_supports
     # At each step of the chain the tree is the one rebuilt without the items
-    # split off so far: its paths, its view and the table that lost their rows.
+    # split off so far: its paths and the table that lost their rows.
     chain = build_tree(db, floor)
     for k, (x, _) in enumerate(split(chain)):
         later = set(pruned.order[k:])
@@ -152,12 +158,10 @@ def test_tree_layer_matches_rebuilt_trees(db, data):
     proj = projected_tree(tree, x, m)
     kept = _rebuilt(proj_rows, lambda i: proj_supports[i] >= m)
     _assert_same_tree(proj, kept)
-    # A fresh projection's table and node count need no node.
-    with counting_nodes() as made:
-        fresh = projected_tree(tree, x, m)
-        _assert_pair_table(fresh, kept)
-        assert fresh.node_count == proj.node_count
-        assert made == []
+    # A fresh projection's table, read before its dump, is the same.
+    fresh = projected_tree(tree, x, m)
+    _assert_pair_table(fresh, kept)
+    assert fresh.node_count == proj.node_count
     _assert_same_tree(fresh, kept)
     assert proj.supports == proj_supports
     assert projected_tree(tree, x).supports == proj_supports
@@ -198,72 +202,26 @@ def test_pair_kernels_agree_on_weighted_paths(rows, data):
     assert ifpmine.tree._bitset_pairs(order, paths) == want
 
 
-def _table(tree) -> dict:
-    return {a: dict(row) for a, row in tree.pairs.items()}
-
-
-def _state(tree) -> tuple:
-    """What a tree answers, copied, with the read that makes its nodes last."""
-    return (tree.order, dict(tree.supports), tree.num_transactions, tree.is_empty(), _table(tree),
-            tree.dump(), tree.node_count)
-
-
 @PROPERTY
 @given(db=databases, data=st.data())
-def test_a_tree_answers_alike_before_and_after_its_nodes_are_made(db, data):
-    floor = data.draw(st.integers(0, len(db) + 1), label="floor")
-    s = data.draw(st.lists(st.integers(0, NUM_ITEMS + 1), max_size=5), label="itemset")
-    m = data.draw(st.integers(0, len(db) + 1), label="projection floor")
-    k = data.draw(st.integers(0, NUM_ITEMS + 1), label="steps")
-    reads = {
-        "is_empty": lambda t: t.is_empty(),
-        "dump": lambda t: t.dump(),
-        "tree_support": lambda t: tree_support(t, s),
-        "node_count": lambda t: t.node_count,
-        "pairs": lambda t: t.pairs,
-        "residual_tree": lambda t: t.order and _state(residual_tree(t, t.order[0])),
-        "projected_tree": lambda t: t.order and _state(projected_tree(t, t.order[0], m)),
-        # Each step's projection, then the tree's table and nodes.
-        "split": lambda t: [(x, _state(p), _table(t), _state(t)) for x, p in split(t, m)],
-        # k steps that read only the tables, then all of what is left: the
-        # view made before the first step must not outlive it.
-        "split, nodes read last": lambda t: ([(x, _table(t)) for x, _ in islice(split(t), k)], _state(t)),
-    }
-    for name, read in reads.items():
-        with_nodes = build_tree(db, floor)
-        with_nodes.root  # the first read makes the nodes
-        with counting_nodes() as made:
-            fresh = build_tree(db, floor)
-        assert made == []
-        assert read(fresh) == read(with_nodes), name
-
-
-@PROPERTY
-@given(db=databases, data=st.data())
-def test_node_count_is_the_number_of_nodes_the_root_makes(db, data):
+def test_node_count_is_the_number_of_dump_lines(db, data):
     floor = data.draw(st.integers(0, len(db) + 1), label="floor")
     m = data.draw(st.integers(0, len(db) + 1), label="projection floor")
-    with counting_nodes() as made:
 
-        def assert_prefix_count(tree):
-            before = len(made)
-            n = tree.node_count
-            assert len(made) == before  # counted with no node made
-            tree.root
-            assert len(made) - before == n
+    def assert_line_count(tree):
+        assert tree.node_count == len(tree.dump().splitlines())
 
-        tree = build_tree(db, floor)
-        assert_prefix_count(tree)
-        if tree.order:
-            x = tree.order[0]
-            assert_prefix_count(projected_tree(tree, x, m))
-            assert_prefix_count(residual_tree(tree, x))
-        # At each step the tree's view of the step before is dropped.
-        chain = build_tree(db, floor)
-        for x, proj in split(chain, m):
-            assert_prefix_count(chain)
-            assert_prefix_count(proj)
-        assert_prefix_count(chain)
+    tree = build_tree(db, floor)
+    assert_line_count(tree)
+    if tree.order:
+        x = tree.order[0]
+        assert_line_count(projected_tree(tree, x, m))
+        assert_line_count(residual_tree(tree, x))
+    chain = build_tree(db, floor)
+    for x, proj in split(chain, m):
+        assert_line_count(chain)
+        assert_line_count(proj)
+    assert_line_count(chain)
 
 
 def _wide_database(rng: random.Random) -> TransactionDatabase:

@@ -18,7 +18,7 @@ from ifpmine import (
 )
 from ifpmine import tree as tree_module
 
-from conftest import MII_LABELS, MII_ROWS, counting_nodes, decompress, prune_infrequent_items, universe
+from conftest import MII_LABELS, MII_ROWS, decompress, dump_lines, prune_infrequent_items, universe
 
 
 def random_db(rng: random.Random, max_items=9, max_tx=30) -> TransactionDatabase:
@@ -33,14 +33,8 @@ def random_db(rng: random.Random, max_items=9, max_tx=30) -> TransactionDatabase
 
 
 def _nodes(tree, item):
-    """Every node of the tree labeled with the item."""
-    found, stack = [], list(tree.root.children.values())
-    while stack:
-        node = stack.pop()
-        if node.item == item:
-            found.append(node)
-        stack.extend(node.children.values())
-    return found
+    """(depth, count) of every line of the tree's dump labeled with the item."""
+    return [(depth, count) for depth, i, count in dump_lines(tree) if i == item]
 
 
 @pytest.fixture
@@ -79,8 +73,7 @@ class TestBuildTree:
 
     def test_no_sharing(self):
         tree = build_tree(TransactionDatabase.from_itemsets([[1], [2]]))
-        assert len(tree.root.children) == 2
-        assert all(c.count == 1 for c in tree.root.children.values())
+        assert dump_lines(tree) == [(0, 1, 1), (0, 2, 1)]
 
     def test_empty_transactions_counted(self):
         tree = build_tree(parse_fimi("\n\n1\n"))
@@ -106,6 +99,19 @@ class TestBuildTree:
         tree = build_tree(TransactionDatabase.from_itemsets([range(1200)]))
         assert len(tree.dump().splitlines()) == 1200
 
+    def test_dump_wide_root(self):
+        # Each path is a child of the root: one line each, in the order.
+        tree = build_tree(TransactionDatabase.from_itemsets([[i] for i in range(20000)]))
+        lines = tree.dump().splitlines()
+        assert len(lines) == 20000
+        assert (lines[0], lines[-1]) == ("0:1", "19999:1")
+
+    def test_dump_repeated_long_transaction(self):
+        tree = build_tree(TransactionDatabase.from_itemsets([range(5000)] * 2))
+        lines = tree.dump().splitlines()
+        assert len(lines) == 5000
+        assert (lines[0], lines[-1]) == ("0:2", "  " * 4999 + "4999:2")
+
     def test_header_chains_complete(self):
         # The counts of an item's nodes sum to its support, for every item.
         rng = random.Random(6)
@@ -114,7 +120,7 @@ class TestBuildTree:
             tree = build_tree(db)
             assert set(tree.order) == universe(db)
             for item in universe(db):
-                assert sum(n.count for n in _nodes(tree, item)) == support(db, (item,))
+                assert sum(count for _, count in _nodes(tree, item)) == support(db, (item,))
 
     def test_node_count_bounded_by_occurrences(self):
         rng = random.Random(8)
@@ -125,19 +131,23 @@ class TestBuildTree:
             assert tree.node_count <= occurrences
 
     def test_counts_and_ranks_consistent(self):
+        # Each line is a child of the line above it at one less depth: the
+        # children's counts sum to at most their parent's, their items come
+        # after its item in the order, and siblings come in that order.
         rng = random.Random(9)
         for _ in range(20):
             tree = build_tree(random_db(rng))
-
-            def walk(node):
-                assert node.count >= sum(c.count for c in node.children.values())
-                for item, child in node.children.items():
-                    if node.item is not None:
-                        assert tree.order.index(item) > tree.order.index(node.item)
-                    walk(child)
-
-            for child in tree.root.children.values():
-                walk(child)
+            rank = {item: k for k, item in enumerate(tree.order)}
+            stack = [[-1, tree.num_transactions, -1]]  # [rank, count left, last child's rank] per open line
+            for depth, item, count in dump_lines(tree):
+                assert depth <= len(stack) - 1
+                del stack[depth + 1:]
+                parent = stack[-1]
+                assert parent[0] < rank[item] and parent[2] < rank[item]
+                parent[1] -= count
+                parent[2] = rank[item]
+                assert parent[1] >= 0
+                stack.append([rank[item], count, -1])
 
 
 class TestLfItem:
@@ -161,9 +171,7 @@ class TestLfItem:
             if tree.is_empty():
                 continue
             x = lf_item(tree)
-            nodes = _nodes(tree, x)
-            assert len(nodes) == 1
-            assert tree.root.children.get(x) is nodes[0]
+            assert _nodes(tree, x) == [(0, tree.supports[x])]
 
 
 class TestProjectedTree:
@@ -326,52 +334,6 @@ class TestResidualTree:
         residual_tree(pruned_tree, 0)
         projected_tree(pruned_tree, 0)
         assert pruned_tree.dump() == before
-
-
-class TestNodesOnFirstRead:
-    """A tree's nodes are a view of its paths, made the first time its root
-    is read, as ``dump`` does. The nodes are counted as they are made;
-    ``node_count`` counts them with none made."""
-
-    def test_constructors_make_no_node(self, mii_db):
-        with counting_nodes() as made:
-            tree = build_tree(mii_db)
-            assert made == []
-            # The order, supports, pair table and node count need no node.
-            assert not tree.is_empty() and tree.pairs and lf_item(tree) == 5
-            n = tree.node_count
-            assert made == []
-            tree.root
-            assert len(made) == n > 0
-            proj, resid = projected_tree(tree, 5), residual_tree(tree, 5)
-            assert len(made) == n
-            m = proj.node_count + resid.node_count
-            assert len(made) == n
-            proj.root, resid.root
-            assert len(made) - n == m > 0
-
-    def test_each_read_of_the_nodes_makes_them(self, mii_db):
-        reads = {
-            "root": lambda t: t.root,
-            "dump": lambda t: t.dump(),
-        }
-        for name, read in reads.items():
-            with counting_nodes() as made:
-                tree = build_tree(mii_db)
-                assert made == []
-                read(tree)
-                read(tree)  # the view is made once
-                assert len(made) == tree.node_count == 16, name
-
-    def test_counting_and_supports_make_no_node(self, mii_db):
-        reads = {
-            "node_count": lambda t: t.node_count,
-            "tree_support": lambda t: tree_support(t, (1,)),
-        }
-        for name, read in reads.items():
-            with counting_nodes() as made:
-                read(build_tree(mii_db))
-                assert made == [], name
 
 
 class TestPairKernelChoice:
