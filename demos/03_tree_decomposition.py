@@ -13,7 +13,6 @@ Two support identities make the recursion sound, shown numerically below.
 from ifpmine import (
     TransactionDatabase,
     build_tree,
-    lf_item,
     projected_tree,
     residual_tree,
     tree_support,
@@ -26,17 +25,17 @@ db = TransactionDatabase.from_itemsets(
 )
 
 tree = build_tree(db)
-x = lf_item(tree)
+x = tree.order[0]
 print(f"least frequent item: {LABELS[x]} (support {tree.supports[x]})")
 print()
 print("full tree:")
 print(tree.dump(LABELS))
 
-resid = residual_tree(tree, x)
+resid = residual_tree(tree)
 print(f"\nresidual tree of {LABELS[x]} ({resid.num_transactions} transactions):")
 print(resid.dump(LABELS))
 
-proj = projected_tree(tree, x)
+proj = projected_tree(tree)
 print(f"\nprojected tree of {LABELS[x]} ({proj.num_transactions} transactions):")
 print(proj.dump(LABELS))
 

@@ -15,10 +15,8 @@ from .data import (
     to_fimi,
 )
 from .tree import (
-    EmptyTreeError,
     IFPTree,
     build_tree,
-    lf_item,
     projected_tree,
     residual_tree,
     tree_support,
@@ -54,10 +52,8 @@ __all__ = [
     "read_fimi",
     "support",
     "to_fimi",
-    "EmptyTreeError",
     "IFPTree",
     "build_tree",
-    "lf_item",
     "projected_tree",
     "residual_tree",
     "tree_support",

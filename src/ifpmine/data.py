@@ -94,7 +94,11 @@ class SupportThreshold:
         # and non-ASCII digits.
         if not (text.isascii() and text.isdigit()):
             raise InvalidThresholdError(f"bad threshold: {text!r}")
-        return cls("absolute", int(text))
+        try:
+            return cls("absolute", int(text))
+        except ValueError:  # more digits than int() converts, sys.get_int_max_str_digits()
+            too_long = f"{text[:10]}... has {len(text)} digits, too many for int()"
+            raise InvalidThresholdError(f"bad threshold: {too_long}") from None
 
     def resolve(self, num_transactions: int) -> int:
         """Absolute count for a database of the given size (ceil for fractions)."""
@@ -127,7 +131,11 @@ def parse_fimi(text: str) -> TransactionDatabase:
         for tok in line.split():
             # Not int(tok) alone: it also takes "+1", "1_0" and non-ASCII digits.
             if tok.isascii() and tok.isdigit():
-                items.append(int(tok))
+                try:
+                    items.append(int(tok))
+                except ValueError:  # more digits than int() converts, sys.get_int_max_str_digits()
+                    too_long = f"{tok[:10]}... has {len(tok)} digits, too many for int()"
+                    raise FimiParseError(f"line {lineno}: item id {too_long}") from None
             elif tok[0] == "-" and tok[1:].isascii() and tok[1:].isdigit():
                 raise FimiParseError(f"line {lineno}: negative item id {tok}")
             else:

@@ -16,7 +16,6 @@ from .data import (
     InvalidThresholdError,
     Itemset,
     TransactionDatabase,
-    item_supports,
     support,
 )
 from .mlms import ThresholdVector
@@ -42,7 +41,7 @@ def mii_oracle(db: TransactionDatabase, sigma: int) -> set[Itemset]:
     """
     if sigma < 1:
         raise InvalidThresholdError(f"sigma must be >= 1, got {sigma}")
-    counts = item_supports(db)
+    counts = {i: support(db, (i,)) for i in {i for t in db for i in t}}
     frequent_items = sorted(i for i, c in counts.items() if c >= sigma)
     if len(frequent_items) > MAX_ORACLE_FREQUENT_ITEMS:
         raise OracleGuardError(

@@ -25,7 +25,10 @@ prefix, and ``build_tree`` makes its tree.
 yields each lf-item x with x's projected tree, then turns its tree into x's
 residual tree in place, moving each path of x's bucket, without x, into the
 bucket of its next item: O(x's paths) per step, not O(tree). It consumes
-its tree; ``projected_tree`` and ``residual_tree`` leave theirs alone.
+its tree. ``projected_tree(tree, min_support)`` and ``residual_tree(tree)``
+take one step at the tree's own lf-item, ``tree.order[0]``, and leave the
+tree alone: ``residual_tree`` is ``split``'s residual step on a copy. On an
+empty tree both raise the ``IndexError`` of ``order[0]``.
 
 Every tree carries a pair table, FP-growth*'s FP-array (Grahne and Zhu,
 IEEE TKDE 2005): ``pairs[a][b]`` is the support of {a, b} for each item b
@@ -54,10 +57,6 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .data import TransactionDatabase, item_supports
-
-
-class EmptyTreeError(ValueError):
-    """Raised when an operation needs a least-frequent item but the tree is empty."""
 
 
 class IFPTree:
@@ -97,10 +96,6 @@ class IFPTree:
         if self._pairs is None:
             self._pairs = _count_pairs(self)
         return self._pairs
-
-    def is_empty(self) -> bool:
-        # Every item of the order occurs in some path.
-        return not self.order
 
     def dump(self, labels: dict[int, str] | None = None) -> str:
         """The paths' prefix tree, one ``item:count`` line per distinct
@@ -228,27 +223,15 @@ def build_tree(db: TransactionDatabase, min_support: int = 0) -> IFPTree:
     return _prepare(item_supports(db), ((t, 1) for t in db.transactions), len(db), min_support)
 
 
-def lf_item(tree: IFPTree) -> int:
-    """Least frequent item of the tree (first in i-flist order)."""
-    if not tree.order:
-        raise EmptyTreeError("empty tree has no least-frequent item")
-    return tree.order[0]
-
-
-def _check_lf(tree: IFPTree, x: int) -> None:
-    if not tree.order or tree.order[0] != x:
-        raise ValueError(f"item {x} is not the least-frequent item of this tree")
-
-
-def projected_tree(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
-    """Tree of the projected database of x: transactions containing x, with x
-    removed. Requires x to be the lf-item, so the whole projection is the
-    paths of x's bucket, without x. Item order is recomputed because
-    supports change under projection. ``supports`` holds every item's
-    projected support, but the items below ``min_support`` are left out of
-    the paths. The supports are read from the pair table first: x's paths
-    are read only if some item reaches ``min_support``."""
-    _check_lf(tree, x)
+def projected_tree(tree: IFPTree, min_support: int = 0) -> IFPTree:
+    """Tree of the projected database of the tree's lf-item x: transactions
+    containing x, with x removed. Since x is the lf-item, the whole
+    projection is the paths of x's bucket, without x. Item order is
+    recomputed because supports change under projection. ``supports`` holds
+    every item's projected support, but the items below ``min_support`` are
+    left out of the paths. The supports are read from the pair table first:
+    x's paths are read only if some item reaches ``min_support``."""
+    x = tree.order[0]
     # Row x of the pair table: items that never occur with x are absent, and
     # so are the items the tree leaves out.
     supports = dict(tree.pairs.get(x, ()))
@@ -257,36 +240,44 @@ def projected_tree(tree: IFPTree, x: int, min_support: int = 0) -> IFPTree:
     return _prepare(supports, paths, tree.supports[x], min_support)
 
 
+def _drop_lf(tree: IFPTree) -> int:
+    """Turn the tree into the residual tree of its lf-item x in place and
+    return x: each path of x's bucket moves, without x, to the bucket of its
+    next item. The other supports stay, so the order just loses x. The pair
+    table is left to the caller."""
+    x = tree.order[0]
+    buckets = tree._paths
+    for path, count in buckets.pop(x).items():
+        if rest := path[1:]:  # the transaction's other items, merged with equal ones
+            bucket = buckets.get(rest[0])
+            if bucket is None:
+                buckets[rest[0]] = {rest: count}
+            else:
+                bucket[rest] = bucket.get(rest, 0) + count
+    tree.order = tree.order[1:]
+    del tree.supports[x]
+    return x
+
+
 def split(tree: IFPTree, min_support: int = 0) -> Iterator[tuple[int, IFPTree]]:
     """Walk the tree's residual chain, consuming it: for each lf-item x,
-    yield ``(x, projected_tree(tree, x, min_support))``, then turn the tree
-    into x's residual tree in place: each path of x's bucket moves, without
-    x, to the bucket of its next item (the other supports stay, so the order
-    just loses x and the pair table its row x)."""
+    yield ``(x, projected_tree(tree, min_support))``, then turn the tree
+    into x's residual tree in place (``_drop_lf``) and drop row x of its
+    pair table, the one table entry the residual changes."""
     while tree.order:
-        x = tree.order[0]
-        yield x, projected_tree(tree, x, min_support)  # reads the pair table
-        buckets = tree._paths
-        for path, count in buckets.pop(x).items():
-            if rest := path[1:]:  # the transaction's other items, merged with equal ones
-                bucket = buckets.get(rest[0])
-                if bucket is None:
-                    buckets[rest[0]] = {rest: count}
-                else:
-                    bucket[rest] = bucket.get(rest, 0) + count
-        tree.order = tree.order[1:]
-        del tree.supports[x]
-        tree._pairs.pop(x, None)
+        yield tree.order[0], projected_tree(tree, min_support)  # reads the pair table
+        tree._pairs.pop(_drop_lf(tree), None)
 
 
-def residual_tree(tree: IFPTree, x: int) -> IFPTree:
-    """Tree of the residual database of x: every transaction, with x removed.
-    Requires x to be the lf-item; the input tree is left unchanged."""
-    _check_lf(tree, x)
-    supports = dict(tree.supports)
-    # The rest of the order reaches x's support; items left out fall below it.
-    floor = supports.pop(x)
-    return _prepare(supports, tree.paths(), tree.num_transactions, floor)
+def residual_tree(tree: IFPTree) -> IFPTree:
+    """Tree of the residual database of the tree's lf-item x: every
+    transaction, with x removed. It is ``split``'s residual step taken on a
+    copy, so the input tree is left unchanged; the copy counts its own pair
+    table when first read."""
+    copy = IFPTree(tree.order, tree.num_transactions, dict(tree.supports))
+    copy._paths = {item: dict(bucket) for item, bucket in tree._paths.items()}
+    _drop_lf(copy)
+    return copy
 
 
 def tree_support(tree: IFPTree, s: Iterable[int]) -> int:

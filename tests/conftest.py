@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from ifpmine import TransactionDatabase, item_supports
@@ -59,6 +61,18 @@ def mii_db() -> TransactionDatabase:
 @pytest.fixture
 def mlms_db() -> TransactionDatabase:
     return TransactionDatabase.from_itemsets(MLMS_ROWS)
+
+
+@pytest.fixture
+def int_digit_limit():
+    """The most digits ``int()`` converts, set to Python's default for the
+    test whatever the environment set (``PYTHONINTMAXSTRDIGITS``)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any length")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(before)
 
 
 def universe(db: TransactionDatabase) -> frozenset[int]:

@@ -14,7 +14,6 @@ from ifpmine import (
     build_tree,
     gen_synthetic,
     ifp_min,
-    lf_item,
     mii_oracle,
     mine_mlms,
     mlms_oracle,
@@ -170,11 +169,11 @@ def test_criterion_05_decomposition_identities():
             SynthConfig(rng.randint(2, 9), rng.randint(2, 30), rng.uniform(0.2, 0.8), rng.getrandbits(64))
         )
         tree = build_tree(db)
-        if tree.is_empty():
+        if not tree.order:
             continue
-        x = lf_item(tree)
-        resid = residual_tree(tree, x)
-        proj = projected_tree(tree, x)
+        x = tree.order[0]
+        resid = residual_tree(tree)
+        proj = projected_tree(tree)
         others = [i for i in sorted(universe(db)) if i != x]
         for _ in range(8):
             k = rng.randint(0, min(4, len(others)))

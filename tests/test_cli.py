@@ -124,6 +124,27 @@ class TestCheck:
         assert main(["check", "--input", table1_path, "--min-sup", "2"]) == cli.EXIT_DISAGREEMENT
         assert capsys.readouterr().out == "DISAGREE apriori vs oracle: 5 has support 2 in apriori, 1 in oracle\n"
 
+    @pytest.mark.parametrize(
+        "change, line",
+        [
+            (lambda miis: miis[1:], "DISAGREE ifp vs oracle: 5 only in oracle\n"),
+            (lambda miis: (*miis, (0, 5)), "DISAGREE ifp vs oracle: 0 5 only in ifp\n"),
+        ],
+        ids=["ifp-drops-one", "ifp-adds-one"],
+    )
+    def test_missing_or_extra_itemset_is_a_disagreement(self, table1_path, monkeypatch, capsys, change, line):
+        real = cli.mine_mii
+
+        def changed(db, sigma, algorithm="ifp", stats=None):
+            result = real(db, sigma, algorithm=algorithm, stats=stats)
+            if algorithm != "ifp":
+                return result
+            return dataclasses.replace(result, miis=change(result.miis), supports={**result.supports, (0, 5): 0})
+
+        monkeypatch.setattr(cli, "mine_mii", changed)
+        assert main(["check", "--input", table1_path, "--min-sup", "2"]) == cli.EXIT_DISAGREEMENT
+        assert capsys.readouterr().out == line
+
 
 class TestBench:
     def test_cross_product_rows_and_header(self, table1_path, capsys):
@@ -303,6 +324,18 @@ class TestBench:
         records = list(bench_sweep([table1_path], ["ifp"], ["2"], timeout=1))
         assert [r.csv_row() for r in records] == [f"{table1_path},ifp,2,-1,-1,-1"]
         assert capsys.readouterr().err == ""
+
+    def test_mismatched_counts_exit_after_every_row(self, table1_path, monkeypatch, capsys):
+        records = [
+            cli.BenchRecord(table1_path, "ifp", "2", 1.0, 8, 63),
+            cli.BenchRecord(table1_path, "apriori", "2", 1.0, 9, 0),
+        ]
+        monkeypatch.setattr(cli, "bench_sweep", lambda *args, **kwargs: iter(records))
+        rc = main(["bench", "--inputs", table1_path, "--algos", "ifp,apriori", "--thresholds", "2"])
+        assert rc == cli.EXIT_DISAGREEMENT
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [BENCH_CSV_HEADER, *(r.csv_row() for r in records)]
+        assert err == f"MISMATCH: itemset counts [8, 9] for {table1_path} at 2\n"
 
     def test_sweep_api_yields_records(self, table1_path):
         records = list(bench_sweep([table1_path], ["ifp"], ["2"], jobs=1, timeout=30))

@@ -75,6 +75,12 @@ class TestParseFimi:
         db = parse_fimi("007 18446744073709551616\n")
         assert db.transactions[0] == (7, 2**64)
 
+    def test_id_longer_than_the_int_digit_limit(self, int_digit_limit):
+        tok = "1" * (int_digit_limit + 1)
+        msg = f"line 2: item id 1111111111... has {len(tok)} digits"
+        with pytest.raises(FimiParseError, match=re.escape(msg)):
+            parse_fimi(f"1\n3 {tok}\n")
+
     def test_roundtrip_identity(self):
         rng = random.Random(42)
         for _ in range(20):
@@ -159,7 +165,7 @@ class TestPruneInfrequentItems:
     def test_all_items_pruned(self):
         db = TransactionDatabase.from_itemsets([[1], [2]])
         tree = build_tree(db, 2)
-        assert tree.is_empty() and tree.num_transactions == 2
+        assert not tree.order and tree.num_transactions == 2
         assert tree.order == () and tree.supports == {1: 1, 2: 1}
 
     def test_support_preserved_for_untouched_itemsets(self):
@@ -208,6 +214,12 @@ class TestSupportThreshold:
             with pytest.raises(InvalidThresholdError):
                 SupportThreshold.parse(text)
         assert SupportThreshold.parse("1e-999999999%").resolve(100) == 0
+
+    def test_count_longer_than_the_int_digit_limit(self, int_digit_limit):
+        text = "1" * (int_digit_limit + 1)
+        msg = f"bad threshold: 1111111111... has {len(text)} digits"
+        with pytest.raises(InvalidThresholdError, match=re.escape(msg)):
+            SupportThreshold.parse(text)
         with pytest.raises(InvalidThresholdError):
             SupportThreshold("absolute", -1)
 

@@ -106,6 +106,20 @@ def test_item_ids_beyond_64_bits(tmp_path, capsys):
     _mlms_matches_oracle(path, "2,2")
 
 
+def test_ids_and_thresholds_longer_than_the_int_digit_limit(tmp_path, capsys, int_digit_limit):
+    # An id int() will not convert is an input-format error (exit 3), not a
+    # usage error; a threshold that long is a usage error (exit 2) naming it.
+    digits = "1" * (int_digit_limit + 1)
+    long_id = _write(tmp_path, f"1 2\n{digits}\n".encode(), "long_id.fimi")
+    for argv in (["mine-mii", "--min-sup", "1"], ["check", "--min-sup", "1"], ["mine-mlms", "--thresholds", "1"]):
+        assert main([*argv, "--input", long_id]) == 3
+        assert f"input error: line 2: item id 1111111111... has {len(digits)} digits" in capsys.readouterr().err
+    path = _write(tmp_path, b"1 2\n")
+    for argv in (["mine-mii", "--min-sup", digits], ["mine-mlms", "--thresholds", f"1,{digits}"]):
+        assert main([*argv, "--input", path]) == 2
+        assert f"bad threshold: 1111111111... has {len(digits)} digits" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("content", [b"", b"\n", b"\n\n\r\n\n"])
 def test_empty_file_and_blank_lines(tmp_path, capsys, content):
     path = _write(tmp_path, content)

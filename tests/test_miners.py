@@ -14,7 +14,6 @@ from ifpmine import (
     gen_synthetic,
     ifp_min,
     item_supports,
-    lf_item,
     mii_oracle,
     mine_mii,
     parse_fimi,
@@ -131,8 +130,8 @@ class TestIfpMin:
             top.append(real_tree(db, min_support))
             return top[-1]
 
-        def recording_projection(tree, x, min_support=0):
-            projections.append(real_project(tree, x, min_support))
+        def recording_projection(tree, min_support=0):
+            projections.append(real_project(tree, min_support))
             return projections[-1]
 
         monkeypatch.setattr(miners_module, "build_tree", recording_tree)
@@ -230,7 +229,7 @@ class TestDecompositionTheorems:
             db = random_db(rng)
             if not universe(db):
                 continue
-            x = lf_item(build_tree(db))
+            x = build_tree(db).order[0]
             sigma = rng.randint(1, 4)
             left = mii_oracle(_residual_db(db, x), sigma)
             right = {s for s in mii_oracle(db, sigma) if x not in s}

@@ -175,9 +175,9 @@ class TestSigmaLowPruning:
         calls = []
         real = tree_module.projected_tree
 
-        def counting(tree, x, min_support=0):
-            calls.append(x)
-            return real(tree, x, min_support)
+        def counting(tree, min_support=0):
+            calls.append(tree.order[0])
+            return real(tree, min_support)
 
         monkeypatch.setattr(tree_module, "projected_tree", counting)
         tv = ThresholdVector((1,))
@@ -199,9 +199,9 @@ class TestSigmaLowPruning:
             tree_floors.append(min_support)
             return real_tree(db, min_support)
 
-        def recording(tree, x, min_support=0):
+        def recording(tree, min_support=0):
             floors.append(min_support)
-            return real_project(tree, x, min_support)
+            return real_project(tree, min_support)
 
         monkeypatch.setattr(mlms_module, "build_tree", recording_tree)
         monkeypatch.setattr(tree_module, "projected_tree", recording)
@@ -221,9 +221,9 @@ class TestSigmaLowPruning:
         calls = []
         real = tree_module.projected_tree
 
-        def counting(tree, x, min_support=0):
-            calls.append(x)
-            return real(tree, x, min_support)
+        def counting(tree, min_support=0):
+            calls.append(tree.order[0])
+            return real(tree, min_support)
 
         monkeypatch.setattr(tree_module, "projected_tree", counting)
         tv = ThresholdVector((2, 2))
@@ -240,9 +240,9 @@ class TestSigmaLowPruning:
         calls = []
         real = tree_module.projected_tree
 
-        def recording(tree, x, min_support=0):
-            calls.append(x)
-            return real(tree, x, min_support)
+        def recording(tree, min_support=0):
+            calls.append(tree.order[0])
+            return real(tree, min_support)
 
         monkeypatch.setattr(tree_module, "projected_tree", recording)
         for tv in (ThresholdVector((2, 2)), ThresholdVector((3, 1))):

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+import ifpmine.data
+import ifpmine.oracle
+import ifpmine.tree
 from ifpmine import (
     OracleGuardError,
     SynthConfig,
@@ -31,6 +34,18 @@ class TestMiiOracle:
     def test_zero_support_pair(self):
         db = TransactionDatabase.from_itemsets([[0], [1]])
         assert mii_oracle(db, 1) == {(0, 1)}
+
+    def test_counts_singletons_without_the_miners_counter(self, mii_db, monkeypatch):
+        # The oracle shares no counting with the miners: an off-by-one
+        # ``item_supports``, the counter ``build_tree`` uses, leaves it alone.
+        want = mii_oracle(mii_db, 2)
+
+        def off_by_one(db):
+            return {i: n + 1 for i, n in item_supports(db).items()}
+
+        for module in (ifpmine.data, ifpmine.tree, ifpmine.oracle):
+            monkeypatch.setattr(module, "item_supports", off_by_one, raising=False)
+        assert mii_oracle(mii_db, 2) == want == MII_EXPECTED
 
     def test_guard_on_frequent_item_count(self):
         db = TransactionDatabase.from_itemsets([list(range(26))])

@@ -18,7 +18,6 @@ from ifpmine import (
     build_tree,
     ifp_min,
     item_supports,
-    lf_item,
     mii_oracle,
     mine_mlms,
     mine_mii,
@@ -144,27 +143,27 @@ def test_tree_layer_matches_rebuilt_trees(db, data):
         later = set(pruned.order[k:])
         _assert_same_tree(chain, _rebuilt(rows, later.__contains__))
     _assert_same_tree(chain, _rebuilt(rows, lambda i: False))
-    if tree.is_empty():
+    if not tree.order:
         return
 
-    x = lf_item(tree)
-    resid = residual_tree(tree, x)
+    x = tree.order[0]
+    resid = residual_tree(tree)
     _assert_same_tree(resid, without_x := _rebuilt(rows, lambda i: i != x))
     assert resid.supports == item_supports(without_x)
 
     proj_rows = [[i for i in r if i != x] for r in rows if x in r]
     proj_supports = item_supports(TransactionDatabase.from_itemsets(proj_rows))
     m = data.draw(st.integers(0, db_supports[x] + 1), label="projection floor")
-    proj = projected_tree(tree, x, m)
+    proj = projected_tree(tree, m)
     kept = _rebuilt(proj_rows, lambda i: proj_supports[i] >= m)
     _assert_same_tree(proj, kept)
     # A fresh projection's table, read before its dump, is the same.
-    fresh = projected_tree(tree, x, m)
+    fresh = projected_tree(tree, m)
     _assert_pair_table(fresh, kept)
     assert fresh.node_count == proj.node_count
     _assert_same_tree(fresh, kept)
     assert proj.supports == proj_supports
-    assert projected_tree(tree, x).supports == proj_supports
+    assert projected_tree(tree).supports == proj_supports
     for s in data.draw(itemsets, label="projected itemsets"):
         assert tree_support(proj, s) == support(kept, s)
 
@@ -214,9 +213,8 @@ def test_node_count_is_the_number_of_dump_lines(db, data):
     tree = build_tree(db, floor)
     assert_line_count(tree)
     if tree.order:
-        x = tree.order[0]
-        assert_line_count(projected_tree(tree, x, m))
-        assert_line_count(residual_tree(tree, x))
+        assert_line_count(projected_tree(tree, m))
+        assert_line_count(residual_tree(tree))
     chain = build_tree(db, floor)
     for x, proj in split(chain, m):
         assert_line_count(chain)

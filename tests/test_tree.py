@@ -4,12 +4,10 @@ from collections import Counter
 import pytest
 
 from ifpmine import (
-    EmptyTreeError,
     SynthConfig,
     TransactionDatabase,
     build_tree,
     gen_synthetic,
-    lf_item,
     parse_fimi,
     projected_tree,
     residual_tree,
@@ -152,31 +150,27 @@ class TestBuildTree:
 
 class TestLfItem:
     def test_pruned_example_tree(self, pruned_tree):
-        assert lf_item(pruned_tree) == 0  # A: all supports tie at 4, lowest id
+        assert pruned_tree.order[0] == 0  # A: all supports tie at 4, lowest id
 
     def test_t2_to_t9_tree(self, t2_to_t9_tree):
-        assert lf_item(t2_to_t9_tree) == 4  # E has support 3, the rest 4
+        assert t2_to_t9_tree.order[0] == 4  # E has support 3, the rest 4
 
     def test_single_node(self):
-        assert lf_item(build_tree(TransactionDatabase.from_itemsets([[7]]))) == 7
-
-    def test_empty_tree(self):
-        with pytest.raises(EmptyTreeError):
-            lf_item(build_tree(parse_fimi("")))
+        assert build_tree(TransactionDatabase.from_itemsets([[7]])).order[0] == 7
 
     def test_lf_item_has_single_root_child_node(self):
         rng = random.Random(10)
         for _ in range(30):
             tree = build_tree(random_db(rng))
-            if tree.is_empty():
+            if not tree.order:
                 continue
-            x = lf_item(tree)
+            x = tree.order[0]
             assert _nodes(tree, x) == [(0, tree.supports[x])]
 
 
 class TestProjectedTree:
     def test_example_projection_of_a(self, pruned_tree):
-        proj = projected_tree(pruned_tree, 0)
+        proj = projected_tree(pruned_tree)
         assert proj.num_transactions == 4
         assert proj.supports == {1: 2, 2: 2, 3: 2}
         got = Counter()
@@ -185,7 +179,7 @@ class TestProjectedTree:
         assert got == Counter({(1, 2): 1, (1,): 1, (3,): 1, (2, 3): 1})
 
     def test_golden_dump(self, pruned_tree):
-        assert projected_tree(pruned_tree, 0).dump(MII_LABELS) == "\n".join([
+        assert projected_tree(pruned_tree).dump(MII_LABELS) == "\n".join([
             "B:2",
             "  C:1",
             "C:1",
@@ -195,33 +189,28 @@ class TestProjectedTree:
 
     def test_item_always_alone_gives_empty_projection(self):
         tree = build_tree(TransactionDatabase.from_itemsets([[4], [4], [5], [5], [5]]))
-        assert lf_item(tree) == 4
-        proj = projected_tree(tree, 4)
-        assert proj.is_empty()
+        assert tree.order[0] == 4
+        proj = projected_tree(tree)
+        assert not proj.order
         assert proj.num_transactions == 2
 
     def test_projection_of_e_in_t2_to_t9(self, t2_to_t9_tree):
         # transactions with E are (E,B), (E,C), (E,D): projecting leaves
         # B, C and D once each
-        proj = projected_tree(t2_to_t9_tree, 4)
+        proj = projected_tree(t2_to_t9_tree)
         assert proj.supports == {1: 1, 2: 1, 3: 1}
         assert proj.num_transactions == 3
-
-    def test_not_lf_item_rejected(self, pruned_tree):
-        with pytest.raises(ValueError, match="least-frequent"):
-            projected_tree(pruned_tree, 4)
 
     def test_min_support_drops_items_but_keeps_their_supports(self):
         rng = random.Random(16)
         for _ in range(60):
             db = random_db(rng)
             tree = build_tree(db)
-            if tree.is_empty():
+            if not tree.order:
                 continue
-            x = lf_item(tree)
-            full = projected_tree(tree, x)
+            full = projected_tree(tree)
             min_support = rng.randint(1, max(1, full.num_transactions))
-            proj = projected_tree(tree, x, min_support)
+            proj = projected_tree(tree, min_support)
             dropped = {i for i, n in full.supports.items() if n < min_support}
             kept = sorted(full.supports.keys() - dropped)
             assert proj.supports == full.supports
@@ -236,8 +225,8 @@ class TestProjectedTree:
         # x = 0 occurs in three transactions, its projected items at most twice.
         db = TransactionDatabase.from_itemsets([[0, 1, 2], [0, 1], [0, 2, 3]] + [[1, 2, 3]] * 3)
         tree = build_tree(db)
-        assert lf_item(tree) == 0
-        full = projected_tree(tree, 0)
+        assert tree.order[0] == 0
+        full = projected_tree(tree)
         assert full.supports == {1: 2, 2: 2, 3: 1}
         reads = []
 
@@ -253,18 +242,18 @@ class TestProjectedTree:
                 return super().__iter__()
 
         tree._paths[0] = WatchedBucket(tree._paths[0])
-        proj = projected_tree(tree, 0, 3)
+        proj = projected_tree(tree, 3)
         assert reads == []
-        assert proj.order == () and proj.node_count == 0 and proj.is_empty()
+        assert proj.order == () and proj.node_count == 0
         assert proj.supports == full.supports
         assert proj.num_transactions == full.num_transactions == 3
-        projected_tree(tree, 0, 2)
+        projected_tree(tree, 2)
         assert len(reads) == 1
 
 
 class TestResidualTree:
     def test_example_residual_of_a(self, pruned_tree):
-        resid = residual_tree(pruned_tree, 0)
+        resid = residual_tree(pruned_tree)
         assert resid.num_transactions == 9
         assert resid.dump(MII_LABELS) == "\n".join([
             "B:4",
@@ -284,10 +273,10 @@ class TestResidualTree:
         for _ in range(40):
             db = random_db(rng)
             tree = build_tree(db)
-            if tree.is_empty():
+            if not tree.order:
                 continue
-            x = lf_item(tree)
-            spliced = residual_tree(tree, x)
+            x = tree.order[0]
+            spliced = residual_tree(tree)
             raw = TransactionDatabase.from_itemsets(
                 [[i for i in t if i != x] for t in db]
             )
@@ -325,14 +314,10 @@ class TestResidualTree:
         )
         assert build_tree(stripped).dump() == build_tree(db).dump()
 
-    def test_not_lf_item_rejected(self, pruned_tree):
-        with pytest.raises(ValueError, match="least-frequent"):
-            residual_tree(pruned_tree, 3)
-
     def test_input_tree_not_mutated(self, pruned_tree):
         before = pruned_tree.dump()
-        residual_tree(pruned_tree, 0)
-        projected_tree(pruned_tree, 0)
+        residual_tree(pruned_tree)
+        projected_tree(pruned_tree)
         assert pruned_tree.dump() == before
 
 
@@ -374,8 +359,8 @@ class TestTreeItems:
     """The items with a node in a tree are the items of its order."""
 
     def test_residual_and_projected_items(self, pruned_tree):
-        assert set(residual_tree(pruned_tree, 0).order) == {1, 2, 3, 4}
-        assert set(projected_tree(pruned_tree, 0).order) == {1, 2, 3}
+        assert set(residual_tree(pruned_tree).order) == {1, 2, 3, 4}
+        assert set(projected_tree(pruned_tree).order) == {1, 2, 3}
 
     def test_empty(self):
         assert build_tree(parse_fimi("")).order == ()
@@ -412,10 +397,10 @@ class TestDecompositionIdentities:
         for _ in range(60):
             db = random_db(rng)
             tree = build_tree(db)
-            if tree.is_empty():
+            if not tree.order:
                 continue
-            x = lf_item(tree)
-            resid = residual_tree(tree, x)
+            x = tree.order[0]
+            resid = residual_tree(tree)
             others = [i for i in sorted(universe(db)) if i != x]
             for _ in range(5):
                 k = rng.randint(0, min(4, len(others)))
@@ -427,10 +412,10 @@ class TestDecompositionIdentities:
         for _ in range(60):
             db = random_db(rng)
             tree = build_tree(db)
-            if tree.is_empty():
+            if not tree.order:
                 continue
-            x = lf_item(tree)
-            proj = projected_tree(tree, x)
+            x = tree.order[0]
+            proj = projected_tree(tree)
             others = [i for i in sorted(universe(db)) if i != x]
             for _ in range(5):
                 k = rng.randint(0, min(4, len(others)))
