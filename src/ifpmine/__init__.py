@@ -32,7 +32,6 @@ from .mlms import (
 from .oracle import (
     OracleGuardError,
     SynthConfig,
-    Xoshiro256StarStar,
     gen_synthetic,
     mii_oracle,
     mlms_oracle,
@@ -70,7 +69,6 @@ __all__ = [
     "mine_mlms",
     "OracleGuardError",
     "SynthConfig",
-    "Xoshiro256StarStar",
     "gen_synthetic",
     "mii_oracle",
     "mlms_oracle",

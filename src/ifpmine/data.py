@@ -180,12 +180,6 @@ def item_supports(db: TransactionDatabase) -> dict[int, int]:
     return counts
 
 
-def render_itemset(s: Itemset, labels: dict[int, str] | None = None) -> str:
-    if labels is None:
-        return " ".join(map(str, s))
-    return " ".join(labels.get(i, str(i)) for i in s)
-
-
 def render_itemset_lines(
     entries: Iterable[tuple[Itemset, int]], labels: dict[int, str] | None = None
 ) -> str:
@@ -193,7 +187,8 @@ def render_itemset_lines(
 
     Callers pass entries already in canonical (length, lexicographic) order.
     """
-    return "".join(f"{render_itemset(s, labels)} ({n})\n" for s, n in entries)
+    name = str if labels is None else lambda i: labels.get(i, str(i))
+    return "".join(f"{' '.join(map(name, s))} ({n})\n" for s, n in entries)
 
 
 def itemsets_json(entries: Iterable[tuple[Itemset, int]]) -> str:

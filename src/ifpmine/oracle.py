@@ -9,6 +9,8 @@ truncating.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -99,44 +101,28 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
-class Xoshiro256StarStar:
-    """xoshiro256** 1.0, seeded by expanding one 64-bit seed with splitmix64.
+def _xoshiro256starstar(seed: int) -> Iterator[int]:
+    """The 64-bit outputs of xoshiro256** 1.0, seeded by expanding one 64-bit
+    seed with splitmix64.
 
     The generator choice and draw order are part of the synthetic-data
     contract: given the same seed the byte-for-byte same databases must come
     out of any implementation.
     """
-
-    __slots__ = ("state",)
-
-    def __init__(self, seed: int):
-        s = seed & _MASK64
-        state = []
-        for _ in range(4):
-            s, z = _splitmix64(s)
-            state.append(z)
-        self.state = state
-
-    def next_u64(self) -> int:
-        s0, s1, s2, s3 = self.state
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
+    s, s0 = _splitmix64(seed & _MASK64)
+    s, s1 = _splitmix64(s)
+    s, s2 = _splitmix64(s)
+    s, s3 = _splitmix64(s)
+    while True:
+        x = (s1 * 5) & _MASK64
+        yield ((x << 7 | x >> 57) * 9) & _MASK64
         t = (s1 << 17) & _MASK64
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = _rotl(s3, 45)
-        self.state = [s0, s1, s2, s3]
-        return result
-
-    def next_float(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        s3 = (s3 << 45 | s3 >> 19) & _MASK64
 
 
 @dataclass(frozen=True)
@@ -164,14 +150,17 @@ def gen_synthetic(cfg: SynthConfig) -> TransactionDatabase:
     """Generate a database as a pure function of the config.
 
     Draw order is item-major: for item id j = 0..num_items-1, then for
-    transaction t = 0..num_transactions-1, one xoshiro256** value is drawn
-    and j joins transaction t iff the derived [0,1) double is strictly below
-    ``density``.
+    transaction t = 0..num_transactions-1, one xoshiro256** value u is drawn
+    and j joins transaction t iff the [0,1) double (u >> 11) * 2**-53 is
+    strictly below ``density``. That product is exact, so the test is done
+    on integers as u >> 11 < ceil(density * 2**53).
     """
-    rng = Xoshiro256StarStar(cfg.seed)
+    draws = _xoshiro256starstar(cfg.seed)
+    cut = math.ceil(cfg.density * 2.0**53)
     members: list[list[int]] = [[] for _ in range(cfg.num_transactions)]
     for item in range(cfg.num_items):
-        for t in range(cfg.num_transactions):
-            if rng.next_float() < cfg.density:
-                members[t].append(item)
+        # members first: zip stops at the end of the rows before it takes a draw
+        for row, u in zip(members, draws):
+            if u >> 11 < cut:
+                row.append(item)
     return TransactionDatabase.from_itemsets(members)

@@ -129,10 +129,6 @@ def _common_prefix(prev: Sequence[int], path: Sequence[int]) -> int:
     return k
 
 
-def _order_items(supports: dict[int, int]) -> list[int]:
-    return sorted(supports, key=lambda i: (supports[i], i))
-
-
 def _count_pairs(tree: IFPTree) -> dict[int, dict[int, int]]:
     """The tree's pair table, from the kernel that costs it less. A path of
     n items costs n(n - 1)/2 increments on paths and n run settings on
@@ -199,11 +195,9 @@ def _prepare(
     bucket. The tree owns ``supports``; only the items whose support reaches
     ``min_support`` get a place in its order, the others are left out of its
     paths, and the paths left empty are dropped."""
-    tree = IFPTree(
-        (i for i in _order_items(supports) if supports[i] >= min_support),
-        num_transactions,
-        supports,
-    )
+    # the i-flist: ascending support, ties by item id
+    order = sorted((i for i in supports if supports[i] >= min_support), key=lambda i: (supports[i], i))
+    tree = IFPTree(order, num_transactions, supports)
     rank = {item: k for k, item in enumerate(tree.order)}
     buckets = tree._paths
     for items, count in paths:

@@ -222,6 +222,8 @@ class TestSupportThreshold:
             SupportThreshold.parse(text)
         with pytest.raises(InvalidThresholdError):
             SupportThreshold("absolute", -1)
+        with pytest.raises(InvalidThresholdError, match="unknown threshold kind: 'percent'"):
+            SupportThreshold("percent", 1)
 
 
 def test_canonical_itemset():

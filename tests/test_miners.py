@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -306,6 +307,10 @@ class TestSoundness:
                     for k in range(len(s)):
                         if len(s) > 1:
                             assert support(db, s[:k] + s[k + 1:]) >= sigma
+
+    def test_unknown_algorithm_is_refused(self, mii_db):
+        with pytest.raises(ValueError, match=re.escape("unknown algorithm: 'fp-growth'")):
+            mine_mii(mii_db, 2, algorithm="fp-growth")
 
     def test_antichain(self):
         rng = random.Random(707)

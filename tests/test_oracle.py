@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from ifpmine import (
     SynthConfig,
     ThresholdVector,
     TransactionDatabase,
-    Xoshiro256StarStar,
     gen_synthetic,
     item_supports,
     mii_oracle,
@@ -18,7 +18,7 @@ from ifpmine import (
     support,
     to_fimi,
 )
-from ifpmine.oracle import _splitmix64
+from ifpmine.oracle import _splitmix64, _xoshiro256starstar
 
 from conftest import MII_EXPECTED, MLMS_EXPECTED, MLMS_SIGMAS
 
@@ -128,19 +128,14 @@ class TestSplitmix64:
 class TestXoshiro:
     def test_stream_is_stable(self):
         # Frozen golden values pin the generator contract across releases.
-        rng = Xoshiro256StarStar(42)
-        got = [rng.next_u64() for _ in range(4)]
+        draws = _xoshiro256starstar(42)
+        got = [next(draws) for _ in range(4)]
         assert got == [
             0x15780B2E0C2EC716,
             0x6104D9866D113A7E,
             0xAE17533239E499A1,
             0xECB8AD4703B360A1,
         ]
-
-    def test_floats_in_unit_interval(self):
-        rng = Xoshiro256StarStar(7)
-        values = [rng.next_float() for _ in range(1000)]
-        assert all(0.0 <= v < 1.0 for v in values)
 
 
 class TestGenSynthetic:
@@ -168,6 +163,16 @@ class TestGenSynthetic:
         assert list(db) == [
             (1, 2), (3,), (0, 2, 3), (0, 2, 3), (1, 3), (1, 2),
         ]
+
+    @pytest.mark.parametrize("density", [0.3, 0.5, 2.0**-53, 1 - 2.0**-53])
+    def test_integer_cut_matches_the_float_rule(self, density, monkeypatch):
+        # u joins a row iff its top 53 bits v give v * 2**-53 < density;
+        # the draws straddle the integer cut ceil(density * 2**53).
+        cut = math.ceil(density * 2.0**53)
+        values = [0, cut - 1, cut, 2**53 - 1]
+        monkeypatch.setattr(ifpmine.oracle, "_xoshiro256starstar", lambda seed: iter([v << 11 for v in values]))
+        db = gen_synthetic(SynthConfig(1, len(values), density, 0))
+        assert [t == (0,) for t in db] == [v * 2.0**-53 < density for v in values]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
