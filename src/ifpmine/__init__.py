@@ -26,7 +26,6 @@ from .mlms import (
     MLMSResult,
     ThresholdVector,
     ifp_mlms,
-    is_frequent_star,
     mine_mlms,
 )
 from .oracle import (
@@ -65,7 +64,6 @@ __all__ = [
     "MLMSResult",
     "ThresholdVector",
     "ifp_mlms",
-    "is_frequent_star",
     "mine_mlms",
     "OracleGuardError",
     "SynthConfig",

@@ -13,7 +13,9 @@ import argparse
 import multiprocessing
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from multiprocessing.connection import Connection, wait
 
 from .data import (
@@ -204,61 +206,74 @@ def bench_sweep(
     Each cell runs in its own process; a cell that exceeds the timeout, by
     the wait or by its own ``elapsed_ms``, or fails, or whose worker exits
     without a result, is recorded with -1 in every measured column instead
-    of aborting the sweep. Up to ``jobs`` cells run concurrently. A ``jobs`` below 1, or a timeout that is not
-    greater than 0 or is beyond the wait limit ``MAX_BENCH_TIMEOUT_S``,
-    raises ``ValueError`` here, before any cell runs.
+    of aborting the sweep. Up to ``jobs`` cells run concurrently, and closing
+    the iterator early stops every worker still running. The sweeps the CLI
+    refuses raise here, before any cell runs: ``ValueError`` for an empty
+    list, an algorithm outside ``MII_ALGORITHMS``, a ``jobs`` below 1, a
+    timeout not in (0, ``MAX_BENCH_TIMEOUT_S``], or a threshold that does
+    not parse or is 0, and ``OSError`` for an input that cannot be opened.
     """
+    if not algorithms or not thresholds:
+        raise ValueError("bench needs at least one algorithm and one threshold")
+    for algo in algorithms:
+        if algo not in MII_ALGORITHMS:
+            raise ValueError(f"unknown algorithm: {algo}")
     if jobs < 1:
         raise ValueError(f"bench needs jobs of at least 1, got {jobs}")
     if not 0 < timeout <= MAX_BENCH_TIMEOUT_S:  # nan too
         raise ValueError(
             f"bench needs a timeout greater than 0 and at most {MAX_BENCH_TIMEOUT_S} s, got {timeout}"
         )
+    for threshold in thresholds:
+        # A 0 resolves to sigma 0 on every dataset; a positive percentage resolves per dataset.
+        if SupportThreshold.parse(threshold).value == 0:
+            raise InvalidThresholdError(f"threshold {threshold!r} is 0; sigma must be >= 1")
+    for path in datasets:
+        open(path, "r", encoding="ascii").close()
     return _sweep([(d, a, t) for d in datasets for a in algorithms for t in thresholds], jobs, timeout)
 
 
 def _sweep(cells: list[tuple[str, str, str]], jobs: int, timeout: float):
     ctx = multiprocessing.get_context()
-    running: list[tuple[int, multiprocessing.Process, Connection, float]] = []
-    next_cell = 0
+    pending = iter(cells)
+    running: deque[tuple[tuple[str, str, str], multiprocessing.Process, Connection, float]] = deque()
 
     def launch() -> None:
-        nonlocal next_cell
-        while next_cell < len(cells) and len(running) < jobs:
+        for cell in islice(pending, jobs - len(running)):
             result, sender = ctx.Pipe(duplex=False)
-            p = ctx.Process(target=_bench_worker, args=(*cells[next_cell], sender), daemon=True)
+            p = ctx.Process(target=_bench_worker, args=(*cell, sender), daemon=True)
             p.start()
             sender.close()  # the worker holds the only copy, so its exit ends the pipe
-            running.append((next_cell, p, result, time.monotonic()))
-            next_cell += 1
+            running.append((cell, p, result, time.monotonic()))
 
-    launch()
-    while running:
-        idx, proc, result, started = running.pop(0)
-        remaining = timeout - (time.monotonic() - started)
-        msg = None
-        # The sentinel wakes the wait as soon as the worker exits, reported or not.
-        if not wait([result, proc.sentinel], max(0.0, remaining)):
-            proc.terminate()
-        else:
-            try:
-                msg = result.recv()  # a result sent before the worker exited still counts
-            except EOFError:
-                proc.join()
-                msg = ("error", f"worker exited with code {proc.exitcode}")
-        if msg is not None and msg[0] == "ok" and msg[1] > timeout * 1000:
-            msg = None  # the cell ran beyond the timeout, however soon its result came
+    def stop(proc: multiprocessing.Process, result: Connection) -> None:
+        proc.terminate()
         proc.join()
         result.close()
-        dataset, algo, threshold = cells[idx]
-        if msg is not None and msg[0] == "ok":
-            record = BenchRecord(dataset, algo, threshold, msg[1], msg[2], msg[3])
-        else:
-            if msg is not None:  # an error; a cell that timed out has no message
-                print(f"bench cell failed ({dataset}, {algo}, {threshold}): {msg[1]}", file=sys.stderr)
-            record = BenchRecord(dataset, algo, threshold, -1, -1, -1)
+
+    try:
         launch()
-        yield record
+        while running:
+            (dataset, algo, threshold), proc, result, started = running[0]
+            measured = (-1, -1, -1)
+            # The sentinel wakes the wait as soon as the worker exits, reported or not.
+            if wait([result, proc.sentinel], max(0.0, timeout - (time.monotonic() - started))):
+                try:
+                    msg = result.recv()  # a result sent before the worker exited still counts
+                except EOFError:
+                    proc.join()
+                    msg = ("error", f"worker exited with code {proc.exitcode}")
+                if msg[0] == "error":
+                    print(f"bench cell failed ({dataset}, {algo}, {threshold}): {msg[1]}", file=sys.stderr)
+                elif msg[1] <= timeout * 1000:  # else the cell ran beyond the timeout, however soon it reported
+                    measured = msg[1:]
+            stop(proc, result)
+            running.popleft()
+            launch()
+            yield BenchRecord(dataset, algo, threshold, *measured)
+    finally:
+        for _, proc, result, _ in running:
+            stop(proc, result)
 
 
 def cross_check_counts(records: list[BenchRecord]) -> list[tuple[str, str, list[int]]]:
@@ -277,26 +292,9 @@ def cross_check_counts(records: list[BenchRecord]) -> list[tuple[str, str, list[
 
 
 def _run_bench(args: argparse.Namespace) -> int:
-    # Fail fast before spending time on the sweep.
     algorithms = _comma_list(args.algorithms, "algorithm")
     thresholds = _comma_list(args.thresholds, "threshold")
-    if not algorithms or not thresholds:
-        print("bench needs at least one algorithm and one threshold", file=sys.stderr)
-        return EXIT_USAGE
-    for algo in algorithms:
-        if algo not in MII_ALGORITHMS:
-            print(f"unknown algorithm: {algo}", file=sys.stderr)
-            return EXIT_USAGE
-    # Raises ValueError (exit 2) for jobs below 1 or a timeout the sweep cannot wait for.
     sweep = bench_sweep(args.inputs, algorithms, thresholds, jobs=args.jobs, timeout=args.timeout)
-    for threshold in thresholds:
-        # Parsing raises InvalidThresholdError (exit 2). A 0 resolves to sigma 0 on
-        # every dataset; a positive percentage resolves per dataset, in its cells.
-        if SupportThreshold.parse(threshold).value == 0:
-            raise InvalidThresholdError(f"threshold {threshold!r} is 0; sigma must be >= 1")
-    for path in args.inputs:
-        with open(path, "r", encoding="ascii"):
-            pass
     records = []
     print(BENCH_CSV_HEADER)
     for record in sweep:

@@ -72,16 +72,6 @@ class ThresholdVector:
         return self.sigmas[length - 1]
 
 
-def is_frequent_star(k: int, p: int, supp: int, tv: ThresholdVector) -> bool:
-    """Whether a k-itemset with the given support, found under a prefix of
-    length p, is frequent for its extended length k+p. Lengths beyond the
-    vector have no threshold and are never frequent."""
-    if k < 1 or p < 0:
-        raise ValueError(f"need k >= 1 and p >= 0, got k={k}, p={p}")
-    total = k + p
-    return total <= tv.max_length and supp >= tv.sigma(total)
-
-
 def _mlms_rec(tree: IFPTree, tv: ThresholdVector, p: int, prune: bool) -> dict[Itemset, int]:
     """``ifp_mlms``'s frequent* itemsets of two or more items under a prefix
     of length p, on a tree it consumes: its pairs, from its pair table, and

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -325,6 +326,44 @@ class TestBench:
         assert [r.csv_row() for r in records] == [f"{table1_path},ifp,2,-1,-1,-1"]
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched worker reaches the cell's process only when it is forked",
+    )
+    def test_closing_the_sweep_early_stops_its_workers(self, table1_path, monkeypatch):
+        def first_reports_others_hang(path, algo, threshold, conn):
+            if threshold != "2":
+                time.sleep(30)
+            conn.send(("ok", 1.5, 8, 63))
+
+        monkeypatch.setattr(cli, "_bench_worker", first_reports_others_hang)
+        sweep = bench_sweep([table1_path], ["ifp"], ["2", "3", "4"], jobs=3, timeout=60)
+        assert next(sweep).csv_row() == f"{table1_path},ifp,2,1.5,8,63"
+        sweep.close()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "algorithms, thresholds, missing_input, error",
+        [
+            (["magic"], ["2"], False, ValueError),
+            (["ifp"], ["0"], False, ValueError),
+            (["ifp"], ["1e-999999999%"], False, ValueError),
+            (["ifp"], ["2"], True, OSError),
+            ([], ["2"], False, ValueError),
+        ],
+        ids=["unknown-algorithm", "zero", "percentage-that-parses-as-zero", "missing-input", "no-algorithm"],
+    )
+    def test_sweep_refuses_what_the_cli_refuses_before_any_cell_runs(
+        self, table1_path, tmp_path, monkeypatch, algorithms, thresholds, missing_input, error
+    ):
+        def no_cell_runs(*args):
+            pytest.fail("the sweep started")
+
+        monkeypatch.setattr(cli, "_sweep", no_cell_runs)
+        path = str(tmp_path / "missing.fimi") if missing_input else table1_path
+        with pytest.raises(error):
+            list(bench_sweep([path], algorithms, thresholds))
+
     def test_mismatched_counts_exit_after_every_row(self, table1_path, monkeypatch, capsys):
         records = [
             cli.BenchRecord(table1_path, "ifp", "2", 1.0, 8, 63),
@@ -387,3 +426,35 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"out of resources: {error.__name__}: too deep\n"
+
+    def test_ci_workflow_pins_hold(self, tmp_path, capsys):
+        # The values .github/workflows/tests.yml pins, checked on every tier-1 run.
+        def sha256(data):
+            return hashlib.sha256(data).hexdigest()
+
+        g, s = tmp_path / "g.fimi", tmp_path / "s.fimi"
+        assert main(["gen", "--items", "20", "--transactions", "300", "--density", "0.3",
+                     "--seed", "1", "--out", str(g)]) == 0
+        assert main(["gen", "--items", "25", "--transactions", "2000", "--density", "0.04",
+                     "--seed", "2", "--out", str(s)]) == 0
+        assert sha256(g.read_bytes()) == "04ff06ca034d6607d9a9cf69880c2ab61707a42fa355275fba4448a794d37d06"
+        assert sha256(s.read_bytes()) == "f60a1da67bbd8b2af1b24fdf987009fc6a95338e3559aa1a91e8b8e8b5a53911"
+        for thresholds, digest, lines in (
+            ("30%,10%,3%", "5bc80cafde1a3fc2a08d3e9010f340f9bf572ac04e69c14842b9f254ef5d4a71", 706),
+            ("10%,20%,5%,3%", "201922528d17a6cae9fc3aff5884725322fda85ea7e38e54a09f0c2b8f4f976f", 84),
+        ):
+            assert main(["mine-mlms", "--input", str(g), "--thresholds", thresholds]) == 0
+            out = capsys.readouterr().out
+            assert len(out.splitlines()) == lines
+            assert sha256(out.encode()) == digest
+        assert main(["bench", "--inputs", str(g), "--algos", "ifp", "--thresholds", "10%,5%,20%"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(t, i, p) for _, _, t, _, i, p in rows] == [
+            ("10%", "237", "1208"), ("5%", "1092", "1578"), ("20%", "190", "0"),
+        ]
+        for path, min_sup in ((g, "10%"), (g, "5%"), (g, "20%"), (s, "0.5%")):
+            assert main(["check", "--input", str(path), "--min-sup", min_sup]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"OK: ifp, apriori and oracle agree on {n} itemsets at sigma={sigma}"
+            for n, sigma in ((237, 30), (1092, 15), (190, 60), (296, 10))
+        ]

@@ -11,7 +11,6 @@ from ifpmine import (
     TransactionDatabase,
     gen_synthetic,
     ifp_mlms,
-    is_frequent_star,
     mine_mlms,
     mlms_oracle,
     parse_fimi,
@@ -63,22 +62,6 @@ class TestThresholdVector:
         tv = ThresholdVector((1, 5, 1))
         assert tv.sigma(2) == 5
         assert min(tv.sigmas) == 1
-
-
-class TestIsFrequentStar:
-    def test_length_one_no_prefix(self):
-        assert is_frequent_star(1, 0, 4, ThresholdVector(MLMS_SIGMAS))
-
-    def test_extended_length_threshold(self):
-        # a 3-itemset under a length-1 prefix is tested against sigma_4 = 2
-        assert not is_frequent_star(3, 1, 1, ThresholdVector(MLMS_SIGMAS))
-
-    def test_beyond_configured_lengths_never_frequent(self):
-        assert not is_frequent_star(2, 4, 10**9, ThresholdVector(MLMS_SIGMAS))
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            is_frequent_star(0, 0, 1, ThresholdVector((1,)))
 
 
 class TestIfpMlms:
@@ -326,45 +309,40 @@ def _residual_db(db, x):
 
 class TestPrefixShiftTheorems:
     def test_projection_shifts_the_threshold_index(self):
-        # S frequent* in the projection at prefix p+1 iff x+S frequent* in
-        # the database at prefix p, via raw supports.
+        # S under prefix p+1 in the projection and x+S under prefix p in the
+        # database have the same extended length, so one is frequent* iff
+        # the other is exactly when their supports are equal.
         rng = random.Random(912)
         for _ in range(40):
             db = random_db(rng)
             if not universe(db):
                 continue
-            tv = random_tv(rng)
             items = sorted(universe(db))
             x = rng.choice(items)
             proj = _projected_db(db, x)
-            p = rng.randint(0, 3)
-            others = [i for i in items if i != x]
-            for _ in range(5):
-                k = rng.randint(1, min(3, len(others)) if others else 1)
-                if not others:
-                    break
-                s = tuple(sorted(rng.sample(others, min(k, len(others)))))
-                left = is_frequent_star(len(s), p + 1, support(proj, s), tv)
-                right = is_frequent_star(len(s) + 1, p, support(db, tuple(sorted((x, *s)))), tv)
-                assert left == right
-
-    def test_residual_preserves_frequency_star(self):
-        rng = random.Random(913)
-        for _ in range(40):
-            db = random_db(rng)
-            if not universe(db):
-                continue
-            tv = random_tv(rng)
-            items = sorted(universe(db))
-            x = rng.choice(items)
-            resid = _residual_db(db, x)
-            p = rng.randint(0, 3)
             others = [i for i in items if i != x]
             for _ in range(5):
                 if not others:
                     break
                 k = rng.randint(1, min(3, len(others)))
                 s = tuple(sorted(rng.sample(others, k)))
-                assert is_frequent_star(len(s), p, support(db, s), tv) == is_frequent_star(
-                    len(s), p, support(resid, s), tv
-                )
+                assert support(proj, s) == support(db, tuple(sorted((x, *s))))
+
+    def test_residual_preserves_frequency_star(self):
+        # S keeps its length and prefix in the residual, so its frequent*
+        # status is kept exactly when its support is.
+        rng = random.Random(913)
+        for _ in range(40):
+            db = random_db(rng)
+            if not universe(db):
+                continue
+            items = sorted(universe(db))
+            x = rng.choice(items)
+            resid = _residual_db(db, x)
+            others = [i for i in items if i != x]
+            for _ in range(5):
+                if not others:
+                    break
+                k = rng.randint(1, min(3, len(others)))
+                s = tuple(sorted(rng.sample(others, k)))
+                assert support(db, s) == support(resid, s)
