@@ -183,7 +183,7 @@ def _bench_worker(path: str, algo: str, threshold: str, conn: Connection) -> Non
     """Runs one bench cell in a child process so timeouts can be enforced."""
     try:
         db = read_fimi(path)
-        sigma = SupportThreshold.parse(threshold).resolve(len(db))
+        sigma = _resolve_sigma(threshold, db)
         stats = MiningStats()
         t0 = time.perf_counter()
         result = mine_mii(db, sigma, algorithm=algo, stats=stats)

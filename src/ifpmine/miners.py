@@ -46,6 +46,7 @@ from .data import (
     render_itemset_lines,
     support,
 )
+from .oracle import mii_oracle
 from .tree import IFPTree, build_tree, split
 from .tree import residual_tree  # noqa: F401 -- not called here; benchmark/test_benchmark.py reads miners.residual_tree
 
@@ -67,12 +68,18 @@ class MiningStats:
 
 @dataclass(frozen=True)
 class MIIResult:
-    """Deterministically ordered minimally infrequent itemsets of one run."""
+    """Deterministically ordered minimally infrequent itemsets of one run;
+    every miner builds it with ``of``."""
 
     miis: tuple[Itemset, ...]
     supports: dict[Itemset, int] = field(compare=False)
     sigma: int = 0
     algorithm: str = field(default="", compare=False)
+
+    @classmethod
+    def of(cls, found: dict[Itemset, int], sigma: int, algorithm: str) -> MIIResult:
+        """The result of the MIIs ``found`` with their supports, in result order."""
+        return cls(miis=in_result_order(found), supports=found, sigma=sigma, algorithm=algorithm)
 
     def entries(self) -> list[tuple[Itemset, int]]:
         return [(s, self.supports[s]) for s in self.miis]
@@ -87,11 +94,12 @@ class MIIResult:
 def unify(x: int, sets: dict[Itemset, int]) -> dict[Itemset, int]:
     """Dot-operation: include x in every member of the collection, keeping
     each member's value. An empty collection stays empty. Members are
-    canonical, so x is inserted in place; a member holding x stays as it is."""
+    canonical and do not hold x, as every itemset of x's projected tree,
+    so x is inserted in place."""
     out = {}
     for s, n in sets.items():
         k = bisect_left(s, x)
-        out[s if k < len(s) and s[k] == x else (*s[:k], x, *s[k:])] = n
+        out[(*s[:k], x, *s[k:])] = n
     return out
 
 
@@ -135,12 +143,7 @@ def ifp_min(db: TransactionDatabase, sigma: int, stats: MiningStats | None = Non
     tree = build_tree(db, sigma)
     found = {(i,): n for i, n in tree.supports.items() if n < sigma}  # before the tree is consumed
     found.update(_mii_rec(tree, sigma, 0, stats))
-    return MIIResult(
-        miis=in_result_order(found),
-        supports=found,
-        sigma=sigma,
-        algorithm="ifp",
-    )
+    return MIIResult.of(found, sigma, "ifp")
 
 
 def _apriori_candidates(level: list[Itemset]) -> list[Itemset]:
@@ -192,12 +195,7 @@ def apriori_min(db: TransactionDatabase, sigma: int) -> MIIResult:
             else:
                 next_level[cand] = tids
         level = next_level
-    return MIIResult(
-        miis=in_result_order(found),
-        supports=found,
-        sigma=sigma,
-        algorithm="apriori",
-    )
+    return MIIResult.of(found, sigma, "apriori")
 
 
 def mine_mii(
@@ -213,14 +211,5 @@ def mine_mii(
     if algorithm == "apriori":
         return apriori_min(db, sigma)
     if algorithm == "oracle":
-        from .oracle import mii_oracle
-
-        found = mii_oracle(db, sigma)
-        ordered = in_result_order(found)
-        return MIIResult(
-            miis=ordered,
-            supports={s: support(db, s) for s in ordered},
-            sigma=sigma,
-            algorithm="oracle",
-        )
+        return MIIResult.of({s: support(db, s) for s in mii_oracle(db, sigma)}, sigma, "oracle")
     raise ValueError(f"unknown algorithm: {algorithm!r}")

@@ -13,6 +13,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from .data import (
     InvalidThresholdError,
@@ -20,7 +21,9 @@ from .data import (
     TransactionDatabase,
     support,
 )
-from .mlms import ThresholdVector
+
+if TYPE_CHECKING:
+    from .mlms import ThresholdVector
 
 _MASK64 = (1 << 64) - 1
 

@@ -137,15 +137,12 @@ def _count_pairs(tree: IFPTree) -> dict[int, dict[int, int]]:
     bits and 14 µs at 100k, so each counts one more unit per 1024 bits of
     width, bounded here by ``num_transactions``: without that term a big
     sparse tree (m = 499, 99,420 transactions) took bitsets and ran twice
-    as slow. The walk stops as soon as the paths outweigh the ANDs."""
+    as slow. One comparison of sums over all distinct paths decides, so
+    the order of the paths does not; a tie takes the paths."""
     m = len(tree.order)
-    budget = m * (m - 1) * (1 + tree.num_transactions // 1024)
-    for bucket in tree._paths.values():
-        for path in bucket:
-            n = len(path)
-            budget -= n * (n - 3)
-            if budget < 0:
-                return _bitset_pairs(tree.order, tree.paths())
+    excess = sum(n * (n - 3) for n in map(len, chain.from_iterable(tree._paths.values())))
+    if excess > m * (m - 1) * (1 + tree.num_transactions // 1024):
+        return _bitset_pairs(tree.order, tree.paths())
     return _path_pairs(tree.paths())
 
 
@@ -234,11 +231,12 @@ def projected_tree(tree: IFPTree, min_support: int = 0) -> IFPTree:
     return _prepare(supports, paths, tree.supports[x], min_support)
 
 
-def _drop_lf(tree: IFPTree) -> int:
-    """Turn the tree into the residual tree of its lf-item x in place and
-    return x: each path of x's bucket moves, without x, to the bucket of its
-    next item. The other supports stay, so the order just loses x. The pair
-    table is left to the caller."""
+def _drop_lf(tree: IFPTree) -> None:
+    """Turn the tree into the residual tree of its lf-item x in place: each
+    path of x's bucket moves, without x, to the bucket of its next item.
+    Every itemset without x keeps its support, so the order, ``supports``
+    and the pair table, if one was counted, just lose x: row x is the one
+    table entry that holds it, as x comes first in the order."""
     x = tree.order[0]
     buckets = tree._paths
     for path, count in buckets.pop(x).items():
@@ -250,17 +248,17 @@ def _drop_lf(tree: IFPTree) -> int:
                 bucket[rest] = bucket.get(rest, 0) + count
     tree.order = tree.order[1:]
     del tree.supports[x]
-    return x
+    if tree._pairs is not None:
+        tree._pairs.pop(x, None)
 
 
 def split(tree: IFPTree, min_support: int = 0) -> Iterator[tuple[int, IFPTree]]:
     """Walk the tree's residual chain, consuming it: for each lf-item x,
     yield ``(x, projected_tree(tree, min_support))``, then turn the tree
-    into x's residual tree in place (``_drop_lf``) and drop row x of its
-    pair table, the one table entry the residual changes."""
+    into x's residual tree in place (``_drop_lf``)."""
     while tree.order:
-        yield tree.order[0], projected_tree(tree, min_support)  # reads the pair table
-        tree._pairs.pop(_drop_lf(tree), None)
+        yield tree.order[0], projected_tree(tree, min_support)
+        _drop_lf(tree)
 
 
 def residual_tree(tree: IFPTree) -> IFPTree:

@@ -1,8 +1,9 @@
+import random
 import sys
 
 import pytest
 
-from ifpmine import TransactionDatabase, item_supports
+from ifpmine import SynthConfig, TransactionDatabase, gen_synthetic, item_supports
 
 # Nine-transaction example database (labels A..F as ids 0..5).
 MII_LABELS = {0: "A", 1: "B", 2: "C", 3: "D", 4: "E", 5: "F"}
@@ -78,6 +79,30 @@ def int_digit_limit():
 def universe(db: TransactionDatabase) -> frozenset[int]:
     """The items that occur in at least one transaction."""
     return frozenset(i for t in db for i in t)
+
+
+def random_db(rng: random.Random, max_items: int, max_tx: int, max_density: float) -> TransactionDatabase:
+    """A synthetic database of up to ``max_items`` items and ``max_tx``
+    transactions at a density of 0.1 to ``max_density``, all drawn from
+    ``rng``; each test module binds its own bounds."""
+    return gen_synthetic(
+        SynthConfig(
+            num_items=rng.randint(1, max_items),
+            num_transactions=rng.randint(1, max_tx),
+            density=rng.uniform(0.1, max_density),
+            seed=rng.getrandbits(64),
+        )
+    )
+
+
+def projected_db(db: TransactionDatabase, x: int) -> TransactionDatabase:
+    """The transactions that hold x, without x."""
+    return TransactionDatabase.from_itemsets([[i for i in t if i != x] for t in db if x in t])
+
+
+def residual_db(db: TransactionDatabase, x: int) -> TransactionDatabase:
+    """Every transaction, without x."""
+    return TransactionDatabase.from_itemsets([[i for i in t if i != x] for t in db])
 
 
 def prune_infrequent_items(db: TransactionDatabase, sigma: int) -> TransactionDatabase:

@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -9,10 +10,8 @@ from ifpmine import (
     InvalidThresholdError,
     SupportThreshold,
     TransactionDatabase,
-    SynthConfig,
     build_tree,
     canonical_itemset,
-    gen_synthetic,
     item_supports,
     parse_fimi,
     support,
@@ -20,17 +19,10 @@ from ifpmine import (
     tree_support,
 )
 
+import conftest
 from conftest import decompress, universe
 
-
-def random_db(rng: random.Random, max_items=8, max_tx=25) -> TransactionDatabase:
-    cfg = SynthConfig(
-        num_items=rng.randint(1, max_items),
-        num_transactions=rng.randint(1, max_tx),
-        density=rng.uniform(0.1, 0.8),
-        seed=rng.getrandbits(64),
-    )
-    return gen_synthetic(cfg)
+random_db = partial(conftest.random_db, max_items=8, max_tx=25, max_density=0.8)
 
 
 class TestParseFimi:

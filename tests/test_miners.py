@@ -1,5 +1,6 @@
 import random
 import re
+from functools import partial
 
 import pytest
 
@@ -22,23 +23,16 @@ from ifpmine import (
     unify,
 )
 
-from conftest import MII_EXPECTED, MII_LABELS, prune_infrequent_items, universe
+import conftest
+from conftest import MII_EXPECTED, MII_LABELS, projected_db, prune_infrequent_items, residual_db, universe
 
-
-def random_db(rng: random.Random, max_items=8, max_tx=20) -> TransactionDatabase:
-    return gen_synthetic(
-        SynthConfig(
-            num_items=rng.randint(1, max_items),
-            num_transactions=rng.randint(1, max_tx),
-            density=rng.uniform(0.1, 0.7),
-            seed=rng.getrandbits(64),
-        )
-    )
+random_db = partial(conftest.random_db, max_items=8, max_tx=20, max_density=0.7)
 
 
 class TestUnify:
     def test_includes_item_in_every_member(self):
         assert unify(0, {(1, 2): 3, (2, 3): 1}) == {(0, 1, 2): 3, (0, 2, 3): 1}
+        assert unify(4, {(1, 2): 3, (3, 5): 1, (2, 6, 8): 2}) == {(1, 2, 4): 3, (3, 4, 5): 1, (2, 4, 6, 8): 2}
 
     def test_empty_collection_stays_empty(self):
         assert unify(7, {}) == {}
@@ -211,16 +205,6 @@ class TestEquivalence:
             assert a == b == c
 
 
-def _residual_db(db: TransactionDatabase, x: int) -> TransactionDatabase:
-    return TransactionDatabase.from_itemsets([[i for i in t if i != x] for t in db])
-
-
-def _projected_db(db: TransactionDatabase, x: int) -> TransactionDatabase:
-    return TransactionDatabase.from_itemsets(
-        [[i for i in t if i != x] for t in db if x in t]
-    )
-
-
 class TestDecompositionTheorems:
     def test_residual_miis_are_the_x_free_miis(self):
         # MIIs of the residual database of x are exactly the MIIs of the
@@ -232,7 +216,7 @@ class TestDecompositionTheorems:
                 continue
             x = build_tree(db).order[0]
             sigma = rng.randint(1, 4)
-            left = mii_oracle(_residual_db(db, x), sigma)
+            left = mii_oracle(residual_db(db, x), sigma)
             right = {s for s in mii_oracle(db, sigma) if x not in s}
             assert left == right
 
@@ -252,8 +236,8 @@ class TestDecompositionTheorems:
                 continue
             counts = item_supports(db)
             x = min(frequent, key=lambda i: (counts[i], i))
-            proj = _projected_db(db, x)
-            resid = _residual_db(db, x)
+            proj = projected_db(db, x)
+            resid = residual_db(db, x)
             with_x = {s for s in mii_oracle(db, sigma) if x in s}
             from_projection = {
                 tuple(sorted((x, *s)))

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -17,18 +18,10 @@ from ifpmine import (
     support,
 )
 
-from conftest import MLMS_EXPECTED, MLMS_SIGMAS, universe
+import conftest
+from conftest import MLMS_EXPECTED, MLMS_SIGMAS, projected_db, residual_db, universe
 
-
-def random_db(rng: random.Random, max_items=8, max_tx=25) -> TransactionDatabase:
-    return gen_synthetic(
-        SynthConfig(
-            num_items=rng.randint(1, max_items),
-            num_transactions=rng.randint(1, max_tx),
-            density=rng.uniform(0.1, 0.7),
-            seed=rng.getrandbits(64),
-        )
-    )
+random_db = partial(conftest.random_db, max_items=8, max_tx=25, max_density=0.7)
 
 
 def random_tv(rng: random.Random) -> ThresholdVector:
@@ -297,16 +290,6 @@ class TestSigmaLowPruning:
             assert with_prune.frequent == without.frequent
 
 
-def _projected_db(db, x):
-    return TransactionDatabase.from_itemsets(
-        [[i for i in t if i != x] for t in db if x in t]
-    )
-
-
-def _residual_db(db, x):
-    return TransactionDatabase.from_itemsets([[i for i in t if i != x] for t in db])
-
-
 class TestPrefixShiftTheorems:
     def test_projection_shifts_the_threshold_index(self):
         # S under prefix p+1 in the projection and x+S under prefix p in the
@@ -319,7 +302,7 @@ class TestPrefixShiftTheorems:
                 continue
             items = sorted(universe(db))
             x = rng.choice(items)
-            proj = _projected_db(db, x)
+            proj = projected_db(db, x)
             others = [i for i in items if i != x]
             for _ in range(5):
                 if not others:
@@ -338,7 +321,7 @@ class TestPrefixShiftTheorems:
                 continue
             items = sorted(universe(db))
             x = rng.choice(items)
-            resid = _residual_db(db, x)
+            resid = residual_db(db, x)
             others = [i for i in items if i != x]
             for _ in range(5):
                 if not others:

@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -20,7 +21,10 @@ from ifpmine import (
 )
 from ifpmine.oracle import _splitmix64, _xoshiro256starstar
 
+import conftest
 from conftest import MII_EXPECTED, MLMS_EXPECTED, MLMS_SIGMAS
+
+random_db = partial(conftest.random_db, max_items=8, max_tx=20, max_density=0.7)
 
 
 class TestMiiOracle:
@@ -55,9 +59,7 @@ class TestMiiOracle:
     def test_antichain_and_definition(self):
         rng = random.Random(21)
         for _ in range(25):
-            db = gen_synthetic(
-                SynthConfig(rng.randint(1, 8), rng.randint(1, 20), rng.uniform(0.1, 0.7), rng.getrandbits(64))
-            )
+            db = random_db(rng)
             sigma = rng.randint(1, 4)
             miis = mii_oracle(db, sigma)
             for s in miis:
@@ -71,9 +73,7 @@ class TestMiiOracle:
     def test_no_large_itemset_contains_infrequent_item(self):
         rng = random.Random(22)
         for _ in range(25):
-            db = gen_synthetic(
-                SynthConfig(rng.randint(1, 8), rng.randint(1, 20), rng.uniform(0.1, 0.7), rng.getrandbits(64))
-            )
+            db = random_db(rng)
             sigma = rng.randint(1, 4)
             counts = item_supports(db)
             infrequent = {i for i, c in counts.items() if c < sigma}

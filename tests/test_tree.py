@@ -1,5 +1,7 @@
+import itertools
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -16,18 +18,10 @@ from ifpmine import (
 )
 from ifpmine import tree as tree_module
 
+import conftest
 from conftest import MII_LABELS, MII_ROWS, decompress, dump_lines, prune_infrequent_items, universe
 
-
-def random_db(rng: random.Random, max_items=9, max_tx=30) -> TransactionDatabase:
-    return gen_synthetic(
-        SynthConfig(
-            num_items=rng.randint(1, max_items),
-            num_transactions=rng.randint(1, max_tx),
-            density=rng.uniform(0.1, 0.9),
-            seed=rng.getrandbits(64),
-        )
-    )
+random_db = partial(conftest.random_db, max_items=9, max_tx=30, max_density=0.9)
 
 
 def _nodes(tree, item):
@@ -353,6 +347,23 @@ class TestPairKernelChoice:
         tree = build_tree(db)
         assert len(tree.order) == 200
         assert self._kernels(tree, monkeypatch) == ["_path_pairs"]
+
+    def test_row_order_does_not_change_the_kernel(self, monkeypatch):
+        # Sum of n(n - 3) over the paths: 38 on the long rows, -24 on the
+        # short ones, 14 in all against 6 * 5 = 30; the long rows alone
+        # outweigh it, so only a sum over every path decides the same both ways.
+        long = [[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4], [0, 1, 2, 3, 5]]
+        short = [[1], [2], [3], [4], [5], [1, 2], [3, 4], [2, 5], [1, 4], [3, 5], [4, 5], [1, 3]]
+        kernels = []
+        for rows in (long + short, short + long):
+            with monkeypatch.context() as patch:
+                kernels.append(self._kernels(build_tree(TransactionDatabase.from_itemsets(rows)), patch))
+        assert kernels == [["_path_pairs"], ["_path_pairs"]]
+
+    def test_a_tie_takes_the_paths(self, monkeypatch):
+        # Five paths of 4 items: 5 * 4 * 1 = 20 against 5 * 4 = 20.
+        db = TransactionDatabase.from_itemsets(itertools.combinations(range(5), 4))
+        assert self._kernels(build_tree(db), monkeypatch) == ["_path_pairs"]
 
 
 class TestTreeItems:
