@@ -17,7 +17,9 @@ Two miners produce identical output:
   residual one; folding the steps back from the chain's end finds the
   residual tree's MIIs collected by the time it reaches x. A projection's
   supports are row x of the tree's pair table, and its own pair table is
-  counted from x's paths, the database's from its transactions. A tree is
+  counted from x's paths or, below a tree that turned vertical, from the
+  projection's tidsets, each item's ANDed with x's; the database's is
+  counted from its transactions. A tree is
   split only if its table holds a frequent pair: otherwise no itemset
   beyond a pair is minimal. A tree of one distinct path, FP-growth's
   single-path case (Han, Pei and Yin, SIGMOD 2000), holds no MII of two
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .data import (
     InvalidThresholdError,
@@ -55,6 +56,9 @@ class MiningStats:
     """Peak count of tree nodes on the recursion stack during a mining run:
     the summed ``node_count`` of the trees being split, each the distinct
     prefixes of its paths, the lines of its ``dump``, when its split began.
+    A vertical tree's paths are derived from its tidsets for the count, one
+    walk of their set bits, so a run with stats takes longer than one
+    without on dense data.
 
     A deterministic memory proxy for benchmarking; a run that splits no tree
     leaves it at zero.
@@ -111,9 +115,10 @@ def _mii_rec(tree: IFPTree, sigma: int, live: int, stats: MiningStats | None) ->
     trees above it, for ``stats``, and is read only if ``stats`` is given.
     Dropping items leaves the other itemsets' supports alone, and
     supp(x + s) here is supp(s) in x's projection. A tree of one distinct
-    path is cut before its table is read: there every itemset has its
-    deepest item's support, which reaches ``sigma``."""
-    if len(list(islice(tree.paths(), 2))) < 2:
+    path (``single_path``, in either form) is cut before its table is
+    read: there every itemset has its deepest item's support, which
+    reaches ``sigma``."""
+    if tree.single_path:
         return {}
     result = {}  # its items are frequent: each pair of them below sigma is an MII
     order, pairs = tree.order, tree.pairs

@@ -447,6 +447,10 @@ class TestMain:
             out = capsys.readouterr().out
             assert len(out.splitlines()) == lines
             assert sha256(out.encode()) == digest
+        assert main(["mine-mii", "--input", str(g), "--min-sup", "5%"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1092
+        assert sha256(out.encode()) == "de1b036fd6e87dca58e699a177d02a687a46ca2b482a918bebcc223a4e3261ed"
         assert main(["bench", "--inputs", str(g), "--algos", "ifp", "--thresholds", "10%,5%,20%"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         assert [(t, i, p) for _, _, t, _, i, p in rows] == [

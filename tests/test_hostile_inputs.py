@@ -7,6 +7,8 @@ Every case goes through ``cli.main`` and checks its exit code, and checks the
 allow, against the brute-force oracle.
 """
 
+import itertools
+
 import pytest
 
 import ifpmine.miners
@@ -236,3 +238,41 @@ def test_one_path_projections_are_cut_before_their_pairs(tmp_path, capsys, monke
     db = read_fimi(path)
     assert all(support(db, tuple(map(int, line.split()[:-1]))) == 0 for line in lines)
     assert all(line.endswith(" (0)") for line in lines)
+
+
+def test_one_path_cut_holds_on_a_vertical_tree(tmp_path, capsys, monkeypatch):
+    # 66 rows of items 0-11, each without a pair of them, and two copies of a
+    # 120-item row of items found nowhere else. The dense rows' long paths
+    # make the top tree count its pair table on bitsets and turn vertical,
+    # so each long item's projection is vertical and one distinct path of
+    # the later long items: mined, they would split 2**119 ways. An itemset
+    # of k of items 0-11 is in C(12 - k, 2) rows: the ten-item ones are
+    # MIIs of support 1, and each dense item and long item make a pair MII
+    # of support 0.
+    long_row = range(100, 220)
+    dense = [[i for i in range(12) if i not in pair] for pair in itertools.combinations(range(12), 2)]
+    path = _write(tmp_path, _fimi(dense + [long_row] * 2))
+    vertical_one_path, real_rec = [], ifpmine.miners._mii_rec
+
+    def distinct_paths(tree):
+        return sum(1 for _ in tree.paths())
+
+    def recording(tree, *args):
+        vertical_one_path.append(tree._tids is not None and distinct_paths(tree) <= 1)
+        return real_rec(tree, *args)
+
+    def refusing_one_path(real):
+        def stand_in(tree, *args):
+            assert distinct_paths(tree) > 1, f"{real.__name__} reached a tree of one path"
+            return real(tree, *args)
+
+        return stand_in
+
+    monkeypatch.setattr(ifpmine.miners, "_mii_rec", recording)
+    monkeypatch.setattr(ifpmine.tree, "_count_pairs", refusing_one_path(ifpmine.tree._count_pairs))
+    monkeypatch.setattr(ifpmine.miners, "split", refusing_one_path(ifpmine.miners.split))
+    code, out = _mine_mii(path, "2", "ifp", capsys)
+    assert vertical_one_path.count(True) >= len(long_row)  # each long item's projection
+    want = [(s, 1) for s in itertools.combinations(range(12), 10)]
+    want += [((d, i), 0) for d in range(12) for i in long_row]
+    assert (code, out) == (0, render_itemset_lines(sorted(want, key=lambda e: (len(e[0]), e[0]))))

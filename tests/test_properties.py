@@ -6,7 +6,7 @@ items per transaction), and the runs are derandomized, so they repeat."""
 
 import random
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ifpmine.miners
@@ -198,7 +198,93 @@ def test_pair_kernels_agree_on_weighted_paths(rows, data):
         if row := {b: n for b in order[k + 1:] if (n := support(db, (a, b)))}:
             want[a] = row
     assert ifpmine.tree._path_pairs(paths) == want
-    assert ifpmine.tree._bitset_pairs(order, paths) == want
+    assert ifpmine.tree._bitset_pairs(order, ifpmine.tree._tidsets(order, paths)) == want
+
+
+def _on_paths(tree):
+    """The tree with its pair table counted on its paths, which it then keeps."""
+    tree._pairs = ifpmine.tree._path_pairs(tree.paths())
+    return tree
+
+
+def _assert_same_contents(vertical, on_paths, itemsets) -> None:
+    """A vertical tree reads as the tree on paths of the same database."""
+    assert vertical._tids is not None and on_paths._tids is None
+    assert vertical.order == on_paths.order
+    assert vertical.supports == on_paths.supports
+    assert vertical.num_transactions == on_paths.num_transactions
+    assert vertical.pairs == on_paths.pairs
+    assert vertical.dump() == on_paths.dump()
+    assert vertical.node_count == on_paths.node_count
+    assert vertical.single_path == on_paths.single_path
+    for s in itemsets:
+        assert tree_support(vertical, s) == tree_support(on_paths, s)
+
+
+@PROPERTY
+@given(db=databases, data=st.data())
+def test_vertical_tree_matches_the_tree_on_paths_at_every_split_step(db, data):
+    floor = data.draw(st.integers(0, len(db) + 1), label="floor")
+    m = data.draw(st.integers(0, len(db) + 1), label="split floor")
+    probes = data.draw(itemsets, label="itemsets")
+    on_paths = _on_paths(build_tree(db, floor))
+    vertical = build_tree(db, floor)
+    ifpmine.tree._go_vertical(vertical)
+    steps, vertical_steps = 0, split(vertical, m)
+    for (x, proj), (y, v_proj) in zip(split(on_paths, m), vertical_steps):
+        assert x == y
+        _assert_same_contents(vertical, on_paths, probes)
+        # Each projection and residual of a vertical tree is vertical.
+        _assert_same_contents(v_proj, _on_paths(proj), probes)
+        _assert_same_contents(projected_tree(vertical, m), _on_paths(projected_tree(on_paths, m)), probes)
+        _assert_same_contents(residual_tree(vertical), _on_paths(residual_tree(on_paths)), probes)
+        steps += 1
+    assert next(vertical_steps, None) is None  # the last residual step
+    assert steps == len(build_tree(db, floor).order)
+    _assert_same_contents(vertical, on_paths, probes)
+
+
+def _top_on_paths_projection_vertical(rng: random.Random) -> TransactionDatabase:
+    """40-60 rows of two of items 1-19, which keep the database's tree on
+    its paths, and 4-6 rows of item 0 with 7-9 of items 1-9, which make
+    the projections of the items they hold dense."""
+    rows = [rng.sample(range(1, NUM_ITEMS), 2) for _ in range(rng.randint(40, 60))]
+    rows += [[0, *rng.sample(range(1, 10), rng.randint(7, 9))] for _ in range(rng.randint(4, 6))]
+    rng.shuffle(rows)
+    return TransactionDatabase.from_itemsets(rows)
+
+
+def _turns_vertical_below_the_top(db, floor) -> bool:
+    """Whether ``build_tree(db, floor)`` counts its pair table on its paths
+    and some projection of its split at ``floor`` turns vertical."""
+    tree = build_tree(db, floor)
+    tree.pairs
+    if tree._tids is not None:
+        return False
+    for _, proj in split(tree, floor):
+        proj.pairs
+        if proj._tids is not None:
+            return True
+    return False
+
+
+@settings(PROPERTY, max_examples=50)  # the MII oracle takes about 50 ms a database here
+@given(rng=st.randoms(use_true_random=False), data=st.data())
+def test_miners_agree_with_oracle_when_a_projection_turns_vertical(rng, data):
+    db = _top_on_paths_projection_vertical(rng)
+    sigma = data.draw(st.integers(1, 3), label="sigma")
+    assume(_turns_vertical_below_the_top(db, sigma))
+    want = mii_oracle(db, sigma)
+    result = mine_mii(db, sigma)
+    assert set(result.miis) == want
+    assert result.supports == {s: support(db, s) for s in want}
+    # At (9, 3, sigma) the MLMS tree's floor is sigma, and it is split.
+    tv = ThresholdVector((9, 3, sigma))
+    want = mlms_oracle(db, tv)
+    for prune in (True, False):
+        result = mine_mlms(db, tv, sigma_low_prune=prune)
+        assert set(result.frequent) == want
+        assert result.supports == {s: support(db, s) for s in want}
 
 
 @PROPERTY

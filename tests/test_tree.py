@@ -360,6 +360,25 @@ class TestPairKernelChoice:
                 kernels.append(self._kernels(build_tree(TransactionDatabase.from_itemsets(rows)), patch))
         assert kernels == [["_path_pairs"], ["_path_pairs"]]
 
+    def test_a_vertical_tree_keeps_bitsets_below_it(self, monkeypatch):
+        # Dense rows turn the top tree vertical. Item 50, the lf-item, is in
+        # two short rows: on its own, its projection's two one-item paths
+        # would take the paths, but it is made vertical, as is the residual.
+        dense = [[i for i in range(12) if i not in pair] for pair in itertools.combinations(range(12), 2)]
+        db = TransactionDatabase.from_itemsets(dense + [[50, 0], [50, 1]])
+        tree = build_tree(db)
+        with monkeypatch.context() as patch:
+            assert self._kernels(tree, patch) == ["_bitset_pairs"]
+        assert tree.order[0] == 50
+        proj = projected_tree(tree)
+        rebuilt = build_tree(TransactionDatabase.from_itemsets([[0], [1]]))
+        with monkeypatch.context() as patch:
+            assert self._kernels(rebuilt, patch) == ["_path_pairs"]
+        for below in (proj, residual_tree(tree)):
+            with monkeypatch.context() as patch:
+                assert self._kernels(below, patch) == ["_bitset_pairs"]
+        assert proj.dump() == rebuilt.dump()
+
     def test_a_tie_takes_the_paths(self, monkeypatch):
         # Five paths of 4 items: 5 * 4 * 1 = 20 against 5 * 4 = 20.
         db = TransactionDatabase.from_itemsets(itertools.combinations(range(5), 4))
