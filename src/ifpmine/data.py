@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 Itemset = tuple[int, ...]
@@ -32,7 +34,9 @@ def canonical_itemset(items: Iterable[int]) -> Itemset:
 
 def in_result_order(itemsets: Iterable[Itemset]) -> tuple[Itemset, ...]:
     """The itemsets in result order: by length, then lexicographically by
-    item ids. Sorted on builtin keys: lexicographically, then stably by length."""
+    item ids. Sorted on builtin keys: lexicographically, then stably by length.
+    The one place the order is decided: a miner's emission order changes only
+    what the sorts cost, since Timsort passes over runs already in order."""
     return tuple(sorted(sorted(itemsets), key=len))
 
 
@@ -172,26 +176,57 @@ def support(db: TransactionDatabase, s: Iterable[int]) -> int:
 
 
 def item_supports(db: TransactionDatabase) -> dict[int, int]:
-    """Support of every 1-itemset in one pass over the database."""
-    counts: dict[int, int] = {}
-    for t in db.transactions:
-        for i in t:
-            counts[i] = counts.get(i, 0) + 1
-    return counts
+    """Support of every 1-itemset in one pass over the database, keyed in
+    the order of the items' first occurrences."""
+    return dict(Counter(chain.from_iterable(db.transactions)))
 
 
 def render_itemset_lines(
     entries: Iterable[tuple[Itemset, int]], labels: dict[int, str] | None = None
 ) -> str:
-    """Text result format: one ``items (support)`` line per itemset.
+    """Text result format: one ``items (support)`` line per itemset, its
+    items (or their ``labels``, an item without one as its id) joined by
+    spaces; the empty itemset's line is `` (n)``.
 
-    Callers pass entries already in canonical (length, lexicographic) order.
+    Callers pass entries already in canonical (length, lexicographic) order,
+    so the itemset length changes rarely: each change builds one format
+    string, ``%s`` per item and one for the support, and each line is one
+    ``%`` on it. The labels, if given, replace the items first.
     """
-    name = str if labels is None else lambda i: labels.get(i, str(i))
-    return "".join(f"{' '.join(map(name, s))} ({n})\n" for s, n in entries)
+    if labels is not None:
+        entries = ((tuple([labels.get(i, str(i)) for i in s]), n) for s, n in entries)
+    lines, k, fmt = [], -1, ""
+    for s, n in entries:
+        if len(s) != k:
+            k = len(s)
+            fmt = " ".join(["%s"] * k) + " (%s)\n"
+        lines.append(fmt % (*s, n))
+    return "".join(lines)
 
 
 def itemsets_json(entries: Iterable[tuple[Itemset, int]]) -> str:
     """JSON result format: array of ``{"items": [...], "support": n}``."""
     payload = [{"items": list(s), "support": n} for s, n in entries]
     return json.dumps(payload, indent=2) + "\n"
+
+
+class _ResultRendering:
+    """``entries``, ``to_text`` and ``to_json`` of a result: its itemsets in
+    result order, ``_order``, each with its support, read from ``supports``
+    as the line is rendered."""
+
+    _order: tuple[Itemset, ...]
+    supports: dict[Itemset, int]
+
+    def _entries(self) -> Iterator[tuple[Itemset, int]]:
+        order = self._order
+        return zip(order, map(self.supports.__getitem__, order))
+
+    def entries(self) -> list[tuple[Itemset, int]]:
+        return list(self._entries())
+
+    def to_text(self, labels: dict[int, str] | None = None) -> str:
+        return render_itemset_lines(self._entries(), labels)
+
+    def to_json(self) -> str:
+        return itemsets_json(self._entries())

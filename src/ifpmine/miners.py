@@ -42,9 +42,8 @@ from .data import (
     InvalidThresholdError,
     Itemset,
     TransactionDatabase,
+    _ResultRendering,
     in_result_order,
-    itemsets_json,
-    render_itemset_lines,
     support,
 )
 from .oracle import mii_oracle
@@ -71,7 +70,7 @@ class MiningStats:
 
 
 @dataclass(frozen=True)
-class MIIResult:
+class MIIResult(_ResultRendering):
     """Deterministically ordered minimally infrequent itemsets of one run;
     every miner builds it with ``of``."""
 
@@ -85,14 +84,9 @@ class MIIResult:
         """The result of the MIIs ``found`` with their supports, in result order."""
         return cls(miis=in_result_order(found), supports=found, sigma=sigma, algorithm=algorithm)
 
-    def entries(self) -> list[tuple[Itemset, int]]:
-        return [(s, self.supports[s]) for s in self.miis]
-
-    def to_text(self, labels: dict[int, str] | None = None) -> str:
-        return render_itemset_lines(self.entries(), labels)
-
-    def to_json(self) -> str:
-        return itemsets_json(self.entries())
+    @property
+    def _order(self) -> tuple[Itemset, ...]:
+        return self.miis
 
 
 def unify(x: int, sets: dict[Itemset, int]) -> dict[Itemset, int]:
@@ -110,7 +104,8 @@ def unify(x: int, sets: dict[Itemset, int]) -> dict[Itemset, int]:
 def _mii_rec(tree: IFPTree, sigma: int, live: int, stats: MiningStats | None) -> dict[Itemset, int]:
     """MIIs of two or more items of the tree, which holds no item below
     ``sigma`` in its order, with their supports in it; consumes the tree.
-    Its pairs are read from its pair table, and it is split only if the
+    Its pairs are read from its pair table, in ascending order of item ids,
+    the order ``in_result_order`` sorts them into, and it is split only if the
     table holds a frequent pair; ``live`` counts the nodes of the split
     trees above it, for ``stats``, and is read only if ``stats`` is given.
     Dropping items leaves the other itemsets' supports alone, and
@@ -121,10 +116,13 @@ def _mii_rec(tree: IFPTree, sigma: int, live: int, stats: MiningStats | None) ->
     if tree.single_path:
         return {}
     result = {}  # its items are frequent: each pair of them below sigma is an MII
-    order, pairs = tree.order, tree.pairs
-    for k, a in enumerate(order):
-        row = pairs.get(a, {})
-        result.update(((a, b) if a < b else (b, a), n) for b in order[k + 1:] if (n := row.get(b, 0)) < sigma)
+    pairs = tree.pairs
+    ids = sorted(tree.order)
+    rows = {i: pairs.get(i, {}) for i in ids}
+    for k, a in enumerate(ids):
+        row = rows[a]
+        # {a, b} is in the row of whichever comes first in the order; no entry is 0.
+        result.update(((a, b), n) for b in ids[k + 1:] if (n := row.get(b) or rows[b].get(a, 0)) < sigma)
     if not any(max(row.values()) >= sigma for row in pairs.values()):
         return result  # no itemset beyond a pair is minimal
     if stats is not None:

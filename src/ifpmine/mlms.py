@@ -32,9 +32,8 @@ from .data import (
     Itemset,
     SupportThreshold,
     TransactionDatabase,
+    _ResultRendering,
     in_result_order,
-    itemsets_json,
-    render_itemset_lines,
 )
 from .miners import unify
 from .tree import IFPTree, build_tree, split
@@ -123,18 +122,13 @@ def ifp_mlms(
 
 
 @dataclass(frozen=True)
-class MLMSResult:
+class MLMSResult(_ResultRendering):
     frequent: tuple[Itemset, ...]
     supports: dict[Itemset, int] = field(compare=False)
 
-    def entries(self) -> list[tuple[Itemset, int]]:
-        return [(s, self.supports[s]) for s in self.frequent]
-
-    def to_text(self, labels: dict[int, str] | None = None) -> str:
-        return render_itemset_lines(self.entries(), labels)
-
-    def to_json(self) -> str:
-        return itemsets_json(self.entries())
+    @property
+    def _order(self) -> tuple[Itemset, ...]:
+        return self.frequent
 
 
 def mine_mlms(

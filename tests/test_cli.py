@@ -439,18 +439,24 @@ class TestMain:
                      "--seed", "2", "--out", str(s)]) == 0
         assert sha256(g.read_bytes()) == "04ff06ca034d6607d9a9cf69880c2ab61707a42fa355275fba4448a794d37d06"
         assert sha256(s.read_bytes()) == "f60a1da67bbd8b2af1b24fdf987009fc6a95338e3559aa1a91e8b8e8b5a53911"
-        for thresholds, digest, lines in (
-            ("30%,10%,3%", "5bc80cafde1a3fc2a08d3e9010f340f9bf572ac04e69c14842b9f254ef5d4a71", 706),
-            ("10%,20%,5%,3%", "201922528d17a6cae9fc3aff5884725322fda85ea7e38e54a09f0c2b8f4f976f", 84),
+        for args, digest, lines in (
+            (["mine-mlms", "--input", str(g), "--thresholds", "30%,10%,3%"],
+             "5bc80cafde1a3fc2a08d3e9010f340f9bf572ac04e69c14842b9f254ef5d4a71", 706),
+            (["mine-mlms", "--input", str(g), "--thresholds", "30%,10%,3%", "--format", "json"],
+             "079c814342040c6d7a740738ee9baa3149c4969e0e1c4141deeb5d4c390a48da", 5547),
+            (["mine-mlms", "--input", str(g), "--thresholds", "10%,20%,5%,3%"],
+             "201922528d17a6cae9fc3aff5884725322fda85ea7e38e54a09f0c2b8f4f976f", 84),
+            (["mine-mii", "--input", str(g), "--min-sup", "5%"],
+             "de1b036fd6e87dca58e699a177d02a687a46ca2b482a918bebcc223a4e3261ed", 1092),
+            (["mine-mii", "--input", str(g), "--min-sup", "5%", "--format", "json"],
+             "2ab84ec5584b91783c98a138476e5f06d672e9c55fd7ecd16df0f7de2b9cb9c3", 8739),
+            (["mine-mii", "--input", str(s), "--min-sup", "0.5%"],
+             "f272df5623ce6dd7a08a00835598f5f46d129a6bbde61c2806edbb35a78aa064", 296),
         ):
-            assert main(["mine-mlms", "--input", str(g), "--thresholds", thresholds]) == 0
+            assert main(args) == 0
             out = capsys.readouterr().out
             assert len(out.splitlines()) == lines
             assert sha256(out.encode()) == digest
-        assert main(["mine-mii", "--input", str(g), "--min-sup", "5%"]) == 0
-        out = capsys.readouterr().out
-        assert len(out.splitlines()) == 1092
-        assert sha256(out.encode()) == "de1b036fd6e87dca58e699a177d02a687a46ca2b482a918bebcc223a4e3261ed"
         assert main(["bench", "--inputs", str(g), "--algos", "ifp", "--thresholds", "10%,5%,20%"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         assert [(t, i, p) for _, _, t, _, i, p in rows] == [

@@ -1,22 +1,28 @@
 """Property tests: the miners agree with the brute-force oracles on generated
-databases, and the tree layer agrees with trees rebuilt from the databases
-its operations stand for. Every database stays inside the oracles' guards
+databases, the tree layer agrees with trees rebuilt from the databases
+its operations stand for, and the output layer agrees with plain reference
+formulas. Every database stays inside the oracles' guards
 (``MAX_ORACLE_FREQUENT_ITEMS`` frequent items, ``MAX_ORACLE_TRANSACTION_LEN``
 items per transaction), and the runs are derandomized, so they repeat."""
 
 import random
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ifpmine.miners
+import ifpmine.mlms
 import ifpmine.tree
 from ifpmine import (
+    MIIResult,
     ThresholdVector,
     TransactionDatabase,
     apriori_min,
     build_tree,
     ifp_min,
+    ifp_mlms,
     item_supports,
     mii_oracle,
     mine_mlms,
@@ -27,6 +33,7 @@ from ifpmine import (
     support,
     tree_support,
 )
+from ifpmine.data import render_itemset_lines
 from ifpmine.oracle import MAX_ORACLE_FREQUENT_ITEMS, MAX_ORACLE_TRANSACTION_LEN
 from ifpmine.tree import split
 
@@ -343,3 +350,80 @@ def test_apriori_does_not_scan_the_database(monkeypatch):
     for result in (apriori_min(db, sigma), mine_mii(db, sigma, algorithm="apriori")):
         assert set(result.miis) == want
         assert result.supports == supports
+
+
+def _render_reference(entries, labels=None) -> str:
+    """The text format as one f-string per line."""
+    name = str if labels is None else lambda i: labels.get(i, str(i))
+    return "".join(f"{' '.join(map(name, s))} ({n})\n" for s, n in entries)
+
+
+# Small ids and ids past 2**64; supports up to 2**70.
+item_ids = st.integers(0, 30) | st.integers(2**64, 2**70)
+render_entries = st.lists(
+    st.tuples(st.lists(item_ids, unique=True, max_size=6).map(lambda s: tuple(sorted(s))), st.integers(0, 2**70)),
+    max_size=25,
+)
+
+
+@PROPERTY
+@given(
+    entries=render_entries,
+    labels=st.none() | st.dictionaries(item_ids, st.text(max_size=4)),
+    in_result_order=st.booleans(),
+)
+def test_render_matches_the_f_string_formula(entries, labels, in_result_order):
+    # Lengths mixed in any order, and labels that miss some items and may hold "%".
+    if in_result_order:
+        entries.sort(key=lambda e: (len(e[0]), e[0]))
+    want = _render_reference(entries, labels)
+    assert render_itemset_lines(entries, labels) == want
+    assert render_itemset_lines(iter(entries), labels) == want
+
+
+def test_render_of_the_empty_itemset():
+    assert render_itemset_lines([((), 7)]) == _render_reference([((), 7)]) == " (7)\n"
+    assert render_itemset_lines([((), 2), ((3,), 1), ((), 4)], {3: "c"}) == " (2)\nc (1)\n (4)\n"
+
+
+def _result_order(found):
+    return tuple(sorted(found, key=lambda s: (len(s), s)))
+
+
+def _shuffled(found, data) -> dict:
+    return dict(data.draw(st.permutations(list(found.items())), label="insertion order"))
+
+
+@PROPERTY
+@given(db=databases, data=st.data())
+def test_mii_result_order_is_independent_of_insertion_order(db, data):
+    sigma = data.draw(st.integers(1, len(db) + 1), label="sigma")
+    result = ifp_min(db, sigma)
+    shuffled = MIIResult.of(_shuffled(result.supports, data), sigma, "ifp")
+    assert shuffled.miis == result.miis == _result_order(result.supports)
+    assert shuffled.to_text() == result.to_text() == _render_reference(result.entries())
+    assert shuffled.to_json() == result.to_json()
+
+
+@PROPERTY
+@given(db=databases, data=st.data())
+def test_mlms_result_order_is_independent_of_insertion_order(db, data):
+    sigmas = data.draw(st.lists(st.integers(1, len(db) + 1), min_size=1, max_size=4), label="sigmas")
+    tv = ThresholdVector(tuple(sigmas))
+    result = mine_mlms(db, tv)
+    shuffled = _shuffled(ifp_mlms(db, tv), data)
+    with mock.patch.object(ifpmine.mlms, "ifp_mlms", lambda *args, **kwargs: shuffled):
+        from_shuffled = mine_mlms(db, tv)
+    assert from_shuffled.frequent == result.frequent == _result_order(shuffled)
+    assert from_shuffled.to_text() == result.to_text() == _render_reference(result.entries())
+    assert from_shuffled.to_json() == result.to_json()
+
+
+@PROPERTY
+@given(db=databases)
+def test_item_supports_matches_the_counting_loop(db):
+    counts: dict[int, int] = {}
+    for t in db.transactions:
+        for i in t:
+            counts[i] = counts.get(i, 0) + 1
+    assert list(item_supports(db).items()) == list(counts.items())
