@@ -17,9 +17,9 @@ Two miners produce identical output:
   residual one; folding the steps back from the chain's end finds the
   residual tree's MIIs collected by the time it reaches x. A projection's
   supports are row x of the tree's pair table, and its own pair table is
-  counted from x's paths or, below a tree that turned vertical, from the
-  projection's tidsets, each item's ANDed with x's; the database's is
-  counted from its transactions. A tree is
+  counted in the form the projection was made in: on x's paths, or on its
+  tidsets, each item's ANDed with x's below a vertical tree; a dense
+  database's tree is made vertical from its transactions. A tree is
   split only if its table holds a frequent pair: otherwise no itemset
   beyond a pair is minimal. A tree of one distinct path, FP-growth's
   single-path case (Han, Pei and Yin, SIGMOD 2000), holds no MII of two
@@ -54,8 +54,9 @@ from .tree import residual_tree  # noqa: F401 -- not called here; benchmark/test
 class MiningStats:
     """Peak count of tree nodes on the recursion stack during a mining run:
     the summed ``node_count`` of the trees being split, each the distinct
-    prefixes of its paths, the lines of its ``dump``, when its split began.
-    A vertical tree's paths are derived from its tidsets for the count, one
+    prefixes of its paths, the lines of its ``dump``, when its split began,
+    whatever the tree's form. A vertical tree, such as a dense database's
+    from the start, derives its paths from its tidsets for the count, one
     walk of their set bits, so a run with stats takes longer than one
     without on dense data.
 

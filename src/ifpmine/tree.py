@@ -17,12 +17,15 @@ count}``, with identical paths merged into one of the summed count, as in
 H-Mine's queues (Pei et al., ICDM 2001). In vertical form, ``_tids`` maps
 each item of the order to its tidset, one ``int`` with a bit per
 transaction, as Eclat's (Zaki, IEEE TKDE 2000). One constructor,
-``_prepare``, makes every tree on paths from weighted transactions, which
-it sorts into the tree's order and merges there. ``_prepare`` leaves out
-the items below its ``min_support``: such an item keeps its support in
-``supports`` but has no place in the order, the paths or the tidsets and
-no row or column in the table. The database is the projected database of
-the empty prefix, and ``build_tree`` makes its tree, on paths.
+``_prepare``, makes every tree from weighted transactions, and picks its
+form there, once, from the supports it is given (``_takes_bitsets``): a
+dense tree gets its tidsets straight from the transactions, one ``|=``
+per kept item occurrence, and any other is made on paths, each
+transaction sorted into the tree's order and merged there. ``_prepare``
+leaves out the items below its ``min_support``: such an item keeps its
+support in ``supports`` but has no place in the order, the paths or the
+tidsets and no row or column in the table. The database is the projected
+database of the empty prefix, and ``build_tree`` makes its tree.
 
 ``split`` is the paper's step, taken along the whole residual chain: it
 yields each lf-item x with x's projected tree, then turns its tree into x's
@@ -34,24 +37,21 @@ moved. ``split`` consumes its tree. ``projected_tree(tree, min_support)``
 and ``residual_tree(tree)`` take one step at the tree's own lf-item,
 ``tree.order[0]``, and leave the tree alone: ``residual_tree`` is
 ``split``'s residual step on a copy. On an empty tree both raise the
-``IndexError`` of ``order[0]``.
+``IndexError`` of ``order[0]``. A tree's form never changes: the residual
+trees and projections of a vertical tree are vertical, and a projection
+of a tree on paths takes the form ``_prepare`` picks for it.
 
 Every tree carries a pair table, FP-growth*'s FP-array (Grahne and Zhu,
 IEEE TKDE 2005): ``pairs[a][b]`` is the support of {a, b} for each item b
 after a in the tree's order. It is counted when first read, so a tree whose
-table nothing reads never holds one, by one of two kernels. The path kernel
-adds each distinct path's count to each of its n(n - 1)/2 pairs. The bitset
-kernel reads each of the m(m - 1)/2 pairs of the order's m items as the
-``bit_count`` of an AND of two tidsets. A vertical tree always takes the
-bitsets. A tree on paths takes them, building its tidsets from its paths,
-only when it is dense enough that the ANDs cost less than the increments
-(``_count_pairs``); it then keeps the tidsets in place of its paths and
-turns vertical, and every projection made from it is vertical, its
-tidsets at the tree's bit positions. An AND costs in proportion to the
-tree's width in bits, so a tree of many transactions, such as a big
-sparse database's, stays on its paths and splits on them. The residual
-of x leaves every other itemset's support unchanged, so row x of the
-table is x's projected supports at x's step of the chain.
+table nothing reads never holds one, by the kernel of the tree's form. The
+path kernel adds each distinct path's count to each of its n(n - 1)/2
+pairs. The bitset kernel reads each of the m(m - 1)/2 pairs of the order's
+m items as the ``bit_count`` of an AND of two tidsets. An AND costs in
+proportion to the tree's width in bits, so a tree of many transactions,
+such as a big sparse database's, is made on its paths and splits on them.
+The residual of x leaves every other itemset's support unchanged, so row x
+of the table is x's projected supports at x's step of the chain.
 ``projected_tree`` takes them from there and, on paths, reads x's paths
 only if some item of that row reaches its ``min_support``.
 
@@ -59,9 +59,8 @@ only if some item of that row reaches its ``min_support``.
 tree derives them from its tidsets on each read. ``dump`` renders them as
 the paper's prefix tree, one line per distinct prefix; ``node_count``
 counts those lines and ``tree_support`` sums the paths that hold an
-itemset. Reading ``pairs`` the first time writes to the tree, and can move
-a tree on paths to its tidsets: read it before sharing a tree between
-threads.
+itemset. Reading ``pairs`` the first time stores the table in the tree:
+read it before sharing a tree between threads.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ class IFPTree:
         self.supports = supports  # item -> support, also of items pruned from the tree (no path)
         # first item -> {path sorted into the order: number of transactions on it}; empty when vertical
         self._paths: dict[int, dict[tuple[int, ...], int]] = {}
-        # item -> tidset, in place of ``_paths`` once the tree is vertical (see ``_count_pairs``)
+        # item -> tidset, in place of ``_paths`` when the tree is vertical (see ``_takes_bitsets``)
         self._tids: dict[int, int] | None = None
         self._pairs: dict[int, dict[int, int]] | None = None
 
@@ -119,10 +118,9 @@ class IFPTree:
     @property
     def pairs(self) -> dict[int, dict[int, int]]:
         """a -> b -> support of {a, b}, for b after a in the order; no row is
-        empty and no entry is 0. Counted on first read, on the paths or, for
-        a dense tree, on transaction bitsets, which the tree then keeps in
-        place of its paths (see ``_count_pairs``). The only read that writes
-        to the tree."""
+        empty and no entry is 0. Counted on first read, by the kernel of the
+        tree's form (``_count_pairs``), and kept: the only read that writes
+        to the tree, and it never changes the tree's form."""
         if self._pairs is None:
             self._pairs = _count_pairs(self)
         return self._pairs
@@ -160,32 +158,26 @@ def _common_prefix(prev: Sequence[int], path: Sequence[int]) -> int:
 
 
 def _count_pairs(tree: IFPTree) -> dict[int, dict[int, int]]:
-    """The tree's pair table. A vertical tree's comes from its tidsets'
-    ANDs. A tree on paths takes the kernel that costs it less: a path of n
-    items costs n(n - 1)/2 increments on paths and n run settings on
-    bitsets, n(n - 3)/2 more; the bitsets cost m(m - 1)/2 ANDs for the m
-    items of the order. An AND of two w-bit ints costs about 0.14 µs at 600
-    bits and 14 µs at 100k, so each counts one more unit per 1024 bits of
-    width, bounded here by ``num_transactions``: without that term a big
-    sparse tree (m = 499, 99,420 transactions) took bitsets and ran twice
-    as slow. One comparison of sums over all distinct paths decides, so
-    the order of the paths does not; a tie takes the paths. A tree that
-    takes the bitsets keeps them as its tidsets and drops its paths: it
-    turns vertical, and each projection made from it is vertical, so the
-    choice holds for its whole subtree of projections."""
+    """The tree's pair table, counted in the tree's form: on its paths, or
+    as ANDs of its tidsets when it is vertical."""
     if tree._tids is None:
-        m = len(tree.order)
-        excess = sum(n * (n - 3) for n in map(len, chain.from_iterable(tree._paths.values())))
-        if excess <= m * (m - 1) * (1 + tree.num_transactions // 1024):
-            return _path_pairs(tree.paths())
-        _go_vertical(tree)
+        return _path_pairs(tree.paths())
     return _bitset_pairs(tree.order, tree._tids)
 
 
-def _go_vertical(tree: IFPTree) -> None:
-    """Keep the tree's transactions as tidsets in place of its paths."""
-    tree._tids = _tidsets(tree.order, tree.paths())
-    tree._paths = {}
+def _takes_bitsets(m: int, s: int, t: int) -> bool:
+    """Whether a tree of m items whose supports sum to s, over t
+    transactions, is made vertical: whether its pair table costs less as
+    ANDs of tidsets than as increments on paths. A transaction of n items
+    costs n(n - 1)/2 increments on paths and n bit settings on tidsets,
+    n(n - 3)/2 more; the tidsets cost m(m - 1)/2 ANDs. An AND of two w-bit
+    ints costs about 0.14 µs at 600 bits and 14 µs at 100k, so each counts
+    one more unit per 1024 bits of width, bounded here by t: without that
+    term a big sparse tree (m = 499, 99,420 transactions) took bitsets and
+    ran twice as slow. Σ n(n - 3) is taken as that of t transactions of the
+    mean length s/t, s·s/t - 3s, so the supports alone decide, before any
+    path is made; both sides are multiplied by t. A tie takes the paths."""
+    return s * s - 3 * s * t > m * (m - 1) * (1 + t // 1024) * t
 
 
 def _path_pairs(paths: Iterable[tuple[Sequence[int], int]]) -> dict[int, dict[int, int]]:
@@ -201,16 +193,18 @@ def _path_pairs(paths: Iterable[tuple[Sequence[int], int]]) -> dict[int, dict[in
     return pairs
 
 
-def _tidsets(order: Sequence[int], paths: Iterable[tuple[Sequence[int], int]]) -> dict[int, int]:
-    """Eclat's tidsets of weighted paths over the items of ``order``: a
-    path of count c sets a run of c bits, its transactions, in the bitset
-    of each of its items."""
+def _tidsets(order: Sequence[int], paths: Iterable[tuple[Iterable[int], int]]) -> dict[int, int]:
+    """Eclat's tidsets of weighted transactions over the items of
+    ``order``: a transaction of count c sets a run of c bits, its own, in
+    the bitset of each of its items of the order. A transaction with no
+    item of the order still takes its bits."""
     tids = dict.fromkeys(order, 0)
     offset = 0
-    for path, count in paths:
+    for items, count in paths:
         run = ((1 << count) - 1) << offset
-        for item in path:
-            tids[item] |= run
+        for item in items:
+            if item in tids:
+                tids[item] |= run
         offset += count
     return tids
 
@@ -244,6 +238,12 @@ def _tid_paths(order: Sequence[int], tids: dict[int, int]) -> Counter[tuple[int,
     return Counter(map(tuple, rows.values()))
 
 
+def _iflist(supports: dict[int, int], min_support: int) -> list[int]:
+    """The i-flist of the items whose support reaches ``min_support``:
+    ascending support, ties by item id."""
+    return sorted((i for i in supports if supports[i] >= min_support), key=lambda i: (supports[i], i))
+
+
 def _prepare(
     supports: dict[int, int],
     paths: Iterable[tuple[Iterable[int], int]],
@@ -251,14 +251,18 @@ def _prepare(
     min_support: int = 0,
 ) -> IFPTree:
     """The tree of the weighted transactions ``paths``, ``(items, count)``
-    pairs, each sorted into its order and merged into its first item's
-    bucket. The tree owns ``supports``; only the items whose support reaches
+    pairs. The tree owns ``supports``; only the items whose support reaches
     ``min_support`` get a place in its order, the others are left out of its
-    paths, and the paths left empty are dropped."""
-    # the i-flist: ascending support, ties by item id
-    order = sorted((i for i in supports if supports[i] >= min_support), key=lambda i: (supports[i], i))
+    transactions. Its form is picked from those supports alone
+    (``_takes_bitsets``): vertical, each transaction setting its bits in
+    its items' tidsets, or on paths, each transaction sorted into the order
+    and merged into its first item's bucket, the ones left empty dropped."""
+    order = _iflist(supports, min_support)
     tree = IFPTree(order, num_transactions, supports)
-    rank = {item: k for k, item in enumerate(tree.order)}
+    if _takes_bitsets(len(order), sum(map(supports.__getitem__, order)), num_transactions):
+        tree._tids = _tidsets(order, paths)
+        return tree
+    rank = {item: k for k, item in enumerate(order)}
     buckets = tree._paths
     for items, count in paths:
         if path := tuple(sorted(filter(rank.__contains__, items), key=rank.__getitem__)):
@@ -273,7 +277,9 @@ def _prepare(
 def build_tree(db: TransactionDatabase, min_support: int = 0) -> IFPTree:
     """Build the inverse FP-tree of a database without the items whose
     support is below ``min_support``; ``supports`` keeps every item. Empty
-    transactions are counted in ``num_transactions`` but add no path."""
+    transactions are counted in ``num_transactions`` but add no path. A
+    dense database's tree is vertical: transaction t is bit t of its
+    items' tidsets."""
     return _prepare(item_supports(db), ((t, 1) for t in db.transactions), len(db), min_support)
 
 
@@ -285,14 +291,14 @@ def projected_tree(tree: IFPTree, min_support: int = 0) -> IFPTree:
     every item's projected support, but the items below ``min_support`` are
     left out of the paths. The supports are read from the pair table first:
     x's paths are read only if some item reaches ``min_support``. The
-    projection of a vertical tree is vertical: each item's tidset ANDed
-    with x's."""
+    projection of a vertical tree is vertical, each item's tidset ANDed
+    with x's; that of a tree on paths takes the form ``_prepare`` picks."""
     x = tree.order[0]
     # Row x of the pair table: items that never occur with x are absent, and
     # so are the items the tree leaves out.
     supports = dict(tree.pairs.get(x, ()))
     if tree._tids is not None:
-        proj = _prepare(supports, (), tree.supports[x], min_support)
+        proj = IFPTree(_iflist(supports, min_support), tree.supports[x], supports)
         tids, tid_x = tree._tids, tree._tids[x]
         proj._tids = {b: tids[b] & tid_x for b in proj.order}
         return proj
@@ -330,9 +336,10 @@ def split(tree: IFPTree, min_support: int = 0) -> Iterator[tuple[int, IFPTree]]:
     """Walk the tree's residual chain, consuming it: for each lf-item x,
     yield ``(x, projected_tree(tree, min_support))``, then turn the tree
     into x's residual tree in place (``_drop_lf``). The first projection
-    reads the tree's pair table, which fixes the tree's form for the whole
-    chain: a tree that turns vertical there splits on ANDs, and each
-    projection it yields is vertical."""
+    reads the tree's pair table. The tree keeps its form along the whole
+    chain: a vertical tree splits on ANDs, and each projection it yields is
+    vertical; a tree on paths moves its paths, and ``_prepare`` picks the
+    form of each projection it yields."""
     while tree.order:
         yield tree.order[0], projected_tree(tree, min_support)
         _drop_lf(tree)

@@ -440,6 +440,10 @@ class TestMain:
         assert sha256(g.read_bytes()) == "04ff06ca034d6607d9a9cf69880c2ab61707a42fa355275fba4448a794d37d06"
         assert sha256(s.read_bytes()) == "f60a1da67bbd8b2af1b24fdf987009fc6a95338e3559aa1a91e8b8e8b5a53911"
         for args, digest, lines in (
+            (["mine-mlms", "--input", str(g), "--thresholds", "30%"],
+             "0790cce6e33c323bf274c9753957b71c533b54e5e3660c5dceec930fa673ad83", 13),
+            (["mine-mlms", "--input", str(g), "--thresholds", "30%,10%"],
+             "049ec1b7e115d3ddbea87fc1437bb267abfbe69552f470c8e6edb7613dfa1e58", 90),
             (["mine-mlms", "--input", str(g), "--thresholds", "30%,10%,3%"],
              "5bc80cafde1a3fc2a08d3e9010f340f9bf572ac04e69c14842b9f254ef5d4a71", 706),
             (["mine-mlms", "--input", str(g), "--thresholds", "30%,10%,3%", "--format", "json"],

@@ -242,10 +242,11 @@ def test_one_path_projections_are_cut_before_their_pairs(tmp_path, capsys, monke
 
 def test_one_path_cut_holds_on_a_vertical_tree(tmp_path, capsys, monkeypatch):
     # 66 rows of items 0-11, each without a pair of them, and two copies of a
-    # 120-item row of items found nowhere else. The dense rows' long paths
-    # make the top tree count its pair table on bitsets and turn vertical,
-    # so each long item's projection is vertical and one distinct path of
-    # the later long items: mined, they would split 2**119 ways. An itemset
+    # 120-item row of items found nowhere else. The top tree is made on its
+    # paths (S·S/N - 3S = 9,211 against 132 * 131 = 17,292), but a long
+    # item's projection, two copies of its m later long items, is dense when
+    # m > 5 (2m² - 6m against m(m - 1)): it is made vertical, one distinct
+    # path, and mined, item 100's would split 2**119 ways. An itemset
     # of k of items 0-11 is in C(12 - k, 2) rows: the ten-item ones are
     # MIIs of support 1, and each dense item and long item make a pair MII
     # of support 0.
@@ -272,7 +273,8 @@ def test_one_path_cut_holds_on_a_vertical_tree(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ifpmine.tree, "_count_pairs", refusing_one_path(ifpmine.tree._count_pairs))
     monkeypatch.setattr(ifpmine.miners, "split", refusing_one_path(ifpmine.miners.split))
     code, out = _mine_mii(path, "2", "ifp", capsys)
-    assert vertical_one_path.count(True) >= len(long_row)  # each long item's projection
+    # 114 long items' projections, and projections of the dense rows' items
+    assert vertical_one_path.count(True) >= len(long_row)
     want = [(s, 1) for s in itertools.combinations(range(12), 10)]
     want += [((d, i), 0) for d in range(12) for i in long_row]
     assert (code, out) == (0, render_itemset_lines(sorted(want, key=lambda e: (len(e[0]), e[0]))))

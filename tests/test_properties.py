@@ -6,6 +6,7 @@ formulas. Every database stays inside the oracles' guards
 items per transaction), and the runs are derandomized, so they repeat."""
 
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -208,10 +209,19 @@ def test_pair_kernels_agree_on_weighted_paths(rows, data):
     assert ifpmine.tree._bitset_pairs(order, ifpmine.tree._tidsets(order, paths)) == want
 
 
-def _on_paths(tree):
-    """The tree with its pair table counted on its paths, which it then keeps."""
-    tree._pairs = ifpmine.tree._path_pairs(tree.paths())
-    return tree
+def _made_vertical(vertical: bool):
+    """A patch under which ``_prepare`` makes every tree vertical, or every
+    tree on paths, whatever its supports."""
+    return mock.patch.object(ifpmine.tree, "_takes_bitsets", return_value=vertical)
+
+
+def _takes_bitsets(tree) -> bool:
+    """The form rule restated on the tree's supports: bitsets when
+    S·S/N - 3S > m(m - 1)(1 + N // 1024), for the m items of the order whose
+    supports sum to S and N transactions."""
+    m, n = len(tree.order), tree.num_transactions
+    s = sum(tree.supports[i] for i in tree.order)
+    return n > 0 and Fraction(s * s, n) - 3 * s > m * (m - 1) * (1 + n // 1024)
 
 
 def _assert_same_contents(vertical, on_paths, itemsets) -> None:
@@ -228,27 +238,93 @@ def _assert_same_contents(vertical, on_paths, itemsets) -> None:
         assert tree_support(vertical, s) == tree_support(on_paths, s)
 
 
+def _assert_twins_agree_at_every_split_step(vertical, db, floor, m, probes) -> None:
+    """``vertical``, a vertical ``build_tree(db, floor)``, reads as its twin
+    on paths, and so do the two trees' projections and residuals at every
+    step of their splits at ``m``. Every tree of the twin is made on paths."""
+    with _made_vertical(False):
+        on_paths = build_tree(db, floor)
+        steps, vertical_steps = 0, split(vertical, m)
+        for (x, proj), (y, v_proj) in zip(split(on_paths, m), vertical_steps):
+            assert x == y
+            _assert_same_contents(vertical, on_paths, probes)
+            # Each projection and residual of a vertical tree is vertical.
+            _assert_same_contents(v_proj, proj, probes)
+            _assert_same_contents(projected_tree(vertical, m), projected_tree(on_paths, m), probes)
+            _assert_same_contents(residual_tree(vertical), residual_tree(on_paths), probes)
+            steps += 1
+        assert next(vertical_steps, None) is None  # the last residual step
+        assert steps == len(build_tree(db, floor).order)
+        _assert_same_contents(vertical, on_paths, probes)
+
+
 @PROPERTY
 @given(db=databases, data=st.data())
 def test_vertical_tree_matches_the_tree_on_paths_at_every_split_step(db, data):
     floor = data.draw(st.integers(0, len(db) + 1), label="floor")
     m = data.draw(st.integers(0, len(db) + 1), label="split floor")
     probes = data.draw(itemsets, label="itemsets")
-    on_paths = _on_paths(build_tree(db, floor))
+    with _made_vertical(True):
+        vertical = build_tree(db, floor)
+    _assert_twins_agree_at_every_split_step(vertical, db, floor, m, probes)
+
+
+# 8-24 rows of 6-8 of items 0-7, dense enough for ``build_tree`` to make
+# most of their trees vertical. The databases built from them add empty rows
+# and rows of items 10-19 alone, which a floor above their supports prunes.
+dense_rows = st.lists(st.lists(st.integers(0, 7), min_size=6, max_size=8, unique=True), min_size=8, max_size=24)
+rare_rows = st.lists(st.lists(st.integers(10, NUM_ITEMS - 1), min_size=1, max_size=3, unique=True), max_size=3)
+
+
+@PROPERTY
+@given(rows=dense_rows, rare=rare_rows, empty=st.integers(0, 3), data=st.data())
+def test_a_vertical_database_tree_matches_its_twin_on_paths(rows, rare, empty, data):
+    rows = data.draw(st.permutations(rows + rare + [[]] * empty), label="row order")
+    db = TransactionDatabase.from_itemsets(rows)
+    rare_max = max((n for i, n in item_supports(db).items() if i >= 10), default=0)
+    floor = data.draw(st.integers(rare_max + 1, rare_max + 4), label="floor")
+    m = data.draw(st.integers(0, len(db) + 1), label="split floor")
+    probes = data.draw(itemsets, label="itemsets")
     vertical = build_tree(db, floor)
-    ifpmine.tree._go_vertical(vertical)
-    steps, vertical_steps = 0, split(vertical, m)
-    for (x, proj), (y, v_proj) in zip(split(on_paths, m), vertical_steps):
-        assert x == y
-        _assert_same_contents(vertical, on_paths, probes)
-        # Each projection and residual of a vertical tree is vertical.
-        _assert_same_contents(v_proj, _on_paths(proj), probes)
-        _assert_same_contents(projected_tree(vertical, m), _on_paths(projected_tree(on_paths, m)), probes)
-        _assert_same_contents(residual_tree(vertical), _on_paths(residual_tree(on_paths)), probes)
-        steps += 1
-    assert next(vertical_steps, None) is None  # the last residual step
-    assert steps == len(build_tree(db, floor).order)
-    _assert_same_contents(vertical, on_paths, probes)
+    assume(vertical._tids is not None)
+    assert all(i < 10 for i in vertical.order)
+    _assert_twins_agree_at_every_split_step(vertical, db, floor, m, probes)
+
+
+@PROPERTY
+@given(db=databases | dense_rows.map(TransactionDatabase.from_itemsets), data=st.data())
+def test_build_tree_takes_the_form_of_the_rule(db, data):
+    floor = data.draw(st.integers(0, len(db) + 1), label="floor")
+    m = data.draw(st.integers(0, len(db) + 1), label="split floor")
+    tree = build_tree(db, floor)
+    assert tree.num_transactions == len(db)
+    assert (tree._tids is not None) == _takes_bitsets(tree)
+    # A projection of a tree on paths takes the rule's form, one of a
+    # vertical tree is vertical, and the chain keeps the tree's form.
+    vertical = tree._tids is not None
+    for x, proj in split(tree, m):
+        assert (tree._tids is not None) == vertical
+        assert (proj._tids is not None) == (vertical or _takes_bitsets(proj))
+
+
+@PROPERTY
+@given(db=databases | dense_rows.map(TransactionDatabase.from_itemsets), data=st.data())
+def test_reading_pairs_never_changes_a_trees_form(db, data):
+    floor = data.draw(st.integers(0, len(db) + 1), label="floor")
+    m = data.draw(st.integers(0, len(db) + 1), label="split floor")
+
+    def assert_read_keeps_form(tree):
+        on_paths = tree._tids is None
+        tree.pairs
+        assert (tree._tids is None) == on_paths
+
+    assert_read_keeps_form(build_tree(db, floor))
+    chain = build_tree(db, floor)
+    for x, proj in split(chain, m):
+        assert_read_keeps_form(proj)
+        if len(chain.order) > 1:
+            assert_read_keeps_form(residual_tree(chain))
+            assert_read_keeps_form(projected_tree(chain, m))
 
 
 def _top_on_paths_projection_vertical(rng: random.Random) -> TransactionDatabase:
@@ -262,17 +338,12 @@ def _top_on_paths_projection_vertical(rng: random.Random) -> TransactionDatabase
 
 
 def _turns_vertical_below_the_top(db, floor) -> bool:
-    """Whether ``build_tree(db, floor)`` counts its pair table on its paths
-    and some projection of its split at ``floor`` turns vertical."""
+    """Whether ``build_tree(db, floor)`` is made on its paths and some
+    projection of its split at ``floor`` is made vertical."""
     tree = build_tree(db, floor)
-    tree.pairs
     if tree._tids is not None:
         return False
-    for _, proj in split(tree, floor):
-        proj.pairs
-        if proj._tids is not None:
-            return True
-    return False
+    return any(proj._tids is not None for _, proj in split(tree, floor))
 
 
 @settings(PROPERTY, max_examples=50)  # the MII oracle takes about 50 ms a database here

@@ -316,8 +316,9 @@ class TestResidualTree:
 
 
 class TestPairKernelChoice:
-    """A tree's pair table is counted on transaction bitsets when the tree is
-    dense, and on its paths when its many transactions make each AND dear."""
+    """A dense tree is made vertical and counts its pair table on
+    transaction bitsets; a tree whose many transactions make each AND dear
+    is made on its paths and counts on them."""
 
     @staticmethod
     def _kernels(tree, monkeypatch) -> list[str]:
@@ -340,8 +341,9 @@ class TestPairKernelChoice:
 
     def test_wide_sparse_tree_takes_paths(self, monkeypatch):
         # 5,000 transactions of 2-8 of 200 items: each AND spans 5,000 bits.
-        # The paths' increments outweigh 200 * 199 ANDs of 600 bits, but not
-        # ANDs this wide, which take about 1.5 times as long as the paths here.
+        # S·S/N - 3S = 50,308 for the S = 25,044 item occurrences outweighs
+        # 200 * 199 ANDs of 600 bits, but not ANDs this wide (199,000), which
+        # take about 1.5 times as long as the paths here.
         rng = random.Random(1)
         db = TransactionDatabase.from_itemsets(rng.sample(range(200), rng.randint(2, 8)) for _ in range(5000))
         tree = build_tree(db)
@@ -349,9 +351,9 @@ class TestPairKernelChoice:
         assert self._kernels(tree, monkeypatch) == ["_path_pairs"]
 
     def test_row_order_does_not_change_the_kernel(self, monkeypatch):
-        # Sum of n(n - 3) over the paths: 38 on the long rows, -24 on the
-        # short ones, 14 in all against 6 * 5 = 30; the long rows alone
-        # outweigh it, so only a sum over every path decides the same both ways.
+        # The rule reads the supports, which the row order leaves alone:
+        # S = 35 over N = 15 rows gives S·S/N - 3S < 0 against 6 * 5 = 30,
+        # though the long rows alone would outweigh it.
         long = [[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4], [0, 1, 2, 3, 5]]
         short = [[1], [2], [3], [4], [5], [1, 2], [3, 4], [2, 5], [1, 4], [3, 5], [4, 5], [1, 3]]
         kernels = []
@@ -361,9 +363,9 @@ class TestPairKernelChoice:
         assert kernels == [["_path_pairs"], ["_path_pairs"]]
 
     def test_a_vertical_tree_keeps_bitsets_below_it(self, monkeypatch):
-        # Dense rows turn the top tree vertical. Item 50, the lf-item, is in
+        # Dense rows make the top tree vertical. Item 50, the lf-item, is in
         # two short rows: on its own, its projection's two one-item paths
-        # would take the paths, but it is made vertical, as is the residual.
+        # would be made on paths, but it is made vertical, as is the residual.
         dense = [[i for i in range(12) if i not in pair] for pair in itertools.combinations(range(12), 2)]
         db = TransactionDatabase.from_itemsets(dense + [[50, 0], [50, 1]])
         tree = build_tree(db)
@@ -380,7 +382,7 @@ class TestPairKernelChoice:
         assert proj.dump() == rebuilt.dump()
 
     def test_a_tie_takes_the_paths(self, monkeypatch):
-        # Five paths of 4 items: 5 * 4 * 1 = 20 against 5 * 4 = 20.
+        # Five rows of 4 of 5 items: S·S/N - 3S = 400/5 - 60 = 20 against 5 * 4 = 20.
         db = TransactionDatabase.from_itemsets(itertools.combinations(range(5), 4))
         assert self._kernels(build_tree(db), monkeypatch) == ["_path_pairs"]
 
