@@ -14,7 +14,7 @@ import multiprocessing
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import islice
 from multiprocessing.connection import Connection, wait
 
@@ -37,8 +37,6 @@ EXIT_IO = 3
 EXIT_GUARD = 4
 EXIT_RESOURCES = 5
 
-BENCH_CSV_HEADER = "dataset,algorithm,threshold,elapsed_ms,itemsets,peak_nodes"
-
 MII_ALGORITHMS = ("ifp", "apriori", "oracle")
 
 # A bench cell's result is awaited with poll(), whose timeout is a C int of milliseconds.
@@ -55,10 +53,10 @@ class BenchRecord:
     peak_nodes: int
 
     def csv_row(self) -> str:
-        return (
-            f"{self.dataset},{self.algorithm},{self.threshold},"
-            f"{self.elapsed_ms},{self.itemsets},{self.peak_nodes}"
-        )
+        return ",".join(map(str, astuple(self)))
+
+
+BENCH_CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
 
 
 def _comma_list(text: str, field: str) -> list[str]:

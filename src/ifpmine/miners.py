@@ -7,27 +7,20 @@ Two miners produce identical output:
   item are the items below ``sigma``, read from the database tree's
   ``supports``, which keep every item. Every tree leaves those items out,
   the database's as the projection of the empty prefix, so its pair MIIs
-  are the pairs below ``sigma`` in its pair table (see ``tree``), with 0
-  when a pair is absent. Longer MIIs come from projections: ``_mii_rec``
-  loops over ``split``, which splits the tree on each least frequent item
-  x in turn into the projected tree (transactions containing x, without
-  x), on which alone it recurses, and the residual tree (the tree without
-  x, the next step). MIIs containing x are x joined with
-  itemsets minimally infrequent in the projected tree but not in the
-  residual one; folding the steps back from the chain's end finds the
-  residual tree's MIIs collected by the time it reaches x. A projection's
-  supports are row x of the tree's pair table, and its own pair table is
-  counted in the form the projection was made in: on x's paths, or on its
-  tidsets, each item's ANDed with x's below a vertical tree; a dense
-  database's tree is made vertical from its transactions. A tree is
-  split only if its table holds a frequent pair: otherwise no itemset
-  beyond a pair is minimal. A tree of one distinct path, FP-growth's
-  single-path case (Han, Pei and Yin, SIGMOD 2000), holds no MII of two
-  or more items, so its table is not counted and it is not split.
+  are the pairs below ``sigma`` in its pair table, with 0 when a pair is
+  absent. Longer MIIs come from projections: ``_mii_rec`` loops over
+  ``split`` and recurses on each lf-item x's projected tree alone. MIIs
+  containing x are x joined with itemsets minimally infrequent in the
+  projected tree but not in the residual one; folding the steps back from
+  the chain's end finds the residual tree's MIIs collected by the time it
+  reaches x. A tree is split only if its table holds a frequent pair:
+  otherwise no itemset beyond a pair is minimal. A tree of one distinct
+  path, FP-growth's single-path case (Han, Pei and Yin, SIGMOD 2000),
+  holds no MII of two or more items, so its table is not counted and it
+  is not split.
 * ``apriori_min`` is level-wise candidate generation where the rejected
-  candidates are the MIIs. It counts supports on tidsets (one ``int`` bitset
-  of transaction ids per item, ANDed along each candidate), as in Eclat and
-  MAFIA, so it scans the database once, to build the items' tidsets.
+  candidates are the MIIs. It counts supports on tidsets, as in Eclat and
+  MAFIA, built by the tree's tidset builder in one scan of the database.
 
 The brute-force reference behind ``mine_mii``'s ``oracle`` choice counts with
 ``data.support`` and shares no counting code with either miner.
@@ -37,6 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .data import (
     InvalidThresholdError,
@@ -47,7 +41,7 @@ from .data import (
     support,
 )
 from .oracle import mii_oracle
-from .tree import IFPTree, build_tree, split
+from .tree import IFPTree, _tidsets, build_tree, split
 from .tree import residual_tree  # noqa: F401 -- not called here; benchmark/test_benchmark.py reads miners.residual_tree
 
 
@@ -55,9 +49,8 @@ class MiningStats:
     """Peak count of tree nodes on the recursion stack during a mining run:
     the summed ``node_count`` of the trees being split, each the distinct
     prefixes of its paths, the lines of its ``dump``, when its split began,
-    whatever the tree's form. A vertical tree, such as a dense database's
-    from the start, derives its paths from its tidsets for the count, one
-    walk of their set bits, so a run with stats takes longer than one
+    whatever the tree's form. A vertical tree derives its paths from its
+    tidsets for the count, so a run with stats takes longer than one
     without on dense data.
 
     A deterministic memory proxy for benchmarking; a run that splits no tree
@@ -173,16 +166,13 @@ def apriori_min(db: TransactionDatabase, sigma: int) -> MIIResult:
     proposes itemsets whose immediate subsets are all frequent.
 
     Supports are counted on tidsets: each item's transactions are one ``int``
-    with bit t set for transaction t, made in one pass over the database. A
-    frequent itemset keeps its tidset; a candidate's is its prefix's AND its
-    last item's, and its support is that tidset's ``bit_count()``."""
+    with bit t set for transaction t, made by ``tree._tidsets`` in one pass
+    over the database. A frequent itemset keeps its tidset; a candidate's is
+    its prefix's AND its last item's, and its support is that tidset's
+    ``bit_count()``."""
     if sigma < 1:
         raise InvalidThresholdError(f"sigma must be >= 1, got {sigma}")
-    tidsets: dict[int, int] = {}
-    for tid, t in enumerate(db.transactions):
-        bit = 1 << tid
-        for i in t:
-            tidsets[i] = tidsets.get(i, 0) | bit
+    tidsets = _tidsets(zip(db.transactions, repeat(1)))
     found: dict[Itemset, int] = {}
     level: dict[Itemset, int] = {}
     for i, tids in tidsets.items():

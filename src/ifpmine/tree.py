@@ -1,66 +1,18 @@
-"""Inverse FP-tree: the transactions of a database sorted in i-flist order
-(ascending support), kept as merged weighted paths.
+"""Inverse FP-tree: a database's transactions sorted in i-flist order
+(ascending support), so every transaction that holds the least frequent
+item (lf-item) x of the tree starts with x, and x's projected and residual
+trees are cheap to take. Each rule is stated where it is implemented:
 
-Because items appear in ascending-support order, every transaction that
-holds the least frequent item x of the represented database starts with x.
-That makes two decompositions cheap:
-
-* the projected tree of the lf-item x: the database of transactions that
-  contain x, with x removed (the suffixes after x of the paths that start
-  with x);
-* the residual tree of x: the whole database with x removed (those paths
-  lose their first item and join the others).
-
-A tree keeps its transactions in one of two forms. On paths, ``_paths``
-maps each item to the paths whose first item it is, ``{path tuple:
-count}``, with identical paths merged into one of the summed count, as in
-H-Mine's queues (Pei et al., ICDM 2001). In vertical form, ``_tids`` maps
-each item of the order to its tidset, one ``int`` with a bit per
-transaction, as Eclat's (Zaki, IEEE TKDE 2000). One constructor,
-``_prepare``, makes every tree from weighted transactions, and picks its
-form there, once, from the supports it is given (``_takes_bitsets``): a
-dense tree gets its tidsets straight from the transactions, one ``|=``
-per kept item occurrence, and any other is made on paths, each
-transaction sorted into the tree's order and merged there. ``_prepare``
-leaves out the items below its ``min_support``: such an item keeps its
-support in ``supports`` but has no place in the order, the paths or the
-tidsets and no row or column in the table. The database is the projected
-database of the empty prefix, and ``build_tree`` makes its tree.
-
-``split`` is the paper's step, taken along the whole residual chain: it
-yields each lf-item x with x's projected tree, then turns its tree into x's
-residual tree in place. On paths it moves each path of x's bucket, without
-x, into the bucket of its next item: O(x's paths) per step, not O(tree). In
-vertical form x's projection is each tidset of row x ANDed with x's, and
-the residual step deletes x's tidset: no path is sorted and no bucket is
-moved. ``split`` consumes its tree. ``projected_tree(tree, min_support)``
-and ``residual_tree(tree)`` take one step at the tree's own lf-item,
-``tree.order[0]``, and leave the tree alone: ``residual_tree`` is
-``split``'s residual step on a copy. On an empty tree both raise the
-``IndexError`` of ``order[0]``. A tree's form never changes: the residual
-trees and projections of a vertical tree are vertical, and a projection
-of a tree on paths takes the form ``_prepare`` picks for it.
-
-Every tree carries a pair table, FP-growth*'s FP-array (Grahne and Zhu,
-IEEE TKDE 2005): ``pairs[a][b]`` is the support of {a, b} for each item b
-after a in the tree's order. It is counted when first read, so a tree whose
-table nothing reads never holds one, by the kernel of the tree's form. The
-path kernel adds each distinct path's count to each of its n(n - 1)/2
-pairs. The bitset kernel reads each of the m(m - 1)/2 pairs of the order's
-m items as the ``bit_count`` of an AND of two tidsets. An AND costs in
-proportion to the tree's width in bits, so a tree of many transactions,
-such as a big sparse database's, is made on its paths and splits on them.
-The residual of x leaves every other itemset's support unchanged, so row x
-of the table is x's projected supports at x's step of the chain.
-``projected_tree`` takes them from there and, on paths, reads x's paths
-only if some item of that row reaches its ``min_support``.
-
-``paths()`` yields the distinct transactions in either form; a vertical
-tree derives them from its tidsets on each read. ``dump`` renders them as
-the paper's prefix tree, one line per distinct prefix; ``node_count``
-counts those lines and ``tree_support`` sums the paths that hold an
-itemset. Reading ``pairs`` the first time stores the table in the tree:
-read it before sharing a tree between threads.
+* ``IFPTree``: a tree's two forms, on paths or vertical, and its reads;
+* ``_prepare``, the one constructor, and ``_takes_bitsets``, the form it
+  picks; ``build_tree`` makes the database's tree;
+* ``_tidsets``, the one tidset build, also ``apriori_min``'s, and
+  ``_add_paths``, the one merge of equal paths;
+* ``IFPTree.pairs``, the pair table, and its kernels ``_path_pairs`` and
+  ``_bitset_pairs``;
+* ``split``, the paper's step along the residual chain;
+  ``projected_tree`` and ``residual_tree`` take one step and leave the
+  tree alone.
 """
 
 from __future__ import annotations
@@ -73,6 +25,15 @@ from .data import TransactionDatabase, item_supports
 
 
 class IFPTree:
+    """A database's transactions in one of two forms, fixed when the tree
+    is made. On paths, each transaction is sorted into ``order`` and merged
+    with the equal ones into one path in the bucket of its first item, as
+    in H-Mine's queues (Pei et al., ICDM 2001). In vertical form, each item
+    of the order has its tidset, one ``int`` with a bit per transaction, as
+    in Eclat (Zaki, IEEE TKDE 2000). Every read gives the same answer in
+    both forms. Items left out of the order keep their support in
+    ``supports`` but are in no path, tidset or pair table entry."""
+
     __slots__ = ("order", "num_transactions", "supports", "_paths", "_tids", "_pairs")
 
     def __init__(self, order: Iterable[int], num_transactions: int, supports: dict[int, int]):
@@ -117,10 +78,13 @@ class IFPTree:
 
     @property
     def pairs(self) -> dict[int, dict[int, int]]:
-        """a -> b -> support of {a, b}, for b after a in the order; no row is
+        """a -> b -> support of {a, b}, for b after a in the order, as
+        FP-growth*'s FP-array (Grahne and Zhu, IEEE TKDE 2005); no row is
         empty and no entry is 0. Counted on first read, by the kernel of the
-        tree's form (``_count_pairs``), and kept: the only read that writes
-        to the tree, and it never changes the tree's form."""
+        tree's form (``_count_pairs``), so a tree whose table nothing reads
+        never holds one, and kept: the only read that writes to the tree,
+        so read it before sharing a tree between threads. It never changes
+        the tree's form."""
         if self._pairs is None:
             self._pairs = _count_pairs(self)
         return self._pairs
@@ -149,6 +113,7 @@ class IFPTree:
             prev = path
         return "\n".join(f"{head}:{count}" for head, count in zip(heads, counts))
 
+
 def _common_prefix(prev: Sequence[int], path: Sequence[int]) -> int:
     """Number of leading items ``path`` shares with ``prev``."""
     k, n = 0, min(len(path), len(prev))
@@ -158,8 +123,7 @@ def _common_prefix(prev: Sequence[int], path: Sequence[int]) -> int:
 
 
 def _count_pairs(tree: IFPTree) -> dict[int, dict[int, int]]:
-    """The tree's pair table, counted in the tree's form: on its paths, or
-    as ANDs of its tidsets when it is vertical."""
+    """The tree's pair table, counted by the kernel of the tree's form."""
     if tree._tids is None:
         return _path_pairs(tree.paths())
     return _bitset_pairs(tree.order, tree._tids)
@@ -176,12 +140,17 @@ def _takes_bitsets(m: int, s: int, t: int) -> bool:
     term a big sparse tree (m = 499, 99,420 transactions) took bitsets and
     ran twice as slow. Σ n(n - 3) is taken as that of t transactions of the
     mean length s/t, s·s/t - 3s, so the supports alone decide, before any
-    path is made; both sides are multiplied by t. A tie takes the paths."""
+    path is made: a dense tree's transactions are never sorted. On the
+    benchmark's workloads at seeds 0-4, each of the 222 trees made on paths
+    whose table was read picked the form that the exact sum over its
+    distinct paths picks. Both sides are multiplied by t. A tie takes the
+    paths."""
     return s * s - 3 * s * t > m * (m - 1) * (1 + t // 1024) * t
 
 
 def _path_pairs(paths: Iterable[tuple[Sequence[int], int]]) -> dict[int, dict[int, int]]:
-    """The pair table of weighted paths sorted into one order."""
+    """The pair table of weighted paths sorted into one order: each path
+    of n items adds its count to each of its n(n - 1)/2 pairs."""
     pairs: dict[int, dict[int, int]] = {}
     for path, count in paths:
         for k in range(len(path) - 1):
@@ -193,26 +162,27 @@ def _path_pairs(paths: Iterable[tuple[Sequence[int], int]]) -> dict[int, dict[in
     return pairs
 
 
-def _tidsets(order: Sequence[int], paths: Iterable[tuple[Iterable[int], int]]) -> dict[int, int]:
-    """Eclat's tidsets of weighted transactions over the items of
-    ``order``: a transaction of count c sets a run of c bits, its own, in
-    the bitset of each of its items of the order. A transaction with no
-    item of the order still takes its bits."""
-    tids = dict.fromkeys(order, 0)
+def _tidsets(paths: Iterable[tuple[Iterable[int], int]]) -> dict[int, int]:
+    """Eclat's tidsets of weighted transactions, ``(items, count)`` pairs,
+    for every item they hold: a transaction of count c sets a run of c bits,
+    its own, after those of the transactions before it, in the tidset of
+    each of its items. A transaction with no item still takes its bits. The
+    only code that sets a transaction's bits, for both miners."""
+    tids: dict[int, int] = {}
     offset = 0
     for items, count in paths:
         run = ((1 << count) - 1) << offset
-        for item in items:
-            if item in tids:
-                tids[item] |= run
+        for i in items:
+            tids[i] = tids.get(i, 0) | run
         offset += count
     return tids
 
 
 def _bitset_pairs(order: Sequence[int], tids: dict[int, int]) -> dict[int, dict[int, int]]:
-    """The pair table of the tidsets of the items of ``order``: a pair's
-    support is the number of bits its two tidsets share. Pairs that share
-    none get no entry."""
+    """The pair table of the tidsets of the items of ``order``: each of the
+    m(m - 1)/2 pairs of its m items has the ``bit_count`` of the AND of its
+    two tidsets, which costs in proportion to their width in bits. Pairs
+    that share no bit get no entry."""
     bits = [tids[item] for item in order]
     pairs: dict[int, dict[int, int]] = {}
     for k, a in enumerate(order):
@@ -244,55 +214,62 @@ def _iflist(supports: dict[int, int], min_support: int) -> list[int]:
     return sorted((i for i in supports if supports[i] >= min_support), key=lambda i: (supports[i], i))
 
 
+def _add_paths(
+    buckets: dict[int, dict[tuple[int, ...], int]],
+    paths: Iterable[tuple[tuple[int, ...], int]],
+) -> None:
+    """Add weighted paths, sorted into the tree's order, each to the bucket
+    of its first item, where a path equal to it merges their counts; an
+    empty path adds nothing."""
+    for path, count in paths:
+        if path:
+            bucket = buckets.get(path[0])
+            if bucket is None:
+                buckets[path[0]] = {path: count}
+            else:
+                bucket[path] = bucket.get(path, 0) + count
+
+
 def _prepare(
     supports: dict[int, int],
     paths: Iterable[tuple[Iterable[int], int]],
     num_transactions: int,
     min_support: int = 0,
 ) -> IFPTree:
-    """The tree of the weighted transactions ``paths``, ``(items, count)``
-    pairs. The tree owns ``supports``; only the items whose support reaches
-    ``min_support`` get a place in its order, the others are left out of its
-    transactions. Its form is picked from those supports alone
-    (``_takes_bitsets``): vertical, each transaction setting its bits in
-    its items' tidsets, or on paths, each transaction sorted into the order
-    and merged into its first item's bucket, the ones left empty dropped."""
+    """The one constructor of trees: the tree of the weighted transactions
+    ``paths``, ``(items, count)`` pairs, which owns ``supports``. Only the
+    items whose support reaches ``min_support`` get a place in its order.
+    Its form is the one ``_takes_bitsets`` picks from those supports."""
     order = _iflist(supports, min_support)
     tree = IFPTree(order, num_transactions, supports)
     if _takes_bitsets(len(order), sum(map(supports.__getitem__, order)), num_transactions):
-        tree._tids = _tidsets(order, paths)
+        tids = _tidsets(paths)
+        tree._tids = {item: tids[item] for item in order}
         return tree
     rank = {item: k for k, item in enumerate(order)}
-    buckets = tree._paths
-    for items, count in paths:
-        if path := tuple(sorted(filter(rank.__contains__, items), key=rank.__getitem__)):
-            bucket = buckets.get(path[0])
-            if bucket is None:
-                buckets[path[0]] = {path: count}
-            else:
-                bucket[path] = bucket.get(path, 0) + count
+    _add_paths(
+        tree._paths,
+        ((tuple(sorted(filter(rank.__contains__, items), key=rank.__getitem__)), count) for items, count in paths),
+    )
     return tree
 
 
 def build_tree(db: TransactionDatabase, min_support: int = 0) -> IFPTree:
-    """Build the inverse FP-tree of a database without the items whose
-    support is below ``min_support``; ``supports`` keeps every item. Empty
-    transactions are counted in ``num_transactions`` but add no path. A
-    dense database's tree is vertical: transaction t is bit t of its
-    items' tidsets."""
+    """Build the inverse FP-tree of a database, the projected database of
+    the empty prefix, without the items whose support is below
+    ``min_support``; ``supports`` keeps every item. Empty transactions are
+    counted in ``num_transactions`` but add no path."""
     return _prepare(item_supports(db), ((t, 1) for t in db.transactions), len(db), min_support)
 
 
 def projected_tree(tree: IFPTree, min_support: int = 0) -> IFPTree:
     """Tree of the projected database of the tree's lf-item x: transactions
-    containing x, with x removed. Since x is the lf-item, the whole
-    projection is the paths of x's bucket, without x. Item order is
-    recomputed because supports change under projection. ``supports`` holds
-    every item's projected support, but the items below ``min_support`` are
-    left out of the paths. The supports are read from the pair table first:
-    x's paths are read only if some item reaches ``min_support``. The
-    projection of a vertical tree is vertical, each item's tidset ANDed
-    with x's; that of a tree on paths takes the form ``_prepare`` picks."""
+    containing x, with x removed. Its ``supports`` are every item's
+    projected support, row x of the tree's pair table, which holds every
+    pair with x as x comes first in the order; the items below
+    ``min_support`` are left out of its order, and item order is recomputed
+    because supports change under projection. On paths, x's paths are read
+    only if some item reaches ``min_support``."""
     x = tree.order[0]
     # Row x of the pair table: items that never occur with x are absent, and
     # so are the items the tree leaves out.
@@ -308,24 +285,16 @@ def projected_tree(tree: IFPTree, min_support: int = 0) -> IFPTree:
 
 
 def _drop_lf(tree: IFPTree) -> None:
-    """Turn the tree into the residual tree of its lf-item x in place: each
-    path of x's bucket moves, without x, to the bucket of its next item;
-    a vertical tree just drops x's tidset. Every itemset without x keeps
-    its support, so the order, ``supports`` and the pair table, if one was
-    counted, just lose x: row x is the one table entry that holds it, as x
-    comes first in the order."""
+    """``split``'s residual step: turn the tree into the residual tree of
+    its lf-item x in place. Every itemset without x keeps its support, so
+    the order, ``supports`` and the pair table, if one was counted, just
+    lose x: row x is the one table entry that holds it, as x comes first in
+    the order."""
     x = tree.order[0]
     if tree._tids is not None:
         del tree._tids[x]
     else:
-        buckets = tree._paths
-        for path, count in buckets.pop(x).items():
-            if rest := path[1:]:  # the transaction's other items, merged with equal ones
-                bucket = buckets.get(rest[0])
-                if bucket is None:
-                    buckets[rest[0]] = {rest: count}
-                else:
-                    bucket[rest] = bucket.get(rest, 0) + count
+        _add_paths(tree._paths, ((path[1:], count) for path, count in tree._paths.pop(x).items()))
     tree.order = tree.order[1:]
     del tree.supports[x]
     if tree._pairs is not None:
@@ -333,13 +302,17 @@ def _drop_lf(tree: IFPTree) -> None:
 
 
 def split(tree: IFPTree, min_support: int = 0) -> Iterator[tuple[int, IFPTree]]:
-    """Walk the tree's residual chain, consuming it: for each lf-item x,
-    yield ``(x, projected_tree(tree, min_support))``, then turn the tree
-    into x's residual tree in place (``_drop_lf``). The first projection
-    reads the tree's pair table. The tree keeps its form along the whole
-    chain: a vertical tree splits on ANDs, and each projection it yields is
-    vertical; a tree on paths moves its paths, and ``_prepare`` picks the
-    form of each projection it yields."""
+    """The paper's step, taken along the tree's whole residual chain,
+    consuming the tree: for each lf-item x in turn, yield ``(x,
+    projected_tree(tree, min_support))``, then turn the tree into x's
+    residual tree in place (``_drop_lf``). Since x comes first in every
+    transaction that holds it, on paths x's bucket is its projection, and
+    the residual step moves each of those paths, without x, to the bucket
+    of its next item: O(x's paths) per step, not O(tree). In vertical form
+    the projection is each tidset ANDed with x's, and the residual step
+    deletes x's tidset. A tree keeps its form along the chain, and so do
+    the projections of a vertical tree; a projection of a tree on paths is
+    made in the form ``_prepare`` picks for it."""
     while tree.order:
         yield tree.order[0], projected_tree(tree, min_support)
         _drop_lf(tree)
@@ -349,7 +322,8 @@ def residual_tree(tree: IFPTree) -> IFPTree:
     """Tree of the residual database of the tree's lf-item x: every
     transaction, with x removed. It is ``split``'s residual step taken on a
     copy, so the input tree is left unchanged; the copy counts its own pair
-    table when first read."""
+    table when first read. On an empty tree, as ``projected_tree``, it
+    raises the ``IndexError`` of ``order[0]``."""
     copy = IFPTree(tree.order, tree.num_transactions, dict(tree.supports))
     copy._paths = {item: dict(bucket) for item, bucket in tree._paths.items()}
     copy._tids = None if tree._tids is None else dict(tree._tids)

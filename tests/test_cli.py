@@ -456,6 +456,10 @@ class TestMain:
              "2ab84ec5584b91783c98a138476e5f06d672e9c55fd7ecd16df0f7de2b9cb9c3", 8739),
             (["mine-mii", "--input", str(s), "--min-sup", "0.5%"],
              "f272df5623ce6dd7a08a00835598f5f46d129a6bbde61c2806edbb35a78aa064", 296),
+            (["mine-mii", "--input", str(g), "--min-sup", "5%", "--algo", "apriori"],
+             "de1b036fd6e87dca58e699a177d02a687a46ca2b482a918bebcc223a4e3261ed", 1092),
+            (["mine-mii", "--input", str(s), "--min-sup", "0.5%", "--algo", "apriori"],
+             "f272df5623ce6dd7a08a00835598f5f46d129a6bbde61c2806edbb35a78aa064", 296),
         ):
             assert main(args) == 0
             out = capsys.readouterr().out

@@ -201,12 +201,27 @@ def test_pair_kernels_agree_on_weighted_paths(rows, data):
     rank = {item: k for k, item in enumerate(order)}
     paths = [(p, n) for r, n in rows if (p := tuple(sorted((i for i in r if i in rank), key=rank.get)))]
     db = TransactionDatabase.from_itemsets([r for r, n in rows for _ in range(n)])
+    # The tidsets of the weighted rows, empty ones included: bit t for the
+    # t-th transaction they stand for, set one transaction at a time.
+    want_tids, t = {}, 0
+    for r, n in rows:
+        for _ in range(n):
+            for i in r:
+                want_tids[i] = want_tids.get(i, 0) | 1 << t
+            t += 1
+    tids = ifpmine.tree._tidsets(rows)
+    assert tids == want_tids
     want = {}
     for k, a in enumerate(order):
         if row := {b: n for b in order[k + 1:] if (n := support(db, (a, b)))}:
             want[a] = row
     assert ifpmine.tree._path_pairs(paths) == want
-    assert ifpmine.tree._bitset_pairs(order, ifpmine.tree._tidsets(order, paths)) == want
+    assert ifpmine.tree._bitset_pairs(order, {i: tids.get(i, 0) for i in order}) == want
+    # A vertical tree of the rows holds those tidsets, for its order's items only.
+    floor = data.draw(st.integers(0, len(db) + 1), label="floor")
+    with _made_vertical(True):
+        tree = ifpmine.tree._prepare(item_supports(db), rows, len(db), floor)
+    assert tree._tids == {i: want_tids[i] for i in tree.order}
 
 
 def _made_vertical(vertical: bool):
