@@ -19,8 +19,10 @@ Two miners produce identical output:
   holds no MII of two or more items, so its table is not counted and it
   is not split.
 * ``apriori_min`` is level-wise candidate generation where the rejected
-  candidates are the MIIs. It counts supports on tidsets, as in Eclat and
-  MAFIA, built by the tree's tidset builder in one scan of the database.
+  candidates are the MIIs: Apriori-gen (Agrawal and Srikant, VLDB 1994)
+  joins each prefix class once and checks only the subsets that drop a
+  prefix item, none at level 2. It counts supports on tidsets, as in Eclat
+  and MAFIA, built by the tree's tidset builder in one scan of the database.
 
 The brute-force reference behind ``mine_mii``'s ``oracle`` choice counts with
 ``data.support`` and shares no counting code with either miner.
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import groupby, repeat
 
 from .data import (
     InvalidThresholdError,
@@ -143,32 +145,21 @@ def ifp_min(db: TransactionDatabase, sigma: int, stats: MiningStats | None = Non
     return MIIResult.of(found, sigma, "ifp")
 
 
-def _apriori_candidates(level: list[Itemset]) -> list[Itemset]:
-    """Prefix-join frequent l-itemsets into (l+1)-candidates and keep those
-    whose every immediate subset is frequent."""
-    level_sorted = sorted(level)
-    level_set = set(level_sorted)
-    out = []
-    for i, a in enumerate(level_sorted):
-        for j in range(i + 1, len(level_sorted)):
-            b = level_sorted[j]
-            if a[:-1] != b[:-1]:
-                break
-            cand = a + (b[-1],)
-            if all(cand[:k] + cand[k + 1:] in level_set for k in range(len(cand))):
-                out.append(cand)
-    return out
-
-
 def apriori_min(db: TransactionDatabase, sigma: int) -> MIIResult:
     """Level-wise MII mining: candidates that fail the threshold are exactly
     the minimally infrequent itemsets, because candidate generation only
     proposes itemsets whose immediate subsets are all frequent.
 
+    Candidates come from Apriori-gen's join (Agrawal and Srikant, VLDB 1994),
+    run once per prefix class: frequent l-itemsets ``prefix + (a,)`` and
+    ``prefix + (b,)``, a < b, join into ``prefix + (a, b)``. Its subsets
+    without a or b are in the level by construction, so only those that drop
+    a prefix item are checked, and none are at level 2.
+
     Supports are counted on tidsets: each item's transactions are one ``int``
     with bit t set for transaction t, made by ``tree._tidsets`` in one pass
     over the database. A frequent itemset keeps its tidset; a candidate's is
-    its prefix's AND its last item's, and its support is that tidset's
+    that of ``prefix + (a,)`` AND b's, and its support is that tidset's
     ``bit_count()``."""
     if sigma < 1:
         raise InvalidThresholdError(f"sigma must be >= 1, got {sigma}")
@@ -182,12 +173,20 @@ def apriori_min(db: TransactionDatabase, sigma: int) -> MIIResult:
             level[(i,)] = tids
     while level:
         next_level = {}
-        for cand in _apriori_candidates(list(level)):
-            tids = level[cand[:-1]] & tidsets[cand[-1]]
-            if (n := tids.bit_count()) < sigma:
-                found[cand] = n
-            else:
-                next_level[cand] = tids
+        for prefix, members in groupby(sorted(level), key=lambda s: s[:-1]):
+            lasts = [s[-1] for s in members]
+            for k, a in enumerate(lasts):
+                head = (*prefix, a)
+                head_tids = level[head]
+                for b in lasts[k + 1:]:
+                    cand = (*head, b)
+                    if prefix and not all(cand[:j] + cand[j + 1:] in level for j in range(len(prefix))):
+                        continue
+                    tids = head_tids & tidsets[b]
+                    if (n := tids.bit_count()) < sigma:
+                        found[cand] = n
+                    else:
+                        next_level[cand] = tids
         level = next_level
     return MIIResult.of(found, sigma, "apriori")
 

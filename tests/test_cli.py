@@ -460,6 +460,10 @@ class TestMain:
              "de1b036fd6e87dca58e699a177d02a687a46ca2b482a918bebcc223a4e3261ed", 1092),
             (["mine-mii", "--input", str(s), "--min-sup", "0.5%", "--algo", "apriori"],
              "f272df5623ce6dd7a08a00835598f5f46d129a6bbde61c2806edbb35a78aa064", 296),
+            (["mine-mii", "--input", str(g), "--min-sup", "2%"],
+             "ff150e7e22056efd452c85ee91afa15e78fbb27e14a29fd2534492e670bc9805", 3139),
+            (["mine-mii", "--input", str(g), "--min-sup", "2%", "--algo", "apriori"],
+             "ff150e7e22056efd452c85ee91afa15e78fbb27e14a29fd2534492e670bc9805", 3139),
         ):
             assert main(args) == 0
             out = capsys.readouterr().out

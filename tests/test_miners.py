@@ -188,6 +188,31 @@ class TestAprioriMin:
         assert set(result.miis) == expected
         assert mii_oracle(db, 2) == expected
 
+    @staticmethod
+    def _agrees(db, sigma, expected):
+        result, via_ifp = apriori_min(db, sigma), ifp_min(db, sigma)
+        assert result.supports == expected
+        assert set(result.miis) == mii_oracle(db, sigma)
+        assert result == via_ifp and result.supports == via_ifp.supports
+
+    def test_join_runs_to_level_five(self):
+        # One transaction per 5-subset of range(6): each 4-itemset occurs
+        # twice, each 5-itemset once, so at sigma=2 only the 5-itemsets are MIIs.
+        db = TransactionDatabase.from_itemsets([[i for i in range(6) if i != j] for j in range(6)])
+        expected = {tuple(i for i in range(6) if i != j): 1 for j in range(6)}
+        self._agrees(db, 2, expected)
+
+    def test_candidate_with_an_infrequent_subset_is_pruned(self):
+        # (1, 2) and (1, 3) join into (1, 2, 3), but (2, 3) is infrequent.
+        db = TransactionDatabase.from_itemsets([[1, 2], [1, 2], [1, 3], [1, 3]])
+        self._agrees(db, 2, {(2, 3): 0})
+
+    def test_prune_checks_every_prefix_item(self):
+        # (1, 2, 3) and (1, 2, 4) join into (1, 2, 3, 4). Of its subsets only
+        # (1, 3, 4), the one without the second prefix item, is infrequent.
+        db = TransactionDatabase.from_itemsets([[1, 2, 3], [1, 2, 4], [2, 3, 4]] * 2)
+        self._agrees(db, 2, {(1, 3, 4): 0})
+
     def test_sigma_zero_rejected(self, mii_db):
         with pytest.raises(InvalidThresholdError):
             apriori_min(mii_db, 0)
