@@ -249,6 +249,12 @@ class TestBench:
                      "--thresholds", "2", "--timeout=2147483.647"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith(f"{table1_path},ifp,2,")
 
+    def test_missing_input_is_io_error_before_the_sweep(self, tmp_path, capsys):
+        assert main(["bench", "--inputs", str(tmp_path / "missing.fimi"), "--thresholds", "10%"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("I/O error:")
+
     def test_empty_list_is_usage_error(self, table1_path, capsys):
         for algos, thresholds in (("ifp", ",,"), (",", "2"), ("ifp", "")):
             assert main(["bench", "--inputs", table1_path, "--algos", algos,
@@ -428,10 +434,21 @@ class TestMain:
         assert captured.err == f"out of resources: {error.__name__}: too deep\n"
 
     def test_ci_workflow_pins_hold(self, tmp_path, capsys):
-        # The values .github/workflows/tests.yml pins, checked on every tier-1 run.
+        # The one copy of the pinned outputs, checked through cli.main on every
+        # tier-1 run, which CI makes on Python 3.10 and 3.11. The workflow's smoke
+        # step re-checks only g.fimi and the 5% MII text through the installed script.
         def sha256(data):
             return hashlib.sha256(data).hexdigest()
 
+        def bench_rows(*args):
+            assert main(["bench", "--inputs", str(g), *args]) == 0
+            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+            return [(a, t, i, p) for _, a, t, _, i, p in rows]
+
+        # g.fimi is dense: each check's top tree is made as tidsets straight from its
+        # transactions and counts its pair table on them, so every tree below it
+        # splits on tidsets. s.fimi is sparse, 2,000 rows of about one item: the top
+        # tree is made on paths and counts on them.
         g, s = tmp_path / "g.fimi", tmp_path / "s.fimi"
         assert main(["gen", "--items", "20", "--transactions", "300", "--density", "0.3",
                      "--seed", "1", "--out", str(g)]) == 0
@@ -440,40 +457,55 @@ class TestMain:
         assert sha256(g.read_bytes()) == "04ff06ca034d6607d9a9cf69880c2ab61707a42fa355275fba4448a794d37d06"
         assert sha256(s.read_bytes()) == "f60a1da67bbd8b2af1b24fdf987009fc6a95338e3559aa1a91e8b8e8b5a53911"
         for args, digest, lines in (
+            # The tidset recursion's output, and the same MIIs as JSON. apriori builds
+            # its tidsets with the tree's builder: the same bytes as ifp's.
+            (["mine-mii", "--input", str(g), "--min-sup", "5%"],
+             "de1b036fd6e87dca58e699a177d02a687a46ca2b482a918bebcc223a4e3261ed", 1092),
+            (["mine-mii", "--input", str(g), "--min-sup", "5%", "--format", "json"],
+             "2ab84ec5584b91783c98a138476e5f06d672e9c55fd7ecd16df0f7de2b9cb9c3", 8739),
+            (["mine-mii", "--input", str(g), "--min-sup", "5%", "--algo", "apriori"],
+             "de1b036fd6e87dca58e699a177d02a687a46ca2b482a918bebcc223a4e3261ed", 1092),
+            # At 2% the MIIs reach five items: 121 triples, 2,999 4-itemsets and 19 5-itemsets.
+            (["mine-mii", "--input", str(g), "--min-sup", "2%"],
+             "ff150e7e22056efd452c85ee91afa15e78fbb27e14a29fd2534492e670bc9805", 3139),
+            (["mine-mii", "--input", str(g), "--min-sup", "2%", "--algo", "apriori"],
+             "ff150e7e22056efd452c85ee91afa15e78fbb27e14a29fd2534492e670bc9805", 3139),
+            # s.fimi's MIIs, mostly pairs read from the top tree's table on paths.
+            (["mine-mii", "--input", str(s), "--min-sup", "0.5%"],
+             "f272df5623ce6dd7a08a00835598f5f46d129a6bbde61c2806edbb35a78aa064", 296),
+            (["mine-mii", "--input", str(s), "--min-sup", "0.5%", "--algo", "apriori"],
+             "f272df5623ce6dd7a08a00835598f5f46d129a6bbde61c2806edbb35a78aa064", 296),
+            # L = 1 reads no pair table; L = 2 reads one and splits no tree. Both trees
+            # are vertical from the start.
             (["mine-mlms", "--input", str(g), "--thresholds", "30%"],
              "0790cce6e33c323bf274c9753957b71c533b54e5e3660c5dceec930fa673ad83", 13),
             (["mine-mlms", "--input", str(g), "--thresholds", "30%,10%"],
              "049ec1b7e115d3ddbea87fc1437bb267abfbe69552f470c8e6edb7613dfa1e58", 90),
+            # No pair reaches 20% and no triple 10%: only the 13 singletons print, as at 30%.
+            (["mine-mlms", "--input", str(g), "--thresholds", "30%,20%,10%"],
+             "0790cce6e33c323bf274c9753957b71c533b54e5e3660c5dceec930fa673ad83", 13),
+            # L >= 3 splits trees.
             (["mine-mlms", "--input", str(g), "--thresholds", "30%,10%,3%"],
              "5bc80cafde1a3fc2a08d3e9010f340f9bf572ac04e69c14842b9f254ef5d4a71", 706),
             (["mine-mlms", "--input", str(g), "--thresholds", "30%,10%,3%", "--format", "json"],
              "079c814342040c6d7a740738ee9baa3149c4969e0e1c4141deeb5d4c390a48da", 5547),
             (["mine-mlms", "--input", str(g), "--thresholds", "10%,20%,5%,3%"],
              "201922528d17a6cae9fc3aff5884725322fda85ea7e38e54a09f0c2b8f4f976f", 84),
-            (["mine-mii", "--input", str(g), "--min-sup", "5%"],
-             "de1b036fd6e87dca58e699a177d02a687a46ca2b482a918bebcc223a4e3261ed", 1092),
-            (["mine-mii", "--input", str(g), "--min-sup", "5%", "--format", "json"],
-             "2ab84ec5584b91783c98a138476e5f06d672e9c55fd7ecd16df0f7de2b9cb9c3", 8739),
-            (["mine-mii", "--input", str(s), "--min-sup", "0.5%"],
-             "f272df5623ce6dd7a08a00835598f5f46d129a6bbde61c2806edbb35a78aa064", 296),
-            (["mine-mii", "--input", str(g), "--min-sup", "5%", "--algo", "apriori"],
-             "de1b036fd6e87dca58e699a177d02a687a46ca2b482a918bebcc223a4e3261ed", 1092),
-            (["mine-mii", "--input", str(s), "--min-sup", "0.5%", "--algo", "apriori"],
-             "f272df5623ce6dd7a08a00835598f5f46d129a6bbde61c2806edbb35a78aa064", 296),
-            (["mine-mii", "--input", str(g), "--min-sup", "2%"],
-             "ff150e7e22056efd452c85ee91afa15e78fbb27e14a29fd2534492e670bc9805", 3139),
-            (["mine-mii", "--input", str(g), "--min-sup", "2%", "--algo", "apriori"],
-             "ff150e7e22056efd452c85ee91afa15e78fbb27e14a29fd2534492e670bc9805", 3139),
         ):
             assert main(args) == 0
             out = capsys.readouterr().out
             assert len(out.splitlines()) == lines
             assert sha256(out.encode()) == digest
-        assert main(["bench", "--inputs", str(g), "--algos", "ifp", "--thresholds", "10%,5%,20%"]) == 0
-        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-        assert [(t, i, p) for _, _, t, _, i, p in rows] == [
-            ("10%", "237", "1208"), ("5%", "1092", "1578"), ("20%", "190", "0"),
+        # The bench CSV's itemsets and peak_nodes. Projections split under the top
+        # tree at 5%: peak_nodes 1,578 against its 1,208.
+        assert bench_rows("--algos", "ifp", "--thresholds", "10%,5%,20%") == [
+            ("ifp", "10%", "237", "1208"), ("ifp", "5%", "1092", "1578"), ("ifp", "20%", "190", "0"),
         ]
+        assert bench_rows("--thresholds", "10%,30%") == [
+            ("ifp", "10%", "237", "1208"), ("ifp", "30%", "85", "0"),
+            ("apriori", "10%", "237", "0"), ("apriori", "30%", "85", "0"),
+        ]
+        # At 20% every item is frequent and no pair is: 190 pair MIIs, read with no split.
         for path, min_sup in ((g, "10%"), (g, "5%"), (g, "20%"), (s, "0.5%")):
             assert main(["check", "--input", str(path), "--min-sup", min_sup]) == 0
         assert capsys.readouterr().out.splitlines() == [

@@ -104,7 +104,7 @@ class TestBuildTree:
         assert len(lines) == 5000
         assert (lines[0], lines[-1]) == ("0:2", "  " * 4999 + "4999:2")
 
-    def test_header_chains_complete(self):
+    def test_node_counts_of_each_item_sum_to_its_support(self):
         # The counts of an item's nodes sum to its support, for every item.
         rng = random.Random(6)
         for _ in range(30):
