@@ -9,15 +9,17 @@ Two miners produce identical output:
   the database's as the projection of the empty prefix, so its pair MIIs
   are the pairs below ``sigma`` in its pair table, with 0 when a pair is
   absent. Longer MIIs come from projections: ``_mii_rec`` loops over
-  ``split`` and recurses on each lf-item x's projected tree alone. MIIs
+  ``split`` and recurses on lf-item x's projected tree alone. MIIs
   containing x are x joined with itemsets minimally infrequent in the
   projected tree but not in the residual one; folding the steps back from
   the chain's end finds the residual tree's MIIs collected by the time it
   reaches x. A tree is split only if its table holds a frequent pair:
-  otherwise no itemset beyond a pair is minimal. A tree of one distinct
-  path, FP-growth's single-path case (Han, Pei and Yin, SIGMOD 2000),
-  holds no MII of two or more items, so its table is not counted and it
-  is not split.
+  otherwise no itemset beyond a pair is minimal. Only the x with two or
+  more frequent partners are projected, Apriori's subset test (Agrawal
+  and Srikant, VLDB 1994) on x's pairs. A tree of one distinct path,
+  FP-growth's single-path case (Han, Pei and Yin, SIGMOD 2000), holds no
+  MII of two or more items, so its table is not counted and it is not
+  split.
 * ``apriori_min`` is level-wise candidate generation where the rejected
   candidates are the MIIs: Apriori-gen (Agrawal and Srikant, VLDB 1994)
   joins each prefix class once and checks only the subsets that drop a
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
+from itertools import combinations, groupby, repeat
 
 from .data import (
     InvalidThresholdError,
@@ -43,7 +45,7 @@ from .data import (
     support,
 )
 from .oracle import mii_oracle
-from .tree import IFPTree, _tidsets, build_tree, split
+from .tree import IFPTree, _tidsets, build_tree, projected_tree, split
 from .tree import residual_tree  # noqa: F401 -- not called here; benchmark/test_benchmark.py reads miners.residual_tree
 
 
@@ -97,34 +99,61 @@ def unify(x: int, sets: dict[Itemset, int]) -> dict[Itemset, int]:
     return out
 
 
+def _pair_read(tree: IFPTree, sigma: int) -> tuple[dict[Itemset, int], dict[int, int]]:
+    """One pass over the pair table of a tree without items below
+    ``sigma``: its pair MIIs, with their supports, in ascending order of
+    item ids, the order ``in_result_order`` sorts them into, and for each
+    item whose row holds a frequent pair, its number of frequent partners
+    after it in the order. Every pair starts at support 0, as a pair absent
+    from the table; the pairs below ``sigma`` take their count and the
+    frequent ones are deleted, which leaves their slots allocated: the
+    dict stays sized for all m(m - 1)/2 pairs of the tree's m items. Row x
+    holds every pair of x and a later item, so at x's step of the chain,
+    x's count is the number of items in x's projection that reach
+    ``sigma``."""
+    miis = dict.fromkeys(combinations(sorted(tree.order), 2), 0)
+    partners = {}
+    for a, row in tree.pairs.items():
+        hits = 0
+        for b, n in row.items():
+            if n < sigma:
+                miis[(a, b) if a < b else (b, a)] = n
+            else:
+                del miis[(a, b) if a < b else (b, a)]
+                hits += 1
+        if hits:
+            partners[a] = hits
+    return miis, partners
+
+
 def _mii_rec(tree: IFPTree, sigma: int, live: int, stats: MiningStats | None) -> dict[Itemset, int]:
     """MIIs of two or more items of the tree, which holds no item below
     ``sigma`` in its order, with their supports in it; consumes the tree.
-    Its pairs are read from its pair table, in ascending order of item ids,
-    the order ``in_result_order`` sorts them into, and it is split only if the
-    table holds a frequent pair; ``live`` counts the nodes of the split
-    trees above it, for ``stats``, and is read only if ``stats`` is given.
+    Its pairs come from ``_pair_read``, and it is split only if its table
+    holds a frequent pair; ``live`` counts the nodes of the split trees
+    above it, for ``stats``, and is read only if ``stats`` is given.
     Dropping items leaves the other itemsets' supports alone, and
-    supp(x + s) here is supp(s) in x's projection. A tree of one distinct
-    path (``single_path``, in either form) is cut before its table is
-    read: there every itemset has its deepest item's support, which
-    reaches ``sigma``."""
+    supp(x + s) here is supp(s) in x's projection. Only the lf-items with
+    two or more frequent partners are projected: an MII of x and two or
+    more items has every subset frequent, so its pairs with x are, which is
+    Apriori's subset test (Agrawal and Srikant, VLDB 1994). The projection
+    of any other x has at most one item in its order, one path. A tree of
+    one distinct path (``single_path``, in either form) is cut before its
+    table is read: there every itemset has its deepest item's support,
+    which reaches ``sigma``."""
     if tree.single_path:
         return {}
-    result = {}  # its items are frequent: each pair of them below sigma is an MII
-    pairs = tree.pairs
-    ids = sorted(tree.order)
-    rows = {i: pairs.get(i, {}) for i in ids}
-    for k, a in enumerate(ids):
-        row = rows[a]
-        # {a, b} is in the row of whichever comes first in the order; no entry is 0.
-        result.update(((a, b), n) for b in ids[k + 1:] if (n := row.get(b) or rows[b].get(a, 0)) < sigma)
-    if not any(max(row.values()) >= sigma for row in pairs.values()):
+    result, partners = _pair_read(tree, sigma)  # its items are frequent: each pair of them below sigma is an MII
+    if not partners:
         return result  # no itemset beyond a pair is minimal
     if stats is not None:
         live += tree.node_count
         stats.peak_nodes = max(stats.peak_nodes, live)
-    steps = [(x, _mii_rec(proj, sigma, live, stats)) for x, proj in split(tree, sigma)]
+    steps = [
+        (x, _mii_rec(projected_tree(step, sigma), sigma, live, stats))
+        for x, step in split(tree)
+        if partners.get(x, 0) > 1
+    ]
     # When the fold reaches x, ``result`` holds the MIIs of x's residual tree;
     # its other entries all hold an item outside x's projection.
     for x, s_p in reversed(steps):

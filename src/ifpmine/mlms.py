@@ -5,8 +5,10 @@ thresholds need not be monotone, so the classic downward-closure pruning is
 unavailable: a 3-itemset can be frequent while its 2-subsets are not.
 
 The miner loops over ``split``, as the MII miner does: itemsets with the
-least support item x come from the projected tree that ``split`` yields
-with x, the others from the residual tree, the chain's next step. Itemsets
+least support item x come from x's projected tree, which it takes at x's
+step of the chain and passes straight into its recursive call, and the
+others from the residual tree, the chain's next step. Unlike ``ifp_min``,
+it projects every x: its thresholds per length are not monotone. Itemsets
 mined from the projected tree carry x as an implied prefix, so a k-itemset
 found under a prefix of length p is tested against the threshold for
 length k+p ("frequent*"). Each itemset length has one source. ``ifp_mlms``
@@ -18,8 +20,8 @@ if p + 3 <= L. The database's tree, the projection of
 the empty prefix, leaves out the items below min(σ₂..σ_L) (σ₁ when
 L = 1), which are in no frequent* pair or longer itemset, and x's
 projection, whose pairs and longer itemsets get lengths p+3..L, leaves out
-the items below the least of those lengths' thresholds: the ``min_support``
-``split`` is given. ``sigma_low_prune=False`` turns off every one of these
+the items below the least of those lengths' thresholds: the floor it is
+projected at. ``sigma_low_prune=False`` turns off every one of these
 prunings: each tree is made at floor 0 and split.
 """
 
@@ -36,7 +38,7 @@ from .data import (
     in_result_order,
 )
 from .miners import unify
-from .tree import IFPTree, build_tree, split
+from .tree import IFPTree, build_tree, projected_tree, split
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,8 @@ def _mlms_rec(tree: IFPTree, tv: ThresholdVector, p: int, prune: bool) -> dict[I
         return out
     # x's projection gives the itemsets of lengths p+3..L: x joined with its pairs and longer ones.
     floor = min(tv.sigmas[p + 2:]) if prune else 0
-    for x, proj in split(tree, floor):
-        out.update(unify(x, _mlms_rec(proj, tv, p + 1, prune)))
+    for x, step in split(tree):
+        out.update(unify(x, _mlms_rec(projected_tree(step, floor), tv, p + 1, prune)))
     return out
 
 

@@ -10,7 +10,8 @@ trees are cheap to take. Each rule is stated where it is implemented:
   ``_add_paths``, the one merge of equal paths;
 * ``IFPTree.pairs``, the pair table, and its kernels ``_path_pairs`` and
   ``_bitset_pairs``;
-* ``split``, the paper's step along the residual chain;
+* ``split``, the residual chain: each lf-item with the tree at its
+  step, whose projection the caller takes with ``projected_tree``;
   ``projected_tree`` and ``residual_tree`` take one step and leave the
   tree alone.
 """
@@ -301,20 +302,22 @@ def _drop_lf(tree: IFPTree) -> None:
         tree._pairs.pop(x, None)
 
 
-def split(tree: IFPTree, min_support: int = 0) -> Iterator[tuple[int, IFPTree]]:
+def split(tree: IFPTree) -> Iterator[tuple[int, IFPTree]]:
     """The paper's step, taken along the tree's whole residual chain,
-    consuming the tree: for each lf-item x in turn, yield ``(x,
-    projected_tree(tree, min_support))``, then turn the tree into x's
-    residual tree in place (``_drop_lf``). Since x comes first in every
-    transaction that holds it, on paths x's bucket is its projection, and
-    the residual step moves each of those paths, without x, to the bucket
-    of its next item: O(x's paths) per step, not O(tree). In vertical form
-    the projection is each tidset ANDed with x's, and the residual step
-    deletes x's tidset. A tree keeps its form along the chain, and so do
-    the projections of a vertical tree; a projection of a tree on paths is
+    consuming the tree: for each lf-item x in turn, yield x with the tree
+    at x's step, whose ``projected_tree`` is x's projected tree, then turn
+    the tree into x's residual tree in place (``_drop_lf``). The caller
+    takes the projection of the x it needs, at the floor it needs, before
+    it asks for the next step. Since x comes first in every transaction
+    that holds it, on paths x's bucket is its projection, and the residual
+    step moves each of those paths, without x, to the bucket of its next
+    item: O(x's paths) per step, not O(tree). In vertical form the
+    projection is each tidset ANDed with x's, and the residual step deletes
+    x's tidset. A tree keeps its form along the chain, and so do the
+    projections of a vertical tree; a projection of a tree on paths is
     made in the form ``_prepare`` picks for it."""
     while tree.order:
-        yield tree.order[0], projected_tree(tree, min_support)
+        yield tree.order[0], tree
         _drop_lf(tree)
 
 

@@ -5,7 +5,6 @@ from functools import partial
 import pytest
 
 from ifpmine import miners as miners_module
-from ifpmine import tree as tree_module
 from ifpmine import (
     InvalidThresholdError,
     MiningStats,
@@ -115,11 +114,14 @@ class TestIfpMin:
         # tree's pairs are frequent at sigma 2, its projections' are not.
         # Their MIIs are read from their pair tables, and only the tree of
         # the database is split: the peak counts the prefixes of its paths.
+        # Only items 0 and 1, with three and two frequent partners after
+        # them, are projected; the projections of 2 and 3 would hold one
+        # item and none.
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         db = TransactionDatabase.from_itemsets([p for p in pairs for _ in range(2)])
         top_nodes = build_tree(db, 2).node_count
         top, projections = [], []
-        real_tree, real_project = miners_module.build_tree, tree_module.projected_tree
+        real_tree, real_project = miners_module.build_tree, miners_module.projected_tree
 
         def recording_tree(db, min_support=0):
             top.append(real_tree(db, min_support))
@@ -130,13 +132,29 @@ class TestIfpMin:
             return projections[-1]
 
         monkeypatch.setattr(miners_module, "build_tree", recording_tree)
-        monkeypatch.setattr(tree_module, "projected_tree", recording_projection)
+        monkeypatch.setattr(miners_module, "projected_tree", recording_projection)
         stats = MiningStats()
         result = ifp_min(db, 2, stats)
         assert result == apriori_min(db, 2)
         assert result.supports == apriori_min(db, 2).supports
-        assert len(top) == 1 and projections
+        assert len(top) == 1
+        assert [proj.order for proj in projections] == [(1, 2, 3), (2, 3)]
         assert stats.peak_nodes == top_nodes > 0
+
+    def test_one_pass_read_of_the_pair_table(self):
+        # At sigma 2 the order is 5, 4, 2, 3, 1 (supports 2, 3, 4, 4, 5).
+        # Row 5 holds {1, 5} at sigma, under 5, the larger id; row 4 holds
+        # {3, 4} at sigma - 1; row 2 holds {1, 2} and {2, 3} at sigma; row 3
+        # holds {1, 3} at sigma - 1. The other five pairs are absent: support 0.
+        db = TransactionDatabase.from_itemsets(
+            [[5, 1], [5, 1], [1, 2], [1, 2], [1, 3], [2, 3], [2, 3], [4], [4], [3, 4]]
+        )
+        tree = build_tree(db, 2)
+        assert tree.order == (5, 4, 2, 3, 1)
+        miis, partners = miners_module._pair_read(tree, 2)
+        want = {(1, 3): 1, (1, 4): 0, (2, 4): 0, (2, 5): 0, (3, 4): 1, (3, 5): 0, (4, 5): 0}
+        assert list(miis.items()) == list(want.items())  # in ascending id order
+        assert partners == {5: 1, 2: 2}
 
     def test_no_split_without_a_frequent_pair(self):
         # Each pair of four items occurs once: every item is frequent at

@@ -4,7 +4,6 @@ from functools import partial
 import pytest
 
 from ifpmine import mlms as mlms_module
-from ifpmine import tree as tree_module
 from ifpmine import (
     InvalidThresholdError,
     SynthConfig,
@@ -149,13 +148,13 @@ class TestSigmaLowPruning:
         # Under the prefix of any item every itemset has length >= 2, and a
         # vector of one threshold makes none of them frequent*.
         calls = []
-        real = tree_module.projected_tree
+        real = mlms_module.projected_tree
 
         def counting(tree, min_support=0):
             calls.append(tree.order[0])
             return real(tree, min_support)
 
-        monkeypatch.setattr(tree_module, "projected_tree", counting)
+        monkeypatch.setattr(mlms_module, "projected_tree", counting)
         tv = ThresholdVector((1,))
         result = mine_mlms(mlms_db, tv)
         assert calls == []
@@ -169,7 +168,7 @@ class TestSigmaLowPruning:
         # prefix a projection holds itemsets of lengths 2..3, of which only
         # those of length 3 need its items to be in its order: its floor is 3.
         tree_floors, floors = [], []
-        real_tree, real_project = mlms_module.build_tree, tree_module.projected_tree
+        real_tree, real_project = mlms_module.build_tree, mlms_module.projected_tree
 
         def recording_tree(db, min_support=0):
             tree_floors.append(min_support)
@@ -180,7 +179,7 @@ class TestSigmaLowPruning:
             return real_project(tree, min_support)
 
         monkeypatch.setattr(mlms_module, "build_tree", recording_tree)
-        monkeypatch.setattr(tree_module, "projected_tree", recording)
+        monkeypatch.setattr(mlms_module, "projected_tree", recording)
         tv = ThresholdVector((1, 2, 3))
         for prune, want_tree, want in ((True, [2], {3}), (False, [0], {0})):
             tree_floors.clear()
@@ -195,13 +194,13 @@ class TestSigmaLowPruning:
         # of the last length: their supports are read from the tree's pair
         # table and no projection is made.
         calls = []
-        real = tree_module.projected_tree
+        real = mlms_module.projected_tree
 
         def counting(tree, min_support=0):
             calls.append(tree.order[0])
             return real(tree, min_support)
 
-        monkeypatch.setattr(tree_module, "projected_tree", counting)
+        monkeypatch.setattr(mlms_module, "projected_tree", counting)
         tv = ThresholdVector((2, 2))
         result = mine_mlms(mlms_db, tv)
         assert calls == []
@@ -214,13 +213,13 @@ class TestSigmaLowPruning:
         # At L = 2 the pairs are read from the pair table of the database's
         # tree, counted from its transactions: no tree is split.
         calls = []
-        real = tree_module.projected_tree
+        real = mlms_module.projected_tree
 
         def recording(tree, min_support=0):
             calls.append(tree.order[0])
             return real(tree, min_support)
 
-        monkeypatch.setattr(tree_module, "projected_tree", recording)
+        monkeypatch.setattr(mlms_module, "projected_tree", recording)
         for tv in (ThresholdVector((2, 2)), ThresholdVector((3, 1))):
             result = mine_mlms(mlms_db, tv)
             assert calls == []
@@ -240,9 +239,9 @@ class TestSigmaLowPruning:
             top.append(real_tree(db, min_support))
             return top[-1]
 
-        def recording_split(tree, min_support=0):
+        def recording_split(tree):
             split_trees.append(tree)
-            return real_split(tree, min_support)
+            return real_split(tree)
 
         monkeypatch.setattr(mlms_module, "build_tree", recording_tree)
         monkeypatch.setattr(mlms_module, "split", recording_split)

@@ -79,6 +79,53 @@ def test_mii_miners_agree_with_oracle_on_repeated_rows(db, data):
     _assert_mii_miners_match_oracle(db, data)
 
 
+def _assert_mii_projects_lf_items_with_two_frequent_partners(db, data):
+    """``_mii_rec`` projects x at its step of ``split`` exactly when row x of
+    the pair table holds two or more pairs that reach sigma, and each
+    projection it makes holds two or more items in its order."""
+    sigma = data.draw(st.integers(1, len(db) + 1), label="sigma")
+    events = []
+    real_split, real_project = ifpmine.miners.split, ifpmine.miners.projected_tree
+
+    def recording_split(tree):
+        for x, step in real_split(tree):
+            events.append(("step", x, sum(n >= sigma for n in step.pairs.get(x, {}).values()) >= 2))
+            yield x, step
+
+    def recording_projection(tree, min_support=0):
+        proj = real_project(tree, min_support)
+        events.append(("projection", tree.order[0], len(proj.order)))
+        return proj
+
+    with mock.patch.object(ifpmine.miners, "split", recording_split), mock.patch.object(
+        ifpmine.miners, "projected_tree", recording_projection
+    ):
+        result = ifp_min(db, sigma)
+    want = mii_oracle(db, sigma)
+    assert set(result.miis) == want
+    assert result.supports == {s: support(db, s) for s in want}
+    # A projection is made right after its step, before the next one.
+    for k, (kind, x, value) in enumerate(events):
+        after = events[k + 1][:2] if k + 1 < len(events) else None
+        if kind == "step":
+            assert (after == ("projection", x)) == value
+        else:
+            assert events[k - 1] == ("step", x, True)
+            assert value >= 2
+
+
+@PROPERTY
+@given(db=databases, data=st.data())
+def test_mii_projects_only_lf_items_with_two_frequent_partners(db, data):
+    _assert_mii_projects_lf_items_with_two_frequent_partners(db, data)
+
+
+@PROPERTY
+@given(db=repeated_rows, data=st.data())
+def test_mii_projects_only_lf_items_with_two_frequent_partners_on_repeated_rows(db, data):
+    _assert_mii_projects_lf_items_with_two_frequent_partners(db, data)
+
+
 def _assert_mlms_matches_oracle(db, data):
     sigmas = data.draw(
         st.lists(st.integers(1, len(db) + 1), min_size=1, max_size=6), label="sigmas"
@@ -175,10 +222,11 @@ def test_tree_layer_matches_rebuilt_trees(db, data):
     for s in data.draw(itemsets, label="projected itemsets"):
         assert tree_support(proj, s) == support(kept, s)
 
-    # ``split`` yields x's projection in the residual tree of the items before
-    # x, without the items below its ``min_support``.
+    # At x's step of ``split``, ``projected_tree`` gives x's projection in the
+    # residual tree of the items before x, without the items below its floor.
     m = data.draw(st.integers(0, len(db) + 1), label="split floor")
-    for k, (x, proj) in enumerate(split(build_tree(db, floor), m)):
+    for k, (x, step) in enumerate(split(build_tree(db, floor))):
+        proj = projected_tree(step, m)
         later = set(pruned.order[k + 1:])
         x_rows = [[i for i in r if i in later] for r in rows if x in r]
         x_supports = item_supports(TransactionDatabase.from_itemsets(x_rows))
@@ -259,13 +307,12 @@ def _assert_twins_agree_at_every_split_step(vertical, db, floor, m, probes) -> N
     step of their splits at ``m``. Every tree of the twin is made on paths."""
     with _made_vertical(False):
         on_paths = build_tree(db, floor)
-        steps, vertical_steps = 0, split(vertical, m)
-        for (x, proj), (y, v_proj) in zip(split(on_paths, m), vertical_steps):
+        steps, vertical_steps = 0, split(vertical)
+        for (x, step), (y, v_step) in zip(split(on_paths), vertical_steps):
             assert x == y
             _assert_same_contents(vertical, on_paths, probes)
             # Each projection and residual of a vertical tree is vertical.
-            _assert_same_contents(v_proj, proj, probes)
-            _assert_same_contents(projected_tree(vertical, m), projected_tree(on_paths, m), probes)
+            _assert_same_contents(projected_tree(v_step, m), projected_tree(step, m), probes)
             _assert_same_contents(residual_tree(vertical), residual_tree(on_paths), probes)
             steps += 1
         assert next(vertical_steps, None) is None  # the last residual step
@@ -317,7 +364,8 @@ def test_build_tree_takes_the_form_of_the_rule(db, data):
     # A projection of a tree on paths takes the rule's form, one of a
     # vertical tree is vertical, and the chain keeps the tree's form.
     vertical = tree._tids is not None
-    for x, proj in split(tree, m):
+    for x, step in split(tree):
+        proj = projected_tree(step, m)
         assert (tree._tids is not None) == vertical
         assert (proj._tids is not None) == (vertical or _takes_bitsets(proj))
 
@@ -335,11 +383,10 @@ def test_reading_pairs_never_changes_a_trees_form(db, data):
 
     assert_read_keeps_form(build_tree(db, floor))
     chain = build_tree(db, floor)
-    for x, proj in split(chain, m):
-        assert_read_keeps_form(proj)
+    for x, step in split(chain):
+        assert_read_keeps_form(projected_tree(step, m))
         if len(chain.order) > 1:
             assert_read_keeps_form(residual_tree(chain))
-            assert_read_keeps_form(projected_tree(chain, m))
 
 
 def _top_on_paths_projection_vertical(rng: random.Random) -> TransactionDatabase:
@@ -358,7 +405,7 @@ def _turns_vertical_below_the_top(db, floor) -> bool:
     tree = build_tree(db, floor)
     if tree._tids is not None:
         return False
-    return any(proj._tids is not None for _, proj in split(tree, floor))
+    return any(projected_tree(step, floor)._tids is not None for _, step in split(tree))
 
 
 @settings(PROPERTY, max_examples=50)  # the MII oracle takes about 50 ms a database here
@@ -395,9 +442,9 @@ def test_node_count_is_the_number_of_dump_lines(db, data):
         assert_line_count(projected_tree(tree, m))
         assert_line_count(residual_tree(tree))
     chain = build_tree(db, floor)
-    for x, proj in split(chain, m):
+    for x, step in split(chain):
         assert_line_count(chain)
-        assert_line_count(proj)
+        assert_line_count(projected_tree(step, m))
     assert_line_count(chain)
 
 
