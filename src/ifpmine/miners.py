@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations, groupby, repeat
+from itertools import combinations, groupby
 
 from .data import (
     InvalidThresholdError,
@@ -106,11 +106,9 @@ def _pair_read(tree: IFPTree, sigma: int) -> tuple[dict[Itemset, int], dict[int,
     item whose row holds a frequent pair, its number of frequent partners
     after it in the order. Every pair starts at support 0, as a pair absent
     from the table; the pairs below ``sigma`` take their count and the
-    frequent ones are deleted, which leaves their slots allocated: the
-    dict stays sized for all m(m - 1)/2 pairs of the tree's m items. Row x
-    holds every pair of x and a later item, so at x's step of the chain,
-    x's count is the number of items in x's projection that reach
-    ``sigma``."""
+    frequent ones are deleted. Row x holds every pair of x and a later
+    item, so at x's step of the chain, x's count is the number of items in
+    x's projection that reach ``sigma``."""
     miis = dict.fromkeys(combinations(sorted(tree.order), 2), 0)
     partners = {}
     for a, row in tree.pairs.items():
@@ -123,7 +121,9 @@ def _pair_read(tree: IFPTree, sigma: int) -> tuple[dict[Itemset, int], dict[int,
                 hits += 1
         if hits:
             partners[a] = hits
-    return miis, partners
+    # Deleting leaves the dict sized for all m(m - 1)/2 pairs, and the fold
+    # inserts into it: a copy holds the MIIs' slots alone.
+    return dict(miis), partners
 
 
 def _mii_rec(tree: IFPTree, sigma: int, live: int, stats: MiningStats | None) -> dict[Itemset, int]:
@@ -186,13 +186,13 @@ def apriori_min(db: TransactionDatabase, sigma: int) -> MIIResult:
     a prefix item are checked, and none are at level 2.
 
     Supports are counted on tidsets: each item's transactions are one ``int``
-    with bit t set for transaction t, made by ``tree._tidsets`` in one pass
-    over the database. A frequent itemset keeps its tidset; a candidate's is
-    that of ``prefix + (a,)`` AND b's, and its support is that tidset's
-    ``bit_count()``."""
+    with bit t set for transaction t, made in one pass over the database by
+    ``tree._tidsets``, the build of a vertical database tree. A frequent
+    itemset keeps its tidset; a candidate's is that of ``prefix + (a,)``
+    AND b's, and its support is that tidset's ``bit_count()``."""
     if sigma < 1:
         raise InvalidThresholdError(f"sigma must be >= 1, got {sigma}")
-    tidsets = _tidsets(zip(db.transactions, repeat(1)))
+    tidsets = _tidsets(db.transactions)
     found: dict[Itemset, int] = {}
     level: dict[Itemset, int] = {}
     for i, tids in tidsets.items():

@@ -4,8 +4,8 @@ item (lf-item) x of the tree starts with x, and x's projected and residual
 trees are cheap to take. Each rule is stated where it is implemented:
 
 * ``IFPTree``: a tree's two forms, on paths or vertical, and its reads;
-* ``_prepare``, the one constructor, and ``_takes_bitsets``, the form it
-  picks; ``build_tree`` makes the database's tree;
+* ``build_tree`` makes the database's tree and picks the run's form, the
+  one ``_takes_bitsets`` gives; ``_prepare`` builds trees on paths;
 * ``_tidsets``, the one tidset build, also ``apriori_min``'s, and
   ``_add_paths``, the one merge of equal paths;
 * ``IFPTree.pairs``, the pair table, and its kernels ``_path_pairs`` and
@@ -26,10 +26,11 @@ from .data import TransactionDatabase, item_supports
 
 
 class IFPTree:
-    """A database's transactions in one of two forms, fixed when the tree
-    is made. On paths, each transaction is sorted into ``order`` and merged
-    with the equal ones into one path in the bucket of its first item, as
-    in H-Mine's queues (Pei et al., ICDM 2001). In vertical form, each item
+    """A database's transactions in one of two forms, fixed for the run:
+    ``build_tree`` picks it, and every tree made from that tree keeps it.
+    On paths, each transaction is sorted into ``order`` and merged with
+    the equal ones into one path in the bucket of its first item, as in
+    H-Mine's queues (Pei et al., ICDM 2001). In vertical form, each item
     of the order has its tidset, one ``int`` with a bit per transaction, as
     in Eclat (Zaki, IEEE TKDE 2000). Every read gives the same answer in
     both forms. Items left out of the order keep their support in
@@ -141,11 +142,9 @@ def _takes_bitsets(m: int, s: int, t: int) -> bool:
     term a big sparse tree (m = 499, 99,420 transactions) took bitsets and
     ran twice as slow. Σ n(n - 3) is taken as that of t transactions of the
     mean length s/t, s·s/t - 3s, so the supports alone decide, before any
-    path is made: a dense tree's transactions are never sorted. On the
-    benchmark's workloads at seeds 0-4, each of the 222 trees made on paths
-    whose table was read picked the form that the exact sum over its
-    distinct paths picks. Both sides are multiplied by t. A tie takes the
-    paths."""
+    path is made: a dense tree's transactions are never sorted. Both sides
+    are multiplied by t. A tie takes the paths. ``build_tree`` asks it once
+    per run, for the database's tree."""
     return s * s - 3 * s * t > m * (m - 1) * (1 + t // 1024) * t
 
 
@@ -163,19 +162,17 @@ def _path_pairs(paths: Iterable[tuple[Sequence[int], int]]) -> dict[int, dict[in
     return pairs
 
 
-def _tidsets(paths: Iterable[tuple[Iterable[int], int]]) -> dict[int, int]:
-    """Eclat's tidsets of weighted transactions, ``(items, count)`` pairs,
-    for every item they hold: a transaction of count c sets a run of c bits,
-    its own, after those of the transactions before it, in the tidset of
-    each of its items. A transaction with no item still takes its bits. The
-    only code that sets a transaction's bits, for both miners."""
+def _tidsets(transactions: Iterable[Iterable[int]]) -> dict[int, int]:
+    """Eclat's tidsets of transactions, for every item they hold:
+    transaction t sets bit t in the tidset of each of its items. A
+    transaction with no item still takes its bit. The only code that sets
+    a transaction's bit, for both miners; a vertical tree's projections
+    AND the database's tidsets and set no bit of their own."""
     tids: dict[int, int] = {}
-    offset = 0
-    for items, count in paths:
-        run = ((1 << count) - 1) << offset
+    for t, items in enumerate(transactions):
+        bit = 1 << t
         for i in items:
-            tids[i] = tids.get(i, 0) | run
-        offset += count
+            tids[i] = tids.get(i, 0) | bit
     return tids
 
 
@@ -231,36 +228,32 @@ def _add_paths(
                 bucket[path] = bucket.get(path, 0) + count
 
 
-def _prepare(
-    supports: dict[int, int],
-    paths: Iterable[tuple[Iterable[int], int]],
-    num_transactions: int,
-    min_support: int = 0,
-) -> IFPTree:
-    """The one constructor of trees: the tree of the weighted transactions
-    ``paths``, ``(items, count)`` pairs, which owns ``supports``. Only the
-    items whose support reaches ``min_support`` get a place in its order.
-    Its form is the one ``_takes_bitsets`` picks from those supports."""
-    order = _iflist(supports, min_support)
-    tree = IFPTree(order, num_transactions, supports)
-    if _takes_bitsets(len(order), sum(map(supports.__getitem__, order)), num_transactions):
-        tids = _tidsets(paths)
-        tree._tids = {item: tids[item] for item in order}
-        return tree
-    rank = {item: k for k, item in enumerate(order)}
+def _prepare(tree: IFPTree, paths: Iterable[tuple[Iterable[int], int]]) -> None:
+    """The builder of trees on paths: add the weighted transactions
+    ``paths``, ``(items, count)`` pairs, to the new tree, each sorted into
+    its order without the items the order leaves out."""
+    rank = {item: k for k, item in enumerate(tree.order)}
     _add_paths(
         tree._paths,
         ((tuple(sorted(filter(rank.__contains__, items), key=rank.__getitem__)), count) for items, count in paths),
     )
-    return tree
 
 
 def build_tree(db: TransactionDatabase, min_support: int = 0) -> IFPTree:
     """Build the inverse FP-tree of a database, the projected database of
     the empty prefix, without the items whose support is below
     ``min_support``; ``supports`` keeps every item. Empty transactions are
-    counted in ``num_transactions`` but add no path."""
-    return _prepare(item_supports(db), ((t, 1) for t in db.transactions), len(db), min_support)
+    counted in ``num_transactions`` but add no path or bit. The one place
+    a tree's form is picked: ``_takes_bitsets`` on the supports of the
+    order's items, and every tree made from this one keeps it."""
+    supports = item_supports(db)
+    tree = IFPTree(_iflist(supports, min_support), len(db), supports)
+    if _takes_bitsets(len(tree.order), sum(map(supports.__getitem__, tree.order)), len(db)):
+        tids = _tidsets(db.transactions)
+        tree._tids = {item: tids[item] for item in tree.order}
+    else:
+        _prepare(tree, ((t, 1) for t in db.transactions))
+    return tree
 
 
 def projected_tree(tree: IFPTree, min_support: int = 0) -> IFPTree:
@@ -269,20 +262,20 @@ def projected_tree(tree: IFPTree, min_support: int = 0) -> IFPTree:
     projected support, row x of the tree's pair table, which holds every
     pair with x as x comes first in the order; the items below
     ``min_support`` are left out of its order, and item order is recomputed
-    because supports change under projection. On paths, x's paths are read
-    only if some item reaches ``min_support``."""
+    because supports change under projection. It has the tree's form: on
+    paths, x's paths without x, read only if some item reaches
+    ``min_support``; vertical, each tidset ANDed with x's."""
     x = tree.order[0]
     # Row x of the pair table: items that never occur with x are absent, and
     # so are the items the tree leaves out.
     supports = dict(tree.pairs.get(x, ()))
+    proj = IFPTree(_iflist(supports, min_support), tree.supports[x], supports)
     if tree._tids is not None:
-        proj = IFPTree(_iflist(supports, min_support), tree.supports[x], supports)
         tids, tid_x = tree._tids, tree._tids[x]
         proj._tids = {b: tids[b] & tid_x for b in proj.order}
-        return proj
-    keep = any(n >= min_support for n in supports.values())
-    paths = ((path[1:], n) for path, n in tree._paths[x].items()) if keep else ()
-    return _prepare(supports, paths, tree.supports[x], min_support)
+    elif proj.order:
+        _prepare(proj, ((path[1:], n) for path, n in tree._paths[x].items()))
+    return proj
 
 
 def _drop_lf(tree: IFPTree) -> None:
@@ -313,9 +306,8 @@ def split(tree: IFPTree) -> Iterator[tuple[int, IFPTree]]:
     step moves each of those paths, without x, to the bucket of its next
     item: O(x's paths) per step, not O(tree). In vertical form the
     projection is each tidset ANDed with x's, and the residual step deletes
-    x's tidset. A tree keeps its form along the chain, and so do the
-    projections of a vertical tree; a projection of a tree on paths is
-    made in the form ``_prepare`` picks for it."""
+    x's tidset. A tree keeps its form along the chain, and its projections
+    take it too."""
     while tree.order:
         yield tree.order[0], tree
         _drop_lf(tree)

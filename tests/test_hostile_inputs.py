@@ -202,6 +202,36 @@ def test_one_threshold_counts_no_pair_of_two_long_transactions(tmp_path, capsys,
     assert (code, out) == (0, "".join(f"{i} ({10 if i < 10 else 2})\n" for i in range(10**4)))
 
 
+def _one_path_trees_mined(path: str, capsys, monkeypatch) -> tuple[int, str, list[str]]:
+    """Exit code and text output of ``ifp`` at 2 on the file, and the form,
+    ``"vertical"`` or ``"paths"``, of each tree of one distinct path that
+    reached ``_mii_rec``; counting such a tree's pairs or splitting it
+    fails the run."""
+    one_path, real_rec = [], ifpmine.miners._mii_rec
+
+    def distinct_paths(tree):
+        return sum(1 for _ in tree.paths())
+
+    def recording(tree, *args):
+        if distinct_paths(tree) == 1:
+            one_path.append("paths" if tree._tids is None else "vertical")
+        return real_rec(tree, *args)
+
+    def refusing_one_path(real):
+        def stand_in(tree, *args):
+            assert distinct_paths(tree) > 1, f"{real.__name__} reached a tree of one path"
+            return real(tree, *args)
+
+        return stand_in
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ifpmine.miners, "_mii_rec", recording)
+        patch.setattr(ifpmine.tree, "_count_pairs", refusing_one_path(ifpmine.tree._count_pairs))
+        patch.setattr(ifpmine.miners, "split", refusing_one_path(ifpmine.miners.split))
+        code, out = _mine_mii(path, "2", "ifp", capsys)
+    return code, out, one_path
+
+
 def test_one_path_projections_are_cut_before_their_pairs(tmp_path, capsys, monkeypatch):
     # Two copies of a 250-item transaction, whose items meet no short row's.
     # Each of its items' projections is one path of its later items, whose
@@ -211,30 +241,11 @@ def test_one_path_projections_are_cut_before_their_pairs(tmp_path, capsys, monke
     # no triangle: the MIIs are the 250 * 10 + 35 pairs of support 0.
     rows = [range(250)] * 2 + [[250 + i % 10, 250 + (i + 3) % 10] for i in range(40)]
     path = _write(tmp_path, _fimi(rows))
-    one_path, real_rec = [], ifpmine.miners._mii_rec
-
-    def distinct_paths(tree):
-        return sum(1 for _ in tree.paths())
-
-    def recording(tree, *args):
-        one_path.append(distinct_paths(tree) == 1)
-        return real_rec(tree, *args)
-
-    def refusing_one_path(real):
-        def stand_in(tree, *args):
-            assert distinct_paths(tree) > 1, f"{real.__name__} reached a tree of one path"
-            return real(tree, *args)
-
-        return stand_in
-
-    monkeypatch.setattr(ifpmine.miners, "_mii_rec", recording)
-    monkeypatch.setattr(ifpmine.tree, "_count_pairs", refusing_one_path(ifpmine.tree._count_pairs))
-    monkeypatch.setattr(ifpmine.miners, "split", refusing_one_path(ifpmine.miners.split))
-    code, out = _mine_mii(path, "2", "ifp", capsys)
+    code, out, one_path = _one_path_trees_mined(path, capsys, monkeypatch)
     # The projections of items 0-247 reached the recursion. Item 248 has one
     # frequent partner, 249, so its projection would be a path of one item
     # and is not made.
-    assert one_path.count(True) == 248
+    assert one_path == ["paths"] * 248
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 250 * 10 + 35
@@ -243,44 +254,34 @@ def test_one_path_projections_are_cut_before_their_pairs(tmp_path, capsys, monke
     assert all(line.endswith(" (0)") for line in lines)
 
 
-def test_one_path_cut_holds_on_a_vertical_tree(tmp_path, capsys, monkeypatch):
+def _assert_one_path_cut_over_dense_rows(tmp_path, capsys, monkeypatch, long_items: int, form: str) -> None:
     # 66 rows of items 0-11, each without a pair of them, and two copies of a
-    # 120-item row of items found nowhere else. The top tree is made on its
-    # paths (S·S/N - 3S = 9,211 against 132 * 131 = 17,292), but a long
-    # item's projection, two copies of its m later long items, is dense when
-    # m > 5 (2m² - 6m against m(m - 1)): it is made vertical, one distinct
-    # path, and mined, item 100's would split 2**119 ways. An itemset
-    # of k of items 0-11 is in C(12 - k, 2) rows: the ten-item ones are
-    # MIIs of support 1, and each dense item and long item make a pair MII
-    # of support 0.
-    long_row = range(100, 220)
+    # row of ``long_items`` items from 100 on, found nowhere else. Each dense
+    # item is in 55 rows. A long item's projection is two copies of its later
+    # long items, one distinct path in the top tree's form: mined, item
+    # 100's would split 2**(long_items - 1) ways. An itemset of k of items
+    # 0-11 is in C(12 - k, 2) rows: the ten-item ones are MIIs of support 1,
+    # and each dense item and long item make a pair MII of support 0.
+    long_row = range(100, 100 + long_items)
     dense = [[i for i in range(12) if i not in pair] for pair in itertools.combinations(range(12), 2)]
     path = _write(tmp_path, _fimi(dense + [long_row] * 2))
-    vertical_one_path, real_rec = [], ifpmine.miners._mii_rec
-
-    def distinct_paths(tree):
-        return sum(1 for _ in tree.paths())
-
-    def recording(tree, *args):
-        vertical_one_path.append(tree._tids is not None and distinct_paths(tree) <= 1)
-        return real_rec(tree, *args)
-
-    def refusing_one_path(real):
-        def stand_in(tree, *args):
-            assert distinct_paths(tree) > 1, f"{real.__name__} reached a tree of one path"
-            return real(tree, *args)
-
-        return stand_in
-
-    monkeypatch.setattr(ifpmine.miners, "_mii_rec", recording)
-    monkeypatch.setattr(ifpmine.tree, "_count_pairs", refusing_one_path(ifpmine.tree._count_pairs))
-    monkeypatch.setattr(ifpmine.miners, "split", refusing_one_path(ifpmine.miners.split))
-    code, out = _mine_mii(path, "2", "ifp", capsys)
-    # The projections of long items 100-213, each two copies of six or more
-    # later long items, are made vertical. Those of 214-217 are made on
-    # paths, and 218 and 219, with one frequent partner and none, are not
-    # projected.
-    assert vertical_one_path.count(True) == 114
+    code, out, one_path = _one_path_trees_mined(path, capsys, monkeypatch)
+    # The projections of all long items but the last two, with one
+    # frequent partner and none, reached the recursion.
+    assert one_path == [form] * (long_items - 2)
     want = [(s, 1) for s in itertools.combinations(range(12), 10)]
     want += [((d, i), 0) for d in range(12) for i in long_row]
     assert (code, out) == (0, render_itemset_lines(sorted(want, key=lambda e: (len(e[0]), e[0]))))
+
+
+def test_one_path_cut_holds_on_a_vertical_tree(tmp_path, capsys, monkeypatch):
+    # S·S/N - 3S = 6,607 against 72 * 71 = 5,112: the top tree is vertical,
+    # and so are its projections, 58 of them one path.
+    _assert_one_path_cut_over_dense_rows(tmp_path, capsys, monkeypatch, 60, "vertical")
+
+
+def test_one_path_cut_holds_below_a_wide_tree_on_paths(tmp_path, capsys, monkeypatch):
+    # S·S/N - 3S = 9,211 against 132 * 131 = 17,292: the top tree is on its
+    # paths, and so are its projections, 118 of them one path, though each
+    # alone would pass the form rule (2m² - 6m against m(m - 1) for m > 5).
+    _assert_one_path_cut_over_dense_rows(tmp_path, capsys, monkeypatch, 120, "paths")

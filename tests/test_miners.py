@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from functools import partial
 
 import pytest
@@ -155,6 +156,17 @@ class TestIfpMin:
         want = {(1, 3): 1, (1, 4): 0, (2, 4): 0, (2, 5): 0, (3, 4): 1, (3, 5): 0, (4, 5): 0}
         assert list(miis.items()) == list(want.items())  # in ascending id order
         assert partners == {5: 1, 2: 2}
+
+    def test_pair_read_returns_a_compact_dict(self):
+        # Two rows of items 0-29 and two of item 30 alone: at 2 the 435
+        # pairs of items 0-29 are frequent, and the 30 pairs with item 30,
+        # of support 0, are the MIIs. The dict starts with all 465 pairs and
+        # deletes 435; the one returned is sized for its 30 MIIs, as a fresh
+        # copy of it is.
+        db = TransactionDatabase.from_itemsets([range(30)] * 2 + [[30], [30]])
+        miis, _ = miners_module._pair_read(build_tree(db, 2), 2)
+        assert miis == {(i, 30): 0 for i in range(30)}
+        assert sys.getsizeof(miis) == sys.getsizeof(dict(miis))
 
     def test_no_split_without_a_frequent_pair(self):
         # Each pair of four items occurs once: every item is frequent at

@@ -6,7 +6,9 @@ formulas. Every database stays inside the oracles' guards
 items per transaction), and the runs are derandomized, so they repeat."""
 
 import random
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -248,16 +250,12 @@ def test_pair_kernels_agree_on_weighted_paths(rows, data):
     order = data.draw(st.permutations(range(NUM_ITEMS)), label="order")[:data.draw(st.integers(0, NUM_ITEMS))]
     rank = {item: k for k, item in enumerate(order)}
     paths = [(p, n) for r, n in rows if (p := tuple(sorted((i for i in r if i in rank), key=rank.get)))]
-    db = TransactionDatabase.from_itemsets([r for r, n in rows for _ in range(n)])
-    # The tidsets of the weighted rows, empty ones included: bit t for the
-    # t-th transaction they stand for, set one transaction at a time.
-    want_tids, t = {}, 0
-    for r, n in rows:
-        for _ in range(n):
-            for i in r:
-                want_tids[i] = want_tids.get(i, 0) | 1 << t
-            t += 1
-    tids = ifpmine.tree._tidsets(rows)
+    transactions = [r for r, n in rows for _ in range(n)]
+    db = TransactionDatabase.from_itemsets(transactions)
+    # The tidsets of the transactions the weighted rows stand for, empty
+    # ones included: each item's sum of 2**t over the t-th that hold it.
+    want_tids = {i: sum(1 << t for t, r in enumerate(transactions) if i in r) for r in transactions for i in r}
+    tids = ifpmine.tree._tidsets(transactions)
     assert tids == want_tids
     want = {}
     for k, a in enumerate(order):
@@ -265,17 +263,46 @@ def test_pair_kernels_agree_on_weighted_paths(rows, data):
             want[a] = row
     assert ifpmine.tree._path_pairs(paths) == want
     assert ifpmine.tree._bitset_pairs(order, {i: tids.get(i, 0) for i in order}) == want
-    # A vertical tree of the rows holds those tidsets, for its order's items only.
+    # A vertical tree of the transactions holds those tidsets, for its
+    # order's items only.
     floor = data.draw(st.integers(0, len(db) + 1), label="floor")
     with _made_vertical(True):
-        tree = ifpmine.tree._prepare(item_supports(db), rows, len(db), floor)
+        tree = build_tree(db, floor)
     assert tree._tids == {i: want_tids[i] for i in tree.order}
 
 
 def _made_vertical(vertical: bool):
-    """A patch under which ``_prepare`` makes every tree vertical, or every
-    tree on paths, whatever its supports."""
+    """A patch under which ``build_tree`` makes the database's tree, and so
+    every tree made from it, vertical, or on paths, whatever its supports."""
     return mock.patch.object(ifpmine.tree, "_takes_bitsets", return_value=vertical)
+
+
+@contextmanager
+def _recording_forms():
+    """Patch both miners to record whether each tree of their runs is
+    vertical: each database tree, then each projection and each step of a
+    residual chain, in the order they are made."""
+    forms: list[bool] = []
+
+    def recording(real):
+        def stand_in(*args):
+            tree = real(*args)
+            forms.append(tree._tids is not None)
+            return tree
+
+        return stand_in
+
+    def recording_split(tree):
+        for x, step in split(tree):
+            forms.append(step._tids is not None)
+            yield x, step
+
+    with ExitStack() as stack:
+        for module in (ifpmine.miners, ifpmine.mlms):
+            for name in ("build_tree", "projected_tree"):
+                stack.enter_context(mock.patch.object(module, name, recording(getattr(module, name))))
+            stack.enter_context(mock.patch.object(module, "split", recording_split))
+        yield forms
 
 
 def _takes_bitsets(tree) -> bool:
@@ -360,14 +387,38 @@ def test_build_tree_takes_the_form_of_the_rule(db, data):
     m = data.draw(st.integers(0, len(db) + 1), label="split floor")
     tree = build_tree(db, floor)
     assert tree.num_transactions == len(db)
-    assert (tree._tids is not None) == _takes_bitsets(tree)
-    # A projection of a tree on paths takes the rule's form, one of a
-    # vertical tree is vertical, and the chain keeps the tree's form.
     vertical = tree._tids is not None
+    assert vertical == _takes_bitsets(tree)
+    # Every step of the chain, every projection and every residual tree
+    # keeps the database tree's form, whatever the rule says of it.
     for x, step in split(tree):
-        proj = projected_tree(step, m)
-        assert (tree._tids is not None) == vertical
-        assert (proj._tids is not None) == (vertical or _takes_bitsets(proj))
+        assert (step._tids is not None) == vertical
+        assert (projected_tree(step, m)._tids is not None) == vertical
+        assert (residual_tree(step)._tids is not None) == vertical
+    # So does every tree of a run of each miner, whose database tree is at
+    # its floor: ``ifp`` at sigma, MLMS at its least threshold with pruning
+    # and at 0 without.
+    sigma = max(floor, 1)
+    tv = ThresholdVector((sigma,) * 4)
+    for run in (partial(mine_mii, db, sigma), partial(mine_mlms, db, tv), partial(mine_mlms, db, tv, sigma_low_prune=False)):
+        with _recording_forms() as forms:
+            run()
+        top, *below = forms
+        assert set(below) <= {top}
+
+
+@PROPERTY
+@given(db=databases | dense_rows.map(TransactionDatabase.from_itemsets), data=st.data())
+def test_the_form_rule_is_evaluated_once_per_run(db, data):
+    sigma = data.draw(st.integers(1, len(db) + 1), label="sigma")
+    tv = ThresholdVector((sigma,) * 4)
+    with mock.patch.object(ifpmine.tree, "_takes_bitsets", wraps=ifpmine.tree._takes_bitsets) as rule:
+        mine_mii(db, sigma, "ifp")
+        assert rule.call_count == 1
+        mine_mlms(db, tv)
+        assert rule.call_count == 2
+        mine_mlms(db, tv, sigma_low_prune=False)
+        assert rule.call_count == 3
 
 
 @PROPERTY
@@ -399,32 +450,37 @@ def _top_on_paths_projection_vertical(rng: random.Random) -> TransactionDatabase
     return TransactionDatabase.from_itemsets(rows)
 
 
-def _turns_vertical_below_the_top(db, floor) -> bool:
-    """Whether ``build_tree(db, floor)`` is made on its paths and some
-    projection of its split at ``floor`` is made vertical."""
+def _a_projection_meets_the_rule(db, floor) -> bool:
+    """Whether ``build_tree(db, floor)`` is made on its paths and the form
+    rule, asked of it, would make some projection of its split at
+    ``floor`` vertical."""
     tree = build_tree(db, floor)
-    if tree._tids is not None:
-        return False
-    return any(projected_tree(step, floor)._tids is not None for _, step in split(tree))
+    return tree._tids is None and any(_takes_bitsets(projected_tree(step, floor)) for _, step in split(tree))
 
 
 @settings(PROPERTY, max_examples=50)  # the MII oracle takes about 50 ms a database here
 @given(rng=st.randoms(use_true_random=False), data=st.data())
-def test_miners_agree_with_oracle_when_a_projection_turns_vertical(rng, data):
+def test_miners_agree_with_oracle_when_a_projection_would_take_bitsets(rng, data):
     db = _top_on_paths_projection_vertical(rng)
     sigma = data.draw(st.integers(1, 3), label="sigma")
-    assume(_turns_vertical_below_the_top(db, sigma))
+    assume(_a_projection_meets_the_rule(db, sigma))
     want = mii_oracle(db, sigma)
-    result = mine_mii(db, sigma)
+    with _recording_forms() as forms:
+        result = mine_mii(db, sigma)
     assert set(result.miis) == want
     assert result.supports == {s: support(db, s) for s in want}
     # At (9, 3, sigma) the MLMS tree's floor is sigma, and it is split.
     tv = ThresholdVector((9, 3, sigma))
     want = mlms_oracle(db, tv)
     for prune in (True, False):
-        result = mine_mlms(db, tv, sigma_low_prune=prune)
+        with _recording_forms() as more:
+            result = mine_mlms(db, tv, sigma_low_prune=prune)
+        forms += more
         assert set(result.frequent) == want
         assert result.supports == {s: support(db, s) for s in want}
+    # Every tree of the four runs, projections and steps included, is on
+    # its paths, as the database's is.
+    assert forms and not any(forms)
 
 
 @PROPERTY
