@@ -236,10 +236,13 @@ def test_one_path_projections_are_cut_before_their_pairs(tmp_path, capsys, monke
     # Two copies of a 250-item transaction, whose items meet no short row's.
     # Each of its items' projections is one path of its later items, whose
     # every itemset is frequent at 2: mined, they would split 2**249 ways.
-    # Short items k and k + 3 (mod 10) meet 4 times and no other two short
+    # Short items k and k + 3 (mod 10) meet 40 times and no other two short
     # items meet, and the pairs of short items are a 10-cycle, which holds
-    # no triangle: the MIIs are the 250 * 10 + 35 pairs of support 0.
-    rows = [range(250)] * 2 + [[250 + i % 10, 250 + (i + 3) % 10] for i in range(40)]
+    # no triangle: the MIIs are the 250 * 10 + 35 pairs of support 0. The
+    # 400 short rows keep the top tree on its paths: (o + 15·m(m - 1))(2 +
+    # t // 64) = 1,011,400 · 8 against 500(s·s/t + s) = 2,751,990 for m =
+    # 260 items, s = o = 1,300 occurrences and t = 402 rows.
+    rows = [range(250)] * 2 + [[250 + i % 10, 250 + (i + 3) % 10] for i in range(400)]
     path = _write(tmp_path, _fimi(rows))
     code, out, one_path = _one_path_trees_mined(path, capsys, monkeypatch)
     # The projections of items 0-247 reached the recursion. Item 248 has one
@@ -254,17 +257,20 @@ def test_one_path_projections_are_cut_before_their_pairs(tmp_path, capsys, monke
     assert all(line.endswith(" (0)") for line in lines)
 
 
-def _assert_one_path_cut_over_dense_rows(tmp_path, capsys, monkeypatch, long_items: int, form: str) -> None:
-    # 66 rows of items 0-11, each without a pair of them, and two copies of a
-    # row of ``long_items`` items from 100 on, found nowhere else. Each dense
-    # item is in 55 rows. A long item's projection is two copies of its later
-    # long items, one distinct path in the top tree's form: mined, item
-    # 100's would split 2**(long_items - 1) ways. An itemset of k of items
-    # 0-11 is in C(12 - k, 2) rows: the ten-item ones are MIIs of support 1,
-    # and each dense item and long item make a pair MII of support 0.
+def _assert_one_path_cut_over_dense_rows(
+    tmp_path, capsys, monkeypatch, long_items: int, form: str, empty_rows: int = 0
+) -> None:
+    # 66 rows of items 0-11, each without a pair of them, two copies of a
+    # row of ``long_items`` items from 100 on, found nowhere else, and
+    # ``empty_rows`` empty rows. Each dense item is in 55 rows. A long
+    # item's projection is two copies of its later long items, one
+    # distinct path in the top tree's form: mined, item 100's would split
+    # 2**(long_items - 1) ways. An itemset of k of items 0-11 is in
+    # C(12 - k, 2) rows: the ten-item ones are MIIs of support 1, and each
+    # dense item and long item make a pair MII of support 0.
     long_row = range(100, 100 + long_items)
     dense = [[i for i in range(12) if i not in pair] for pair in itertools.combinations(range(12), 2)]
-    path = _write(tmp_path, _fimi(dense + [long_row] * 2))
+    path = _write(tmp_path, _fimi(dense + [long_row] * 2 + [[]] * empty_rows))
     code, out, one_path = _one_path_trees_mined(path, capsys, monkeypatch)
     # The projections of all long items but the last two, with one
     # frequent partner and none, reached the recursion.
@@ -275,13 +281,18 @@ def _assert_one_path_cut_over_dense_rows(tmp_path, capsys, monkeypatch, long_ite
 
 
 def test_one_path_cut_holds_on_a_vertical_tree(tmp_path, capsys, monkeypatch):
-    # S·S/N - 3S = 6,607 against 72 * 71 = 5,112: the top tree is vertical,
-    # and so are its projections, 58 of them one path.
+    # (o + 15·m(m - 1))(2 + t // 64) = 77,460 · 3 against 500(s·s/t + s) =
+    # 4,863,529 for m = 72 items, s = o = 780 occurrences and t = 68 rows:
+    # the top tree is vertical, and so are its projections, 58 of them one
+    # path.
     _assert_one_path_cut_over_dense_rows(tmp_path, capsys, monkeypatch, 60, "vertical")
 
 
 def test_one_path_cut_holds_below_a_wide_tree_on_paths(tmp_path, capsys, monkeypatch):
-    # S·S/N - 3S = 9,211 against 132 * 131 = 17,292: the top tree is on its
-    # paths, and so are its projections, 118 of them one path, though each
-    # alone would pass the form rule (2m² - 6m against m(m - 1) for m > 5).
-    _assert_one_path_cut_over_dense_rows(tmp_path, capsys, monkeypatch, 120, "paths")
+    # 400 empty rows widen each tidset to 468 bits: (o + 15·m(m - 1))(2 +
+    # t // 64) = 260,280 · 9 against 500(s·s/t + s) = 1,315,385 for m = 132
+    # items, s = o = 900 occurrences and t = 468 rows. The top tree is on
+    # its paths, and so are its projections, 118 of them one path, though
+    # each alone would be made vertical: k later items twice give
+    # (2k + 15k(k - 1)) · 2 against 500(2k·k + 2k).
+    _assert_one_path_cut_over_dense_rows(tmp_path, capsys, monkeypatch, 120, "paths", empty_rows=400)

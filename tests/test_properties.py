@@ -57,7 +57,11 @@ assert max(NUM_ITEMS, WIDE_ITEMS) <= min(MAX_ORACLE_FREQUENT_ITEMS, MAX_ORACLE_T
 def _assert_mii_miners_match_oracle(db, data):
     sigma = data.draw(st.integers(1, len(db) + 1), label="sigma")
     want = mii_oracle(db, sigma)
-    for result in (ifp_min(db, sigma), apriori_min(db, sigma)):
+    # The form rule makes vertical the tree of every database this small
+    # whose order is not empty, so ``ifp`` runs in a form drawn for each.
+    with _made_vertical(data.draw(st.booleans(), label="vertical")):
+        mined = ifp_min(db, sigma)
+    for result in (mined, apriori_min(db, sigma)):
         assert set(result.miis) == want
         assert result.supports == {s: support(db, s) for s in want}
 
@@ -135,7 +139,8 @@ def _assert_mlms_matches_oracle(db, data):
     tv = ThresholdVector(tuple(sigmas))
     want = mlms_oracle(db, tv)
     for prune in (True, False):
-        result = mine_mlms(db, tv, sigma_low_prune=prune)
+        with _made_vertical(data.draw(st.booleans(), label="vertical")):  # as for MII
+            result = mine_mlms(db, tv, sigma_low_prune=prune)
         assert set(result.frequent) == want
         assert result.supports == {s: support(db, s) for s in want}
 
@@ -307,11 +312,13 @@ def _recording_forms():
 
 def _takes_bitsets(tree) -> bool:
     """The form rule restated on the tree's supports: bitsets when
-    S·S/N - 3S > m(m - 1)(1 + N // 1024), for the m items of the order whose
-    supports sum to S and N transactions."""
+    (O + 15·m(m - 1))(2 + N // 64)/500 < S·S/N + S, for the m items of the
+    order whose supports sum to S, all its items' supports summing to O,
+    and N transactions."""
     m, n = len(tree.order), tree.num_transactions
     s = sum(tree.supports[i] for i in tree.order)
-    return n > 0 and Fraction(s * s, n) - 3 * s > m * (m - 1) * (1 + n // 1024)
+    o = sum(tree.supports.values())
+    return n > 0 and Fraction((o + 15 * m * (m - 1)) * (2 + n // 64), 500) < Fraction(s * s, n) + s
 
 
 def _assert_same_contents(vertical, on_paths, itemsets) -> None:
@@ -380,8 +387,20 @@ def test_a_vertical_database_tree_matches_its_twin_on_paths(rows, rare, empty, d
     _assert_twins_agree_at_every_split_step(vertical, db, floor, m, probes)
 
 
+def _sparse_rows_over_many_items(rng: random.Random) -> TransactionDatabase:
+    """60-100 rows of one or two of 200 items: at low floors the form rule
+    keeps the tree of so many items on its paths."""
+    rows = [rng.sample(range(200), rng.randint(1, 2)) for _ in range(rng.randint(60, 100))]
+    return TransactionDatabase.from_itemsets(rows)
+
+
 @PROPERTY
-@given(db=databases | dense_rows.map(TransactionDatabase.from_itemsets), data=st.data())
+@given(
+    db=databases
+    | dense_rows.map(TransactionDatabase.from_itemsets)
+    | st.randoms(use_true_random=False).map(_sparse_rows_over_many_items),
+    data=st.data(),
+)
 def test_build_tree_takes_the_form_of_the_rule(db, data):
     floor = data.draw(st.integers(0, len(db) + 1), label="floor")
     m = data.draw(st.integers(0, len(db) + 1), label="split floor")
@@ -441,10 +460,12 @@ def test_reading_pairs_never_changes_a_trees_form(db, data):
 
 
 def _top_on_paths_projection_vertical(rng: random.Random) -> TransactionDatabase:
-    """40-60 rows of two of items 1-19, which keep the database's tree on
-    its paths, and 4-6 rows of item 0 with 7-9 of items 1-9, which make
-    the projections of the items they hold dense."""
+    """40-60 rows of two of items 1-19 and 1,000-1,200 empty rows, which
+    widen every tidset and keep the database's tree on its paths, and 4-6
+    rows of item 0 with 7-9 of items 1-9, which make the projections of
+    the items they hold dense."""
     rows = [rng.sample(range(1, NUM_ITEMS), 2) for _ in range(rng.randint(40, 60))]
+    rows += [[] for _ in range(rng.randint(1000, 1200))]
     rows += [[0, *rng.sample(range(1, 10), rng.randint(7, 9))] for _ in range(rng.randint(4, 6))]
     rng.shuffle(rows)
     return TransactionDatabase.from_itemsets(rows)

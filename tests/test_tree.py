@@ -216,10 +216,13 @@ class TestProjectedTree:
                 assert tree_support(proj, s) == tree_support(full, s)
 
     def test_projection_of_infrequent_items_reads_no_path(self):
-        # x = 0 occurs in three transactions, its projected items at most twice.
-        db = TransactionDatabase.from_itemsets([[0, 1, 2], [0, 1], [0, 2, 3]] + [[1, 2, 3]] * 3)
+        # x = 0 occurs in three transactions, its projected items at most
+        # twice. Items 10-209, three rows each alone, keep the tree on its
+        # paths and stay out of x's projection.
+        rows = [[0, 1, 2], [0, 1], [0, 2, 3]] + [[1, 2, 3]] * 3
+        db = TransactionDatabase.from_itemsets(rows + [[i] for i in range(10, 210)] * 3)
         tree = build_tree(db)
-        assert tree.order[0] == 0
+        assert tree.order[0] == 0 and tree._tids is None
         full = projected_tree(tree)
         assert full.supports == {1: 2, 2: 2, 3: 1}
         reads = []
@@ -315,6 +318,39 @@ class TestResidualTree:
         assert pruned_tree.dump() == before
 
 
+# The cells ``_takes_bitsets`` was fitted on: each one's (m, s, t, o), as
+# ``tools/form_cells.py`` prints them, and whether its whole ``ifp`` run was
+# faster vertical. The benchmark workloads' queries with equal supports
+# share a cell. The 2-8-item rows are a near tie at sigma 1, and vertical
+# ran 8-18% faster at 25 and 100, so they are vertical (see the rule).
+FITTED_CELLS = {
+    "mii-skewed, MII 1% and MLMS 2%,1%": ((148, 2750, 600, 2760), True),
+    "mii-dense, MII 30%": ((20, 3907, 600, 7200), True),
+    "mii-dense, MII 10% and MLMS 30%,10%": ((40, 7200, 600, 7200), True),
+    "mlms-dense, MII 30%": ((21, 1360, 200, 2400), True),
+    "mlms-dense, MII 10% and MLMS 25%,9%,3%": ((40, 2400, 200, 2400), True),
+    "gen_synthetic 30 x 50,000 at 0.1, seed 1, 1%": ((30, 150416, 50000, 150416), True),
+    "gen_synthetic 50 x 10,000 at 0.3, seed 42, 30%": ((30, 91182, 10000, 150564), True),
+    "gen_synthetic 50 x 10,000 at 0.3, seed 42, 10% and 5%": ((50, 150564, 10000, 150564), True),
+    "gen_synthetic 200 x 5,000 at 0.05, seed 7, 2%": ((200, 49962, 5000, 49962), True),
+    "patterns 300 x 20,000, 2%, 1% and 0.5%": ((188, 181999, 20000, 181999), True),
+    "5,000 rows of 2-8 of 200 items, 1, 25 and 100": ((200, 25044, 5000, 25044), True),
+    "20,000 rows of 1-3 of 200 items, 1 and 25": ((200, 39928, 20000, 39928), False),
+    "uniform_rows(500, 20000), 1.2%": ((151, 40765, 20000, 100000), False),
+    "uniform_rows(500, 20000), 0.5%": ((500, 100000, 20000, 100000), False),
+    "zipf_rows(1000, 50000), 1%": ((42, 61463, 50000, 154697), False),
+    "zipf_rows(1000, 50000), 0.1%": ((761, 144122, 50000, 154697), False),
+    "uniform_rows(1000, 100000), 1.2%": ((301, 406350, 100000, 1000000), False),
+    "uniform_rows(1000, 100000), 1%": ((500, 625250, 100000, 1000000), False),
+}
+
+
+def _short_rows() -> list[list[int]]:
+    """20,000 seeded transactions of 1-3 of 200 items."""
+    rng = random.Random(1)
+    return [rng.sample(range(200), rng.randint(1, 3)) for _ in range(20000)]
+
+
 class TestPairKernelChoice:
     """A dense tree is made vertical and counts its pair table on
     transaction bitsets; a tree whose many transactions make each AND dear
@@ -340,40 +376,40 @@ class TestPairKernelChoice:
         assert self._kernels(build_tree(db), monkeypatch) == ["_bitset_pairs"]
 
     def test_wide_sparse_tree_takes_paths(self, monkeypatch):
-        # 5,000 transactions of 2-8 of 200 items: each AND spans 5,000 bits.
-        # S·S/N - 3S = 50,308 for the S = 25,044 item occurrences outweighs
-        # 200 * 199 ANDs of 600 bits, but not ANDs this wide (199,000), which
-        # take about 1.5 times as long as the paths here.
-        rng = random.Random(1)
-        db = TransactionDatabase.from_itemsets(rng.sample(range(200), rng.randint(2, 8)) for _ in range(5000))
-        tree = build_tree(db)
+        # 20,000 transactions of 1-3 of 200 items: each AND spans 313 words.
+        # (o + 15·m(m - 1))(2 + t // 64) = 636,928 · 314 outweighs
+        # 500(s·s/t + s) = 59,820,000 for the s = o = 39,928 item
+        # occurrences, and whole runs took 43 ms on paths against 53 ms
+        # vertical at 25, and 1.11 against 1.42 s at 1.
+        tree = build_tree(TransactionDatabase.from_itemsets(_short_rows()))
         assert len(tree.order) == 200
         assert self._kernels(tree, monkeypatch) == ["_path_pairs"]
 
     def test_row_order_does_not_change_the_kernel(self, monkeypatch):
-        # The rule reads the supports, which the row order leaves alone:
-        # S = 35 over N = 15 rows gives S·S/N - 3S < 0 against 6 * 5 = 30,
-        # though the long rows alone would outweigh it.
+        # The rule reads the supports, which the row order leaves alone: the
+        # short rows keep the tree on its paths, though the long rows alone
+        # would be made vertical, m = 6 items in 3 rows.
         long = [[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4], [0, 1, 2, 3, 5]]
-        short = [[1], [2], [3], [4], [5], [1, 2], [3, 4], [2, 5], [1, 4], [3, 5], [4, 5], [1, 3]]
         kernels = []
-        for rows in (long + short, short + long):
+        for rows in (long, long + _short_rows(), _short_rows() + long):
             with monkeypatch.context() as patch:
                 kernels.append(self._kernels(build_tree(TransactionDatabase.from_itemsets(rows)), patch))
-        assert kernels == [["_path_pairs"], ["_path_pairs"]]
+        assert kernels == [["_bitset_pairs"], ["_path_pairs"], ["_path_pairs"]]
 
     def test_a_vertical_tree_keeps_bitsets_below_it(self, monkeypatch):
-        # Dense rows make the top tree vertical. Item 50, the lf-item, is in
-        # two short rows: on its own, its projection's two one-item paths
-        # would be made on paths, but it is made vertical, as is the residual.
-        dense = [[i for i in range(12) if i not in pair] for pair in itertools.combinations(range(12), 2)]
-        db = TransactionDatabase.from_itemsets(dense + [[50, 0], [50, 1]])
+        # Dense rows of items 100-149 make the top tree vertical. Item 50,
+        # the lf-item, is in 50 rows, each with one of those items: on its
+        # own, its projection's 50 one-item paths would be made on paths,
+        # (50 + 15 · 50 · 49) · 2 against 500 · (50 + 50), but it is made
+        # vertical, as is the residual.
+        dense = [[i for i in range(100, 150) if i % 10 != k % 10] for k in range(60)]
+        db = TransactionDatabase.from_itemsets(dense + [[50, p] for p in range(100, 150)])
         tree = build_tree(db)
         with monkeypatch.context() as patch:
             assert self._kernels(tree, patch) == ["_bitset_pairs"]
         assert tree.order[0] == 50
         proj = projected_tree(tree)
-        rebuilt = build_tree(TransactionDatabase.from_itemsets([[0], [1]]))
+        rebuilt = build_tree(TransactionDatabase.from_itemsets([p] for p in range(100, 150)))
         with monkeypatch.context() as patch:
             assert self._kernels(rebuilt, patch) == ["_path_pairs"]
         for below in (proj, residual_tree(tree)):
@@ -382,9 +418,18 @@ class TestPairKernelChoice:
         assert proj.dump() == rebuilt.dump()
 
     def test_a_tie_takes_the_paths(self, monkeypatch):
-        # Five rows of 4 of 5 items: S·S/N - 3S = 400/5 - 60 = 20 against 5 * 4 = 20.
-        db = TransactionDatabase.from_itemsets(itertools.combinations(range(5), 4))
-        assert self._kernels(build_tree(db), monkeypatch) == ["_path_pairs"]
+        # Two rows of items 0-41, 10 empty rows and 86 rows of one item
+        # each, which the floor of 2 leaves out: m = 42, s = 84, t = 98 and
+        # o = 170 give (170 + 15 · 42 · 41)(2 + 1) · 98 = 7,644,000 =
+        # 500 · (84 · 84 + 84 · 98).
+        rows = [range(42)] * 2 + [[]] * 10 + [[100 + k] for k in range(86)]
+        tree = build_tree(TransactionDatabase.from_itemsets(rows), 2)
+        assert (len(tree.order), tree.num_transactions) == (42, 98)
+        assert self._kernels(tree, monkeypatch) == ["_path_pairs"]
+
+    @pytest.mark.parametrize("features, vertical", list(FITTED_CELLS.values()), ids=list(FITTED_CELLS))
+    def test_the_rule_takes_the_faster_form_on_each_fitted_cell(self, features, vertical):
+        assert tree_module._takes_bitsets(*features) == vertical
 
 
 class TestTreeItems:
