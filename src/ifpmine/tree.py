@@ -3,13 +3,16 @@
 item (lf-item) x of the tree starts with x, and x's projected and residual
 trees are cheap to take. Each rule is stated where it is implemented:
 
-* ``IFPTree``: a tree's two forms, on paths or vertical, and its reads;
+* ``IFPTree``: a tree's two forms, on paths or vertical, and its reads.
+  The form is one ``if`` on ``_tids`` inside each of the six operations
+  that depend on it: ``paths``, ``single_path``, ``pairs``,
+  ``projected_tree``, ``_drop_lf`` and ``residual_tree``;
 * ``build_tree`` makes the database's tree and picks the run's form, the
   one ``_takes_bitsets`` gives; ``_prepare`` builds trees on paths;
 * ``_tidsets``, the one tidset build, also ``apriori_min``'s, and
   ``_add_paths``, the one merge of equal paths;
-* ``IFPTree.pairs``, the pair table, and its kernels ``_path_pairs`` and
-  ``_bitset_pairs``;
+* ``IFPTree.pairs``, the pair table, counted by the kernel of the tree's
+  form, ``_path_pairs`` or ``_bitset_pairs``;
 * ``split``, the residual chain: each lf-item with the tree at its
   step, whose projection the caller takes with ``projected_tree``;
   ``projected_tree`` and ``residual_tree`` take one step and leave the
@@ -83,12 +86,12 @@ class IFPTree:
         """a -> b -> support of {a, b}, for b after a in the order, as
         FP-growth*'s FP-array (Grahne and Zhu, IEEE TKDE 2005); no row is
         empty and no entry is 0. Counted on first read, by the kernel of the
-        tree's form (``_count_pairs``), so a tree whose table nothing reads
-        never holds one, and kept: the only read that writes to the tree,
-        so read it before sharing a tree between threads. It never changes
-        the tree's form."""
+        tree's form, ``_path_pairs`` or ``_bitset_pairs``, so a tree whose
+        table nothing reads never holds one, and kept: the only read that
+        writes to the tree, so read it before sharing a tree between
+        threads. It never changes the tree's form."""
         if self._pairs is None:
-            self._pairs = _count_pairs(self)
+            self._pairs = _path_pairs(self.paths()) if self._tids is None else _bitset_pairs(self.order, self._tids)
         return self._pairs
 
     def dump(self, labels: dict[int, str] | None = None) -> str:
@@ -122,13 +125,6 @@ def _common_prefix(prev: Sequence[int], path: Sequence[int]) -> int:
     while k < n and path[k] == prev[k]:
         k += 1
     return k
-
-
-def _count_pairs(tree: IFPTree) -> dict[int, dict[int, int]]:
-    """The tree's pair table, counted by the kernel of the tree's form."""
-    if tree._tids is None:
-        return _path_pairs(tree.paths())
-    return _bitset_pairs(tree.order, tree._tids)
 
 
 def _takes_bitsets(m: int, s: int, t: int, o: int) -> bool:

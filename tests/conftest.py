@@ -1,8 +1,10 @@
 import random
 import sys
+from unittest import mock
 
 import pytest
 
+import ifpmine.tree
 from ifpmine import SynthConfig, TransactionDatabase, gen_synthetic, item_supports
 
 # Nine-transaction example database (labels A..F as ids 0..5).
@@ -74,6 +76,34 @@ def int_digit_limit():
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     yield sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(before)
+
+
+def forced_form(vertical: bool):
+    """A patch under which ``build_tree`` makes the database's tree, and so
+    every tree made from it, vertical (on tidsets) or on paths, whatever
+    the form rule gives. It and ``is_vertical`` are all that the tests,
+    but for those of the rule's verdicts, know of how a form is chosen and
+    stored, so a refit of the rule's constants restates only those."""
+    return mock.patch.object(ifpmine.tree, "_takes_bitsets", return_value=vertical)
+
+
+def is_vertical(tree) -> bool:
+    """Whether the tree is vertical, rather than on paths."""
+    return tree._tids is not None
+
+
+def recording_kernels(monkeypatch) -> list[str]:
+    """Patch both pair kernels to record the name of each one called, in
+    the list returned."""
+    used = []
+    for name in ("_path_pairs", "_bitset_pairs"):
+
+        def recording(*args, name=name, real=getattr(ifpmine.tree, name)):
+            used.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(ifpmine.tree, name, recording)
+    return used
 
 
 def universe(db: TransactionDatabase) -> frozenset[int]:

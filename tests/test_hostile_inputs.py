@@ -25,6 +25,8 @@ from ifpmine import (
 from ifpmine.data import render_itemset_lines
 from ifpmine.cli import main
 
+from conftest import forced_form, is_vertical, recording_kernels
+
 
 def _write(tmp_path, content: bytes, name: str = "data.fimi") -> str:
     path = tmp_path / name
@@ -185,28 +187,22 @@ def test_one_transaction_of_ten_thousand_items(tmp_path, capsys):
 def test_one_threshold_counts_no_pair_of_two_long_transactions(tmp_path, capsys, monkeypatch):
     # Two copies of the 10**4-item transaction: at one threshold of 2 the
     # tree keeps all their items, whose 5 * 10**7 pairs all co-occur. Only
-    # the items' supports are read, so no pair table is counted.
+    # the items' supports are read, so no pair table is counted, by either
+    # kernel.
     rows = [range(10**4)] * 2 + [[i % 10, (i + 3) % 10] for i in range(40)]
     path = _write(tmp_path, _fimi(rows))
-    counted = []
-    real = ifpmine.tree._count_pairs
-
-    def counting(*args):
-        counted.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(ifpmine.tree, "_count_pairs", counting)
+    counted = recording_kernels(monkeypatch)
     code, out = _mine_mlms(path, "2", capsys)
     assert counted == []
     # Items 0-9 occur in both long transactions and 8 short ones.
     assert (code, out) == (0, "".join(f"{i} ({10 if i < 10 else 2})\n" for i in range(10**4)))
 
 
-def _one_path_trees_mined(path: str, capsys, monkeypatch) -> tuple[int, str, list[str]]:
-    """Exit code and text output of ``ifp`` at 2 on the file, and the form,
-    ``"vertical"`` or ``"paths"``, of each tree of one distinct path that
-    reached ``_mii_rec``; counting such a tree's pairs or splitting it
-    fails the run."""
+def _one_path_trees_mined(path: str, form: str, capsys, monkeypatch) -> tuple[int, str, list[str]]:
+    """Exit code and text output of ``ifp`` at 2 on the file, with the run
+    forced into ``form``, ``"vertical"`` or ``"paths"``, and the form of
+    each tree of one distinct path that reached ``_mii_rec``; counting
+    such a tree's pairs, on either kernel, or splitting it fails the run."""
     one_path, real_rec = [], ifpmine.miners._mii_rec
 
     def distinct_paths(tree):
@@ -214,20 +210,28 @@ def _one_path_trees_mined(path: str, capsys, monkeypatch) -> tuple[int, str, lis
 
     def recording(tree, *args):
         if distinct_paths(tree) == 1:
-            one_path.append("paths" if tree._tids is None else "vertical")
+            one_path.append("vertical" if is_vertical(tree) else "paths")
         return real_rec(tree, *args)
 
-    def refusing_one_path(real):
-        def stand_in(tree, *args):
-            assert distinct_paths(tree) > 1, f"{real.__name__} reached a tree of one path"
-            return real(tree, *args)
+    def refusing_one_path(real, distinct):
+        """``real``, failing the run when its arguments stand for a tree
+        of fewer than two distinct paths, as ``distinct`` counts them."""
+
+        def stand_in(*args):
+            assert distinct(*args) > 1, f"{real.__name__} reached a tree of one path"
+            return real(*args)
 
         return stand_in
 
-    with monkeypatch.context() as patch:
+    # The path kernel reads each distinct path once; the bitset kernel's
+    # tree holds one path exactly when its tidsets are all equal.
+    path_pairs = refusing_one_path(ifpmine.tree._path_pairs, len)
+    bitset_pairs = refusing_one_path(ifpmine.tree._bitset_pairs, lambda order, tids: len({tids[i] for i in order}))
+    with monkeypatch.context() as patch, forced_form(form == "vertical"):
         patch.setattr(ifpmine.miners, "_mii_rec", recording)
-        patch.setattr(ifpmine.tree, "_count_pairs", refusing_one_path(ifpmine.tree._count_pairs))
-        patch.setattr(ifpmine.miners, "split", refusing_one_path(ifpmine.miners.split))
+        patch.setattr(ifpmine.tree, "_path_pairs", lambda paths: path_pairs(list(paths)))
+        patch.setattr(ifpmine.tree, "_bitset_pairs", bitset_pairs)
+        patch.setattr(ifpmine.miners, "split", refusing_one_path(ifpmine.miners.split, distinct_paths))
         code, out = _mine_mii(path, "2", "ifp", capsys)
     return code, out, one_path
 
@@ -236,15 +240,13 @@ def test_one_path_projections_are_cut_before_their_pairs(tmp_path, capsys, monke
     # Two copies of a 250-item transaction, whose items meet no short row's.
     # Each of its items' projections is one path of its later items, whose
     # every itemset is frequent at 2: mined, they would split 2**249 ways.
-    # Short items k and k + 3 (mod 10) meet 40 times and no other two short
+    # Short items k and k + 3 (mod 10) meet 4 times and no other two short
     # items meet, and the pairs of short items are a 10-cycle, which holds
     # no triangle: the MIIs are the 250 * 10 + 35 pairs of support 0. The
-    # 400 short rows keep the top tree on its paths: (o + 15·m(m - 1))(2 +
-    # t // 64) = 1,011,400 · 8 against 500(s·s/t + s) = 2,751,990 for m =
-    # 260 items, s = o = 1,300 occurrences and t = 402 rows.
-    rows = [range(250)] * 2 + [[250 + i % 10, 250 + (i + 3) % 10] for i in range(400)]
+    # run is on paths.
+    rows = [range(250)] * 2 + [[250 + i % 10, 250 + (i + 3) % 10] for i in range(40)]
     path = _write(tmp_path, _fimi(rows))
-    code, out, one_path = _one_path_trees_mined(path, capsys, monkeypatch)
+    code, out, one_path = _one_path_trees_mined(path, "paths", capsys, monkeypatch)
     # The projections of items 0-247 reached the recursion. Item 248 has one
     # frequent partner, 249, so its projection would be a path of one item
     # and is not made.
@@ -257,21 +259,19 @@ def test_one_path_projections_are_cut_before_their_pairs(tmp_path, capsys, monke
     assert all(line.endswith(" (0)") for line in lines)
 
 
-def _assert_one_path_cut_over_dense_rows(
-    tmp_path, capsys, monkeypatch, long_items: int, form: str, empty_rows: int = 0
-) -> None:
-    # 66 rows of items 0-11, each without a pair of them, two copies of a
-    # row of ``long_items`` items from 100 on, found nowhere else, and
-    # ``empty_rows`` empty rows. Each dense item is in 55 rows. A long
-    # item's projection is two copies of its later long items, one
-    # distinct path in the top tree's form: mined, item 100's would split
-    # 2**(long_items - 1) ways. An itemset of k of items 0-11 is in
-    # C(12 - k, 2) rows: the ten-item ones are MIIs of support 1, and each
-    # dense item and long item make a pair MII of support 0.
+def _assert_one_path_cut_over_dense_rows(tmp_path, capsys, monkeypatch, long_items: int, form: str) -> None:
+    # 66 rows of items 0-11, each without a pair of them, and two copies of
+    # a row of ``long_items`` items from 100 on, found nowhere else, mined
+    # in ``form``. Each dense item is in 55 rows. A long item's projection
+    # is two copies of its later long items, one distinct path in the top
+    # tree's form: mined, item 100's would split 2**(long_items - 1) ways.
+    # An itemset of k of items 0-11 is in C(12 - k, 2) rows: the ten-item
+    # ones are MIIs of support 1, and each dense item and long item make a
+    # pair MII of support 0.
     long_row = range(100, 100 + long_items)
     dense = [[i for i in range(12) if i not in pair] for pair in itertools.combinations(range(12), 2)]
-    path = _write(tmp_path, _fimi(dense + [long_row] * 2 + [[]] * empty_rows))
-    code, out, one_path = _one_path_trees_mined(path, capsys, monkeypatch)
+    path = _write(tmp_path, _fimi(dense + [long_row] * 2))
+    code, out, one_path = _one_path_trees_mined(path, form, capsys, monkeypatch)
     # The projections of all long items but the last two, with one
     # frequent partner and none, reached the recursion.
     assert one_path == [form] * (long_items - 2)
@@ -281,18 +281,12 @@ def _assert_one_path_cut_over_dense_rows(
 
 
 def test_one_path_cut_holds_on_a_vertical_tree(tmp_path, capsys, monkeypatch):
-    # (o + 15·m(m - 1))(2 + t // 64) = 77,460 · 3 against 500(s·s/t + s) =
-    # 4,863,529 for m = 72 items, s = o = 780 occurrences and t = 68 rows:
-    # the top tree is vertical, and so are its projections, 58 of them one
-    # path.
+    # The top tree of 72 items is vertical, and so are its projections, 58
+    # of them one path.
     _assert_one_path_cut_over_dense_rows(tmp_path, capsys, monkeypatch, 60, "vertical")
 
 
 def test_one_path_cut_holds_below_a_wide_tree_on_paths(tmp_path, capsys, monkeypatch):
-    # 400 empty rows widen each tidset to 468 bits: (o + 15·m(m - 1))(2 +
-    # t // 64) = 260,280 · 9 against 500(s·s/t + s) = 1,315,385 for m = 132
-    # items, s = o = 900 occurrences and t = 468 rows. The top tree is on
-    # its paths, and so are its projections, 118 of them one path, though
-    # each alone would be made vertical: k later items twice give
-    # (2k + 15k(k - 1)) · 2 against 500(2k·k + 2k).
-    _assert_one_path_cut_over_dense_rows(tmp_path, capsys, monkeypatch, 120, "paths", empty_rows=400)
+    # The top tree of 132 items is on its paths, and so are its
+    # projections, 118 of them one path.
+    _assert_one_path_cut_over_dense_rows(tmp_path, capsys, monkeypatch, 120, "paths")

@@ -12,7 +12,7 @@ from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ifpmine.miners
@@ -40,6 +40,8 @@ from ifpmine.data import render_itemset_lines
 from ifpmine.oracle import MAX_ORACLE_FREQUENT_ITEMS, MAX_ORACLE_TRANSACTION_LEN
 from ifpmine.tree import split
 
+from conftest import forced_form, is_vertical
+
 NUM_ITEMS = 20
 
 databases = st.lists(
@@ -59,7 +61,7 @@ def _assert_mii_miners_match_oracle(db, data):
     want = mii_oracle(db, sigma)
     # The form rule makes vertical the tree of every database this small
     # whose order is not empty, so ``ifp`` runs in a form drawn for each.
-    with _made_vertical(data.draw(st.booleans(), label="vertical")):
+    with forced_form(data.draw(st.booleans(), label="vertical")):
         mined = ifp_min(db, sigma)
     for result in (mined, apriori_min(db, sigma)):
         assert set(result.miis) == want
@@ -105,7 +107,7 @@ def _assert_mii_projects_lf_items_with_two_frequent_partners(db, data):
 
     with mock.patch.object(ifpmine.miners, "split", recording_split), mock.patch.object(
         ifpmine.miners, "projected_tree", recording_projection
-    ):
+    ), forced_form(data.draw(st.booleans(), label="vertical")):  # as in the oracle helpers
         result = ifp_min(db, sigma)
     want = mii_oracle(db, sigma)
     assert set(result.miis) == want
@@ -139,7 +141,7 @@ def _assert_mlms_matches_oracle(db, data):
     tv = ThresholdVector(tuple(sigmas))
     want = mlms_oracle(db, tv)
     for prune in (True, False):
-        with _made_vertical(data.draw(st.booleans(), label="vertical")):  # as for MII
+        with forced_form(data.draw(st.booleans(), label="vertical")):  # as for MII
             result = mine_mlms(db, tv, sigma_low_prune=prune)
         assert set(result.frequent) == want
         assert result.supports == {s: support(db, s) for s in want}
@@ -188,6 +190,13 @@ def _assert_pair_table(tree, db: TransactionDatabase) -> None:
 @PROPERTY
 @given(db=databases, data=st.data())
 def test_tree_layer_matches_rebuilt_trees(db, data):
+    # Every tree here, the rebuilt ones included, takes a form drawn for
+    # the example, as the rule would make nearly all of them vertical.
+    with forced_form(data.draw(st.booleans(), label="vertical")):
+        _assert_tree_layer_matches_rebuilt_trees(db, data)
+
+
+def _assert_tree_layer_matches_rebuilt_trees(db, data):
     tree = build_tree(db)
     rows = list(db.transactions)
     db_supports = item_supports(db)
@@ -271,15 +280,9 @@ def test_pair_kernels_agree_on_weighted_paths(rows, data):
     # A vertical tree of the transactions holds those tidsets, for its
     # order's items only.
     floor = data.draw(st.integers(0, len(db) + 1), label="floor")
-    with _made_vertical(True):
+    with forced_form(True):
         tree = build_tree(db, floor)
     assert tree._tids == {i: want_tids[i] for i in tree.order}
-
-
-def _made_vertical(vertical: bool):
-    """A patch under which ``build_tree`` makes the database's tree, and so
-    every tree made from it, vertical, or on paths, whatever its supports."""
-    return mock.patch.object(ifpmine.tree, "_takes_bitsets", return_value=vertical)
 
 
 @contextmanager
@@ -292,14 +295,14 @@ def _recording_forms():
     def recording(real):
         def stand_in(*args):
             tree = real(*args)
-            forms.append(tree._tids is not None)
+            forms.append(is_vertical(tree))
             return tree
 
         return stand_in
 
     def recording_split(tree):
         for x, step in split(tree):
-            forms.append(step._tids is not None)
+            forms.append(is_vertical(step))
             yield x, step
 
     with ExitStack() as stack:
@@ -323,7 +326,7 @@ def _takes_bitsets(tree) -> bool:
 
 def _assert_same_contents(vertical, on_paths, itemsets) -> None:
     """A vertical tree reads as the tree on paths of the same database."""
-    assert vertical._tids is not None and on_paths._tids is None
+    assert is_vertical(vertical) and not is_vertical(on_paths)
     assert vertical.order == on_paths.order
     assert vertical.supports == on_paths.supports
     assert vertical.num_transactions == on_paths.num_transactions
@@ -339,7 +342,7 @@ def _assert_twins_agree_at_every_split_step(vertical, db, floor, m, probes) -> N
     """``vertical``, a vertical ``build_tree(db, floor)``, reads as its twin
     on paths, and so do the two trees' projections and residuals at every
     step of their splits at ``m``. Every tree of the twin is made on paths."""
-    with _made_vertical(False):
+    with forced_form(False):
         on_paths = build_tree(db, floor)
         steps, vertical_steps = 0, split(vertical)
         for (x, step), (y, v_step) in zip(split(on_paths), vertical_steps):
@@ -360,14 +363,14 @@ def test_vertical_tree_matches_the_tree_on_paths_at_every_split_step(db, data):
     floor = data.draw(st.integers(0, len(db) + 1), label="floor")
     m = data.draw(st.integers(0, len(db) + 1), label="split floor")
     probes = data.draw(itemsets, label="itemsets")
-    with _made_vertical(True):
+    with forced_form(True):
         vertical = build_tree(db, floor)
     _assert_twins_agree_at_every_split_step(vertical, db, floor, m, probes)
 
 
-# 8-24 rows of 6-8 of items 0-7, dense enough for ``build_tree`` to make
-# most of their trees vertical. The databases built from them add empty rows
-# and rows of items 10-19 alone, which a floor above their supports prunes.
+# 8-24 rows of 6-8 of items 0-7: dense trees, whose items nearly all meet.
+# The databases built from them add empty rows and rows of items 10-19
+# alone, which a floor above their supports prunes.
 dense_rows = st.lists(st.lists(st.integers(0, 7), min_size=6, max_size=8, unique=True), min_size=8, max_size=24)
 rare_rows = st.lists(st.lists(st.integers(10, NUM_ITEMS - 1), min_size=1, max_size=3, unique=True), max_size=3)
 
@@ -381,8 +384,8 @@ def test_a_vertical_database_tree_matches_its_twin_on_paths(rows, rare, empty, d
     floor = data.draw(st.integers(rare_max + 1, rare_max + 4), label="floor")
     m = data.draw(st.integers(0, len(db) + 1), label="split floor")
     probes = data.draw(itemsets, label="itemsets")
-    vertical = build_tree(db, floor)
-    assume(vertical._tids is not None)
+    with forced_form(True):
+        vertical = build_tree(db, floor)
     assert all(i < 10 for i in vertical.order)
     _assert_twins_agree_at_every_split_step(vertical, db, floor, m, probes)
 
@@ -406,14 +409,14 @@ def test_build_tree_takes_the_form_of_the_rule(db, data):
     m = data.draw(st.integers(0, len(db) + 1), label="split floor")
     tree = build_tree(db, floor)
     assert tree.num_transactions == len(db)
-    vertical = tree._tids is not None
+    vertical = is_vertical(tree)
     assert vertical == _takes_bitsets(tree)
     # Every step of the chain, every projection and every residual tree
     # keeps the database tree's form, whatever the rule says of it.
     for x, step in split(tree):
-        assert (step._tids is not None) == vertical
-        assert (projected_tree(step, m)._tids is not None) == vertical
-        assert (residual_tree(step)._tids is not None) == vertical
+        assert is_vertical(step) == vertical
+        assert is_vertical(projected_tree(step, m)) == vertical
+        assert is_vertical(residual_tree(step)) == vertical
     # So does every tree of a run of each miner, whose database tree is at
     # its floor: ``ifp`` at sigma, MLMS at its least threshold with pruning
     # and at 0 without.
@@ -445,48 +448,38 @@ def test_the_form_rule_is_evaluated_once_per_run(db, data):
 def test_reading_pairs_never_changes_a_trees_form(db, data):
     floor = data.draw(st.integers(0, len(db) + 1), label="floor")
     m = data.draw(st.integers(0, len(db) + 1), label="split floor")
+    vertical = data.draw(st.booleans(), label="vertical")
 
     def assert_read_keeps_form(tree):
-        on_paths = tree._tids is None
+        assert is_vertical(tree) == vertical
         tree.pairs
-        assert (tree._tids is None) == on_paths
+        assert is_vertical(tree) == vertical
 
-    assert_read_keeps_form(build_tree(db, floor))
-    chain = build_tree(db, floor)
+    with forced_form(vertical):
+        assert_read_keeps_form(build_tree(db, floor))
+        chain = build_tree(db, floor)
     for x, step in split(chain):
         assert_read_keeps_form(projected_tree(step, m))
         if len(chain.order) > 1:
             assert_read_keeps_form(residual_tree(chain))
 
 
-def _top_on_paths_projection_vertical(rng: random.Random) -> TransactionDatabase:
-    """40-60 rows of two of items 1-19 and 1,000-1,200 empty rows, which
-    widen every tidset and keep the database's tree on its paths, and 4-6
-    rows of item 0 with 7-9 of items 1-9, which make the projections of
-    the items they hold dense."""
+def _sparse_rows_with_dense_projections(rng: random.Random) -> TransactionDatabase:
+    """40-60 rows of two of items 1-19, and 4-6 rows of item 0 with 7-9 of
+    items 1-9, which make the projections of the items they hold dense."""
     rows = [rng.sample(range(1, NUM_ITEMS), 2) for _ in range(rng.randint(40, 60))]
-    rows += [[] for _ in range(rng.randint(1000, 1200))]
     rows += [[0, *rng.sample(range(1, 10), rng.randint(7, 9))] for _ in range(rng.randint(4, 6))]
     rng.shuffle(rows)
     return TransactionDatabase.from_itemsets(rows)
 
 
-def _a_projection_meets_the_rule(db, floor) -> bool:
-    """Whether ``build_tree(db, floor)`` is made on its paths and the form
-    rule, asked of it, would make some projection of its split at
-    ``floor`` vertical."""
-    tree = build_tree(db, floor)
-    return tree._tids is None and any(_takes_bitsets(projected_tree(step, floor)) for _, step in split(tree))
-
-
-@settings(PROPERTY, max_examples=50)  # the MII oracle takes about 50 ms a database here
+@settings(PROPERTY, max_examples=50)
 @given(rng=st.randoms(use_true_random=False), data=st.data())
 def test_miners_agree_with_oracle_when_a_projection_would_take_bitsets(rng, data):
-    db = _top_on_paths_projection_vertical(rng)
+    db = _sparse_rows_with_dense_projections(rng)
     sigma = data.draw(st.integers(1, 3), label="sigma")
-    assume(_a_projection_meets_the_rule(db, sigma))
     want = mii_oracle(db, sigma)
-    with _recording_forms() as forms:
+    with _recording_forms() as forms, forced_form(False):
         result = mine_mii(db, sigma)
     assert set(result.miis) == want
     assert result.supports == {s: support(db, s) for s in want}
@@ -494,13 +487,13 @@ def test_miners_agree_with_oracle_when_a_projection_would_take_bitsets(rng, data
     tv = ThresholdVector((9, 3, sigma))
     want = mlms_oracle(db, tv)
     for prune in (True, False):
-        with _recording_forms() as more:
+        with _recording_forms() as more, forced_form(False):
             result = mine_mlms(db, tv, sigma_low_prune=prune)
         forms += more
         assert set(result.frequent) == want
         assert result.supports == {s: support(db, s) for s in want}
     # Every tree of the four runs, projections and steps included, is on
-    # its paths, as the database's is.
+    # its paths, as the database's is, though the projections are dense.
     assert forms and not any(forms)
 
 
@@ -513,12 +506,13 @@ def test_node_count_is_the_number_of_dump_lines(db, data):
     def assert_line_count(tree):
         assert tree.node_count == len(tree.dump().splitlines())
 
-    tree = build_tree(db, floor)
+    with forced_form(data.draw(st.booleans(), label="vertical")):  # as for the tree layer
+        tree = build_tree(db, floor)
+        chain = build_tree(db, floor)
     assert_line_count(tree)
     if tree.order:
         assert_line_count(projected_tree(tree, m))
         assert_line_count(residual_tree(tree))
-    chain = build_tree(db, floor)
     for x, step in split(chain):
         assert_line_count(chain)
         assert_line_count(projected_tree(step, m))

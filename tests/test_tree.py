@@ -19,7 +19,17 @@ from ifpmine import (
 from ifpmine import tree as tree_module
 
 import conftest
-from conftest import MII_LABELS, MII_ROWS, decompress, dump_lines, prune_infrequent_items, universe
+from conftest import (
+    MII_LABELS,
+    MII_ROWS,
+    decompress,
+    dump_lines,
+    forced_form,
+    is_vertical,
+    prune_infrequent_items,
+    recording_kernels,
+    universe,
+)
 
 random_db = partial(conftest.random_db, max_items=9, max_tx=30, max_density=0.9)
 
@@ -217,12 +227,11 @@ class TestProjectedTree:
 
     def test_projection_of_infrequent_items_reads_no_path(self):
         # x = 0 occurs in three transactions, its projected items at most
-        # twice. Items 10-209, three rows each alone, keep the tree on its
-        # paths and stay out of x's projection.
+        # twice. The tree is on its paths.
         rows = [[0, 1, 2], [0, 1], [0, 2, 3]] + [[1, 2, 3]] * 3
-        db = TransactionDatabase.from_itemsets(rows + [[i] for i in range(10, 210)] * 3)
-        tree = build_tree(db)
-        assert tree.order[0] == 0 and tree._tids is None
+        with forced_form(False):
+            tree = build_tree(TransactionDatabase.from_itemsets(rows))
+        assert tree.order[0] == 0 and not is_vertical(tree)
         full = projected_tree(tree)
         assert full.supports == {1: 2, 2: 2, 3: 1}
         reads = []
@@ -359,14 +368,7 @@ class TestPairKernelChoice:
     @staticmethod
     def _kernels(tree, monkeypatch) -> list[str]:
         """The kernels that count the tree's table on its first read."""
-        used = []
-        for name in ("_path_pairs", "_bitset_pairs"):
-
-            def recording(*args, name=name, real=getattr(tree_module, name)):
-                used.append(name)
-                return real(*args)
-
-            monkeypatch.setattr(tree_module, name, recording)
+        used = recording_kernels(monkeypatch)
         tree.pairs
         return used
 
@@ -397,21 +399,20 @@ class TestPairKernelChoice:
         assert kernels == [["_bitset_pairs"], ["_path_pairs"], ["_path_pairs"]]
 
     def test_a_vertical_tree_keeps_bitsets_below_it(self, monkeypatch):
-        # Dense rows of items 100-149 make the top tree vertical. Item 50,
-        # the lf-item, is in 50 rows, each with one of those items: on its
-        # own, its projection's 50 one-item paths would be made on paths,
-        # (50 + 15 · 50 · 49) · 2 against 500 · (50 + 50), but it is made
-        # vertical, as is the residual.
+        # Dense rows of items 100-149 under a vertical top tree. Item 50,
+        # the lf-item, is in 50 rows, each with one of those items: its
+        # projection, 50 one-item paths, is vertical, as is the residual,
+        # and reads as the same rows rebuilt on paths.
         dense = [[i for i in range(100, 150) if i % 10 != k % 10] for k in range(60)]
         db = TransactionDatabase.from_itemsets(dense + [[50, p] for p in range(100, 150)])
-        tree = build_tree(db)
+        with forced_form(True):
+            tree = build_tree(db)
         with monkeypatch.context() as patch:
             assert self._kernels(tree, patch) == ["_bitset_pairs"]
         assert tree.order[0] == 50
         proj = projected_tree(tree)
-        rebuilt = build_tree(TransactionDatabase.from_itemsets([p] for p in range(100, 150)))
-        with monkeypatch.context() as patch:
-            assert self._kernels(rebuilt, patch) == ["_path_pairs"]
+        with forced_form(False):
+            rebuilt = build_tree(TransactionDatabase.from_itemsets([p] for p in range(100, 150)))
         for below in (proj, residual_tree(tree)):
             with monkeypatch.context() as patch:
                 assert self._kernels(below, patch) == ["_bitset_pairs"]

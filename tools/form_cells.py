@@ -15,7 +15,12 @@ minutes (the largest input alone takes seconds to generate).
 The inputs come from the benchmark's generators (``benchmark/workloads.py``,
 imported, so a cell names the same rows as the benchmark) and from
 ``gen_synthetic``. Refit the rule's constants on this output whenever a
-change moves the cost of either form, such as a faster tidset build.
+change moves the cost of either form, such as a faster tidset build. A
+refit restates only the tests of the rule's verdicts: its docstring's
+table, ``tests/test_tree.py``'s ``FITTED_CELLS`` and ``TestPairKernelChoice``,
+``tests/test_properties.py::test_build_tree_takes_the_form_of_the_rule`` and
+``tests/test_form_cells.py``. Every other test that needs a form forces it
+with ``conftest.forced_form``.
 """
 
 from __future__ import annotations
