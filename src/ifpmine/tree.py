@@ -148,50 +148,11 @@ def _takes_bitsets(m: int, s: int, t: int, o: int) -> bool:
     s·s/t + s. Both sides are multiplied by 500·t to stay in integers, and
     a tie, t = 0 included, takes the paths. The constants were fitted on
     whole ``ifp`` runs, with the database tree forced into each form, on
-    the inputs of ``tools/form_cells.py``, which prints these rows (best
-    of 5, Python 3.11 on 2 shared cores). A benchmark workload fixes every
-    item's support, so each of its queries gets one verdict on all seeds.
-
-    ===============================  ===  ======  ======  =======  ========  ========  ====
-    cell                               m       s       t        o  vert. ms  paths ms  rule
-    ===============================  ===  ======  ======  =======  ========  ========  ====
-    mii-skewed, seed 0, MII 1%       148    2750     600     2760       9.7      11.3  V
-    mii-skewed, seed 1, MII 1%       148    2750     600     2760      10.1      11.3  V
-    mii-skewed, MLMS 2%,1%           148    2750     600     2760       2.1       2.0  V
-    mii-dense, MII 30%                20    3907     600     7200       1.0       2.4  V
-    mii-dense, MII 10%                40    7200     600     7200       3.0      15.5  V
-    mii-dense, MLMS 30%,10%           40    7200     600     7200       1.5       5.9  V
-    mlms-dense, MII 30%               21    1360     200     2400       0.5       1.1  V
-    mlms-dense, MII 10%               40    2400     200     2400       2.8       8.3  V
-    mlms-dense, MLMS 25%,9%,3%        40    2400     200     2400      10.1      18.7  V
-    gen 30 x 50k, 0.1, seed 1; 1%     30  150416   50000   150416      70.7       140  V
-    gen 50 x 10k, 0.3, seed 42; 30%   30   91182   10000   150564      27.9      73.8  V
-      the same at 10%                 50  150564   10000   150564      30.5       133  V
-      the same at 5%                  50  150564   10000   150564      82.3       954  V
-    gen 200 x 5k, 0.05, seed 7; 2%   200   49962    5000    49962      36.0      62.9  V
-    patterns 300 x 20k; 2%           188  181999   20000   181999       128       406  V
-      the same at 1%                 188  181999   20000   181999       116       353  V
-      the same at 0.5%               188  181999   20000   181999       118       339  V
-    5k rows of 2-8 of 200; 1         200   25044    5000    25044      3564      3539  V
-      the same at 25                 200   25044    5000    25044      49.8      54.3  V
-      the same at 100                200   25044    5000    25044      46.1      54.2  V
-    20k rows of 1-3 of 200; 1        200   39928   20000    39928      1691      1231  P
-      the same at 25                 200   39928   20000    39928      88.2      72.2  P
-    uniform 500 x 20k; 1.2%          151   40765   20000   100000      93.1      68.4  P
-      the same at 0.5%               500  100000   20000   100000       304       215  P
-    Zipf 1000 x 50k; 1%               42   61463   50000   154697      91.6      61.6  P
-      the same at 0.1%               761  144122   50000   154697       999       466  P
-    uniform 1000 x 100k; 1.2%        301  406350  100000  1000000      1237       368  P
-      the same at 1%                 500  625250  100000  1000000      1794       631  P
-    ===============================  ===  ======  ======  =======  ========  ========  ====
-
-    The rule picks the faster form on every cell, or one within noise of
-    it. Two cells are near ties: ``mii-skewed``'s MLMS query, and the rows
-    of 2-8 of 200 items at sigma 1, which took 2.95-3.60 s vertical
-    against 2.79-3.66 s on paths over four sessions; the rule does not see
-    sigma, and keeps those rows vertical, where sigma 25 and 100 ran 8-18%
-    faster. Its narrowest verdict is on those rows, a factor of 1.5 from a
-    tie; on ``mii-skewed``, uniform 500 x 20k and Zipf it is about 2. Below 64
+    the cells of ``tools/form_cells.py``, whose ``FITTED`` holds each
+    cell's m, s, t, o and both forms' times. The rule picks the faster
+    form on every cell, or one within 10% of it on two near ties. It does
+    not see sigma. A benchmark workload fixes every item's support, so
+    each of its queries gets one verdict on all seeds. Below 64
     transactions a run is on paths only when 15·m(m - 1) outweighs about
     250·(s·s/t + s): a database of a few dozen rows is vertical unless it
     holds dozens of items that are each in only a row or two.

@@ -1,4 +1,5 @@
-"""``tools/form_cells.py``'s feature step, and the form the rule gives every
+"""The form rule's evidence: ``tools/form_cells.py``'s feature step, the
+rule's verdict on each cell it was fitted on, and the form it gives every
 query of the benchmark's workloads. Nothing here times a run."""
 
 import sys
@@ -20,6 +21,17 @@ def test_features_are_the_numbers_the_rule_reads():
     assert form_cells.features(form_cells.run_of(db, "mii", "2")) == {"m": 2, "s": 4, "t": 4, "o": 5}
     # The pruned MLMS tree's floor is the least threshold of lengths 2-L.
     assert form_cells.features(form_cells.run_of(db, "mlms", "2,1")) == {"m": 3, "s": 5, "t": 4, "o": 5}
+
+
+def test_fitted_names_the_tools_cells():
+    assert list(form_cells.FITTED) == [cell.name for cell in form_cells.cells()]
+
+
+@pytest.mark.parametrize("name", list(form_cells.FITTED))
+def test_the_rule_takes_the_faster_form_on_each_fitted_cell(name):
+    m, s, t, o, vertical_ms, paths_ms = form_cells.FITTED[name]
+    taken = vertical_ms if tree._takes_bitsets(m, s, t, o) else paths_ms
+    assert taken <= 1.1 * min(vertical_ms, paths_ms), (taken, vertical_ms, paths_ms)
 
 
 @pytest.mark.parametrize("name", ["mii-dense", "mii-skewed", "mlms-dense"])

@@ -52,13 +52,6 @@ class TestIfpMin:
         with pytest.raises(InvalidThresholdError):
             ifp_min(mii_db, 0)
 
-    def test_matches_oracle_on_random_instances(self):
-        rng = random.Random(101)
-        for _ in range(30):
-            db = random_db(rng)
-            sigma = rng.randint(1, 5)
-            assert set(ifp_min(db, sigma).miis) == mii_oracle(db, sigma)
-
     def test_single_node_base_keeps_pruned_singletons(self):
         # After pruning items 8 and 9 the tree is the single frequent node 7;
         # the pruned 1-itemsets are still part of the answer.

@@ -1,13 +1,19 @@
 """Property tests: the miners agree with the brute-force oracles on generated
 databases, the tree layer agrees with trees rebuilt from the databases
 its operations stand for, and the output layer agrees with plain reference
-formulas. Every database stays inside the oracles' guards
-(``MAX_ORACLE_FREQUENT_ITEMS`` frequent items, ``MAX_ORACLE_TRANSACTION_LEN``
-items per transaction), and the runs are derandomized, so they repeat."""
+formulas. Each claim is one property per strategy, and a property makes
+every assertion its runs support, so no two properties repeat the same
+runs: the oracle properties also check which projections ``ifp`` makes,
+and the twin properties each tree's form and node count. The form rule's
+arithmetic is not restated: ``test_build_tree_takes_the_form_of_the_rule``
+calls ``tree._takes_bitsets`` itself, and every other property forces the
+form it needs, so a refit of the rule changes nothing here. Every database
+stays inside the oracles' guards (``MAX_ORACLE_FREQUENT_ITEMS`` frequent
+items, ``MAX_ORACLE_TRANSACTION_LEN`` items per transaction), and the runs
+are derandomized, so they repeat."""
 
 import random
 from contextlib import ExitStack, contextmanager
-from fractions import Fraction
 from functools import partial
 from unittest import mock
 
@@ -56,20 +62,60 @@ WIDE_ITEMS = 20
 assert max(NUM_ITEMS, WIDE_ITEMS) <= min(MAX_ORACLE_FREQUENT_ITEMS, MAX_ORACLE_TRANSACTION_LEN)
 
 
+def _sparse_rows_with_dense_projections(rng: random.Random) -> TransactionDatabase:
+    """40-60 rows of two of items 1-19, and 4-6 rows of item 0 with 7-9 of
+    items 1-9, which make the projections of the items they hold dense."""
+    rows = [rng.sample(range(1, NUM_ITEMS), 2) for _ in range(rng.randint(40, 60))]
+    rows += [[0, *rng.sample(range(1, 10), rng.randint(7, 9))] for _ in range(rng.randint(4, 6))]
+    rng.shuffle(rows)
+    return TransactionDatabase.from_itemsets(rows)
+
+
+mixed_databases = databases | st.randoms(use_true_random=False).map(_sparse_rows_with_dense_projections)
+
+
 def _assert_mii_miners_match_oracle(db, data):
-    sigma = data.draw(st.integers(1, len(db) + 1), label="sigma")
+    """``ifp`` and ``apriori`` give the oracle's MIIs and supports, and
+    ``ifp``'s ``_mii_rec`` projects x at its step of ``split`` exactly when
+    row x of the pair table holds two or more pairs that reach sigma, each
+    projection holding two or more items in its order. Half the draws of
+    sigma are 1-3, which split the trees of the larger databases."""
+    sigma = data.draw(st.integers(1, 3) | st.integers(1, len(db) + 1), label="sigma")
     want = mii_oracle(db, sigma)
-    # The form rule makes vertical the tree of every database this small
-    # whose order is not empty, so ``ifp`` runs in a form drawn for each.
-    with forced_form(data.draw(st.booleans(), label="vertical")):
+    events = []
+    real_split, real_project = ifpmine.miners.split, ifpmine.miners.projected_tree
+
+    def recording_split(tree):
+        for x, step in real_split(tree):
+            events.append(("step", x, sum(n >= sigma for n in step.pairs.get(x, {}).values()) >= 2))
+            yield x, step
+
+    def recording_projection(tree, min_support=0):
+        proj = real_project(tree, min_support)
+        events.append(("projection", tree.order[0], len(proj.order)))
+        return proj
+
+    # The form rule makes vertical the tree of nearly every database this
+    # small, so ``ifp`` runs in a form drawn for each.
+    with mock.patch.object(ifpmine.miners, "split", recording_split), mock.patch.object(
+        ifpmine.miners, "projected_tree", recording_projection
+    ), forced_form(data.draw(st.booleans(), label="vertical")):
         mined = ifp_min(db, sigma)
     for result in (mined, apriori_min(db, sigma)):
         assert set(result.miis) == want
         assert result.supports == {s: support(db, s) for s in want}
+    # A projection is made right after its step, before the next one.
+    for k, (kind, x, value) in enumerate(events):
+        after = events[k + 1][:2] if k + 1 < len(events) else None
+        if kind == "step":
+            assert (after == ("projection", x)) == value
+        else:
+            assert events[k - 1] == ("step", x, True)
+            assert value >= 2
 
 
 @PROPERTY
-@given(db=databases, data=st.data())
+@given(db=mixed_databases, data=st.data())
 def test_mii_miners_agree_with_oracle(db, data):
     _assert_mii_miners_match_oracle(db, data)
 
@@ -87,53 +133,6 @@ def test_mii_miners_agree_with_oracle_on_repeated_rows(db, data):
     _assert_mii_miners_match_oracle(db, data)
 
 
-def _assert_mii_projects_lf_items_with_two_frequent_partners(db, data):
-    """``_mii_rec`` projects x at its step of ``split`` exactly when row x of
-    the pair table holds two or more pairs that reach sigma, and each
-    projection it makes holds two or more items in its order."""
-    sigma = data.draw(st.integers(1, len(db) + 1), label="sigma")
-    events = []
-    real_split, real_project = ifpmine.miners.split, ifpmine.miners.projected_tree
-
-    def recording_split(tree):
-        for x, step in real_split(tree):
-            events.append(("step", x, sum(n >= sigma for n in step.pairs.get(x, {}).values()) >= 2))
-            yield x, step
-
-    def recording_projection(tree, min_support=0):
-        proj = real_project(tree, min_support)
-        events.append(("projection", tree.order[0], len(proj.order)))
-        return proj
-
-    with mock.patch.object(ifpmine.miners, "split", recording_split), mock.patch.object(
-        ifpmine.miners, "projected_tree", recording_projection
-    ), forced_form(data.draw(st.booleans(), label="vertical")):  # as in the oracle helpers
-        result = ifp_min(db, sigma)
-    want = mii_oracle(db, sigma)
-    assert set(result.miis) == want
-    assert result.supports == {s: support(db, s) for s in want}
-    # A projection is made right after its step, before the next one.
-    for k, (kind, x, value) in enumerate(events):
-        after = events[k + 1][:2] if k + 1 < len(events) else None
-        if kind == "step":
-            assert (after == ("projection", x)) == value
-        else:
-            assert events[k - 1] == ("step", x, True)
-            assert value >= 2
-
-
-@PROPERTY
-@given(db=databases, data=st.data())
-def test_mii_projects_only_lf_items_with_two_frequent_partners(db, data):
-    _assert_mii_projects_lf_items_with_two_frequent_partners(db, data)
-
-
-@PROPERTY
-@given(db=repeated_rows, data=st.data())
-def test_mii_projects_only_lf_items_with_two_frequent_partners_on_repeated_rows(db, data):
-    _assert_mii_projects_lf_items_with_two_frequent_partners(db, data)
-
-
 def _assert_mlms_matches_oracle(db, data):
     sigmas = data.draw(
         st.lists(st.integers(1, len(db) + 1), min_size=1, max_size=6), label="sigmas"
@@ -148,7 +147,7 @@ def _assert_mlms_matches_oracle(db, data):
 
 
 @PROPERTY
-@given(db=databases, data=st.data())
+@given(db=mixed_databases, data=st.data())
 def test_mlms_agrees_with_oracle_on_non_monotone_thresholds(db, data):
     _assert_mlms_matches_oracle(db, data)
 
@@ -313,19 +312,9 @@ def _recording_forms():
         yield forms
 
 
-def _takes_bitsets(tree) -> bool:
-    """The form rule restated on the tree's supports: bitsets when
-    (O + 15·m(m - 1))(2 + N // 64)/500 < S·S/N + S, for the m items of the
-    order whose supports sum to S, all its items' supports summing to O,
-    and N transactions."""
-    m, n = len(tree.order), tree.num_transactions
-    s = sum(tree.supports[i] for i in tree.order)
-    o = sum(tree.supports.values())
-    return n > 0 and Fraction((o + 15 * m * (m - 1)) * (2 + n // 64), 500) < Fraction(s * s, n) + s
-
-
 def _assert_same_contents(vertical, on_paths, itemsets) -> None:
-    """A vertical tree reads as the tree on paths of the same database."""
+    """A vertical tree reads as the tree on paths of the same database, and
+    the reads leave each in its form."""
     assert is_vertical(vertical) and not is_vertical(on_paths)
     assert vertical.order == on_paths.order
     assert vertical.supports == on_paths.supports
@@ -336,6 +325,9 @@ def _assert_same_contents(vertical, on_paths, itemsets) -> None:
     assert vertical.single_path == on_paths.single_path
     for s in itemsets:
         assert tree_support(vertical, s) == tree_support(on_paths, s)
+    for tree in (vertical, on_paths):
+        assert tree.node_count == len(tree.dump().splitlines())
+    assert is_vertical(vertical) and not is_vertical(on_paths)
 
 
 def _assert_twins_agree_at_every_split_step(vertical, db, floor, m, probes) -> None:
@@ -410,7 +402,11 @@ def test_build_tree_takes_the_form_of_the_rule(db, data):
     tree = build_tree(db, floor)
     assert tree.num_transactions == len(db)
     vertical = is_vertical(tree)
-    assert vertical == _takes_bitsets(tree)
+    s = sum(tree.supports[i] for i in tree.order)
+    assert vertical == ifpmine.tree._takes_bitsets(len(tree.order), s, len(db), sum(tree.supports.values()))
+    # The rule reads the supports alone, which the row order leaves be.
+    rows = data.draw(st.permutations(db.transactions), label="row order")
+    assert is_vertical(build_tree(TransactionDatabase.from_itemsets(rows), floor)) == vertical
     # Every step of the chain, every projection and every residual tree
     # keeps the database tree's form, whatever the rule says of it.
     for x, step in split(tree):
@@ -419,104 +415,17 @@ def test_build_tree_takes_the_form_of_the_rule(db, data):
         assert is_vertical(residual_tree(step)) == vertical
     # So does every tree of a run of each miner, whose database tree is at
     # its floor: ``ifp`` at sigma, MLMS at its least threshold with pruning
-    # and at 0 without.
+    # and at 0 without. Each run asks the rule once.
     sigma = max(floor, 1)
     tv = ThresholdVector((sigma,) * 4)
     for run in (partial(mine_mii, db, sigma), partial(mine_mlms, db, tv), partial(mine_mlms, db, tv, sigma_low_prune=False)):
-        with _recording_forms() as forms:
+        with _recording_forms() as forms, mock.patch.object(
+            ifpmine.tree, "_takes_bitsets", wraps=ifpmine.tree._takes_bitsets
+        ) as rule:
             run()
+        assert rule.call_count == 1
         top, *below = forms
         assert set(below) <= {top}
-
-
-@PROPERTY
-@given(db=databases | dense_rows.map(TransactionDatabase.from_itemsets), data=st.data())
-def test_the_form_rule_is_evaluated_once_per_run(db, data):
-    sigma = data.draw(st.integers(1, len(db) + 1), label="sigma")
-    tv = ThresholdVector((sigma,) * 4)
-    with mock.patch.object(ifpmine.tree, "_takes_bitsets", wraps=ifpmine.tree._takes_bitsets) as rule:
-        mine_mii(db, sigma, "ifp")
-        assert rule.call_count == 1
-        mine_mlms(db, tv)
-        assert rule.call_count == 2
-        mine_mlms(db, tv, sigma_low_prune=False)
-        assert rule.call_count == 3
-
-
-@PROPERTY
-@given(db=databases | dense_rows.map(TransactionDatabase.from_itemsets), data=st.data())
-def test_reading_pairs_never_changes_a_trees_form(db, data):
-    floor = data.draw(st.integers(0, len(db) + 1), label="floor")
-    m = data.draw(st.integers(0, len(db) + 1), label="split floor")
-    vertical = data.draw(st.booleans(), label="vertical")
-
-    def assert_read_keeps_form(tree):
-        assert is_vertical(tree) == vertical
-        tree.pairs
-        assert is_vertical(tree) == vertical
-
-    with forced_form(vertical):
-        assert_read_keeps_form(build_tree(db, floor))
-        chain = build_tree(db, floor)
-    for x, step in split(chain):
-        assert_read_keeps_form(projected_tree(step, m))
-        if len(chain.order) > 1:
-            assert_read_keeps_form(residual_tree(chain))
-
-
-def _sparse_rows_with_dense_projections(rng: random.Random) -> TransactionDatabase:
-    """40-60 rows of two of items 1-19, and 4-6 rows of item 0 with 7-9 of
-    items 1-9, which make the projections of the items they hold dense."""
-    rows = [rng.sample(range(1, NUM_ITEMS), 2) for _ in range(rng.randint(40, 60))]
-    rows += [[0, *rng.sample(range(1, 10), rng.randint(7, 9))] for _ in range(rng.randint(4, 6))]
-    rng.shuffle(rows)
-    return TransactionDatabase.from_itemsets(rows)
-
-
-@settings(PROPERTY, max_examples=50)
-@given(rng=st.randoms(use_true_random=False), data=st.data())
-def test_miners_agree_with_oracle_when_a_projection_would_take_bitsets(rng, data):
-    db = _sparse_rows_with_dense_projections(rng)
-    sigma = data.draw(st.integers(1, 3), label="sigma")
-    want = mii_oracle(db, sigma)
-    with _recording_forms() as forms, forced_form(False):
-        result = mine_mii(db, sigma)
-    assert set(result.miis) == want
-    assert result.supports == {s: support(db, s) for s in want}
-    # At (9, 3, sigma) the MLMS tree's floor is sigma, and it is split.
-    tv = ThresholdVector((9, 3, sigma))
-    want = mlms_oracle(db, tv)
-    for prune in (True, False):
-        with _recording_forms() as more, forced_form(False):
-            result = mine_mlms(db, tv, sigma_low_prune=prune)
-        forms += more
-        assert set(result.frequent) == want
-        assert result.supports == {s: support(db, s) for s in want}
-    # Every tree of the four runs, projections and steps included, is on
-    # its paths, as the database's is, though the projections are dense.
-    assert forms and not any(forms)
-
-
-@PROPERTY
-@given(db=databases, data=st.data())
-def test_node_count_is_the_number_of_dump_lines(db, data):
-    floor = data.draw(st.integers(0, len(db) + 1), label="floor")
-    m = data.draw(st.integers(0, len(db) + 1), label="projection floor")
-
-    def assert_line_count(tree):
-        assert tree.node_count == len(tree.dump().splitlines())
-
-    with forced_form(data.draw(st.booleans(), label="vertical")):  # as for the tree layer
-        tree = build_tree(db, floor)
-        chain = build_tree(db, floor)
-    assert_line_count(tree)
-    if tree.order:
-        assert_line_count(projected_tree(tree, m))
-        assert_line_count(residual_tree(tree))
-    for x, step in split(chain):
-        assert_line_count(chain)
-        assert_line_count(projected_tree(step, m))
-    assert_line_count(chain)
 
 
 def _wide_database(rng: random.Random) -> TransactionDatabase:

@@ -6,17 +6,14 @@ from functools import partial
 import pytest
 
 from ifpmine import (
-    SynthConfig,
     TransactionDatabase,
     build_tree,
-    gen_synthetic,
     parse_fimi,
     projected_tree,
     residual_tree,
     support,
     tree_support,
 )
-from ifpmine import tree as tree_module
 
 import conftest
 from conftest import (
@@ -327,43 +324,11 @@ class TestResidualTree:
         assert pruned_tree.dump() == before
 
 
-# The cells ``_takes_bitsets`` was fitted on: each one's (m, s, t, o), as
-# ``tools/form_cells.py`` prints them, and whether its whole ``ifp`` run was
-# faster vertical. The benchmark workloads' queries with equal supports
-# share a cell. The 2-8-item rows are a near tie at sigma 1, and vertical
-# ran 8-18% faster at 25 and 100, so they are vertical (see the rule).
-FITTED_CELLS = {
-    "mii-skewed, MII 1% and MLMS 2%,1%": ((148, 2750, 600, 2760), True),
-    "mii-dense, MII 30%": ((20, 3907, 600, 7200), True),
-    "mii-dense, MII 10% and MLMS 30%,10%": ((40, 7200, 600, 7200), True),
-    "mlms-dense, MII 30%": ((21, 1360, 200, 2400), True),
-    "mlms-dense, MII 10% and MLMS 25%,9%,3%": ((40, 2400, 200, 2400), True),
-    "gen_synthetic 30 x 50,000 at 0.1, seed 1, 1%": ((30, 150416, 50000, 150416), True),
-    "gen_synthetic 50 x 10,000 at 0.3, seed 42, 30%": ((30, 91182, 10000, 150564), True),
-    "gen_synthetic 50 x 10,000 at 0.3, seed 42, 10% and 5%": ((50, 150564, 10000, 150564), True),
-    "gen_synthetic 200 x 5,000 at 0.05, seed 7, 2%": ((200, 49962, 5000, 49962), True),
-    "patterns 300 x 20,000, 2%, 1% and 0.5%": ((188, 181999, 20000, 181999), True),
-    "5,000 rows of 2-8 of 200 items, 1, 25 and 100": ((200, 25044, 5000, 25044), True),
-    "20,000 rows of 1-3 of 200 items, 1 and 25": ((200, 39928, 20000, 39928), False),
-    "uniform_rows(500, 20000), 1.2%": ((151, 40765, 20000, 100000), False),
-    "uniform_rows(500, 20000), 0.5%": ((500, 100000, 20000, 100000), False),
-    "zipf_rows(1000, 50000), 1%": ((42, 61463, 50000, 154697), False),
-    "zipf_rows(1000, 50000), 0.1%": ((761, 144122, 50000, 154697), False),
-    "uniform_rows(1000, 100000), 1.2%": ((301, 406350, 100000, 1000000), False),
-    "uniform_rows(1000, 100000), 1%": ((500, 625250, 100000, 1000000), False),
-}
-
-
-def _short_rows() -> list[list[int]]:
-    """20,000 seeded transactions of 1-3 of 200 items."""
-    rng = random.Random(1)
-    return [rng.sample(range(200), rng.randint(1, 3)) for _ in range(20000)]
-
-
 class TestPairKernelChoice:
-    """A dense tree is made vertical and counts its pair table on
-    transaction bitsets; a tree whose many transactions make each AND dear
-    is made on its paths and counts on them."""
+    """A vertical tree counts its pair table on transaction bitsets, as do
+    the trees below it, and a tree on paths counts on its paths; a tie of
+    the form rule takes the paths. The rule's verdicts on the cells it was
+    fitted on are checked in ``tests/test_form_cells.py``."""
 
     @staticmethod
     def _kernels(tree, monkeypatch) -> list[str]:
@@ -371,32 +336,6 @@ class TestPairKernelChoice:
         used = recording_kernels(monkeypatch)
         tree.pairs
         return used
-
-    def test_dense_tree_takes_bitsets(self, monkeypatch):
-        # The shape of the benchmark's dense workloads.
-        db = gen_synthetic(SynthConfig(num_items=40, num_transactions=600, density=0.3, seed=1))
-        assert self._kernels(build_tree(db), monkeypatch) == ["_bitset_pairs"]
-
-    def test_wide_sparse_tree_takes_paths(self, monkeypatch):
-        # 20,000 transactions of 1-3 of 200 items: each AND spans 313 words.
-        # (o + 15·m(m - 1))(2 + t // 64) = 636,928 · 314 outweighs
-        # 500(s·s/t + s) = 59,820,000 for the s = o = 39,928 item
-        # occurrences, and whole runs took 43 ms on paths against 53 ms
-        # vertical at 25, and 1.11 against 1.42 s at 1.
-        tree = build_tree(TransactionDatabase.from_itemsets(_short_rows()))
-        assert len(tree.order) == 200
-        assert self._kernels(tree, monkeypatch) == ["_path_pairs"]
-
-    def test_row_order_does_not_change_the_kernel(self, monkeypatch):
-        # The rule reads the supports, which the row order leaves alone: the
-        # short rows keep the tree on its paths, though the long rows alone
-        # would be made vertical, m = 6 items in 3 rows.
-        long = [[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4], [0, 1, 2, 3, 5]]
-        kernels = []
-        for rows in (long, long + _short_rows(), _short_rows() + long):
-            with monkeypatch.context() as patch:
-                kernels.append(self._kernels(build_tree(TransactionDatabase.from_itemsets(rows)), patch))
-        assert kernels == [["_bitset_pairs"], ["_path_pairs"], ["_path_pairs"]]
 
     def test_a_vertical_tree_keeps_bitsets_below_it(self, monkeypatch):
         # Dense rows of items 100-149 under a vertical top tree. Item 50,
@@ -427,10 +366,6 @@ class TestPairKernelChoice:
         tree = build_tree(TransactionDatabase.from_itemsets(rows), 2)
         assert (len(tree.order), tree.num_transactions) == (42, 98)
         assert self._kernels(tree, monkeypatch) == ["_path_pairs"]
-
-    @pytest.mark.parametrize("features, vertical", list(FITTED_CELLS.values()), ids=list(FITTED_CELLS))
-    def test_the_rule_takes_the_faster_form_on_each_fitted_cell(self, features, vertical):
-        assert tree_module._takes_bitsets(*features) == vertical
 
 
 class TestTreeItems:
