@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, groupby
 from typing import Iterable, Iterator
 
 Itemset = tuple[int, ...]
@@ -189,19 +189,21 @@ def render_itemset_lines(
     spaces; the empty itemset's line is `` (n)``.
 
     Callers pass entries already in canonical (length, lexicographic) order,
-    so the itemset length changes rarely: each change builds one format
-    string, ``%s`` per item and one for the support, and each line is one
-    ``%`` on it. The labels, if given, replace the items first.
+    so the entries come in a few runs of equal length: each run is gathered
+    into one flat tuple of items and supports and rendered with one ``%`` on
+    the line format, ``%s`` per item and one for the support, repeated once
+    per entry. The labels, if given, replace the items first.
     """
     if labels is not None:
         entries = ((tuple([labels.get(i, str(i)) for i in s]), n) for s, n in entries)
-    lines, k, fmt = [], -1, ""
-    for s, n in entries:
-        if len(s) != k:
-            k = len(s)
-            fmt = " ".join(["%s"] * k) + " (%s)\n"
-        lines.append(fmt % (*s, n))
-    return "".join(lines)
+    runs = []
+    for k, run in groupby(entries, lambda entry: len(entry[0])):
+        flat = []
+        for s, n in run:
+            flat += s
+            flat.append(n)
+        runs.append((" ".join(["%s"] * k) + " (%s)\n") * (len(flat) // (k + 1)) % tuple(flat))
+    return "".join(runs)
 
 
 def itemsets_json(entries: Iterable[tuple[Itemset, int]]) -> str:

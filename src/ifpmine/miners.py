@@ -91,7 +91,8 @@ def unify(x: int, sets: dict[Itemset, int]) -> dict[Itemset, int]:
     """Dot-operation: include x in every member of the collection, keeping
     each member's value. An empty collection stays empty. Members are
     canonical and do not hold x, as every itemset of x's projected tree,
-    so x is inserted in place."""
+    so x is inserted in place. Only ``_mii_rec``'s fold uses it: the MLMS
+    miner passes its prefix down instead."""
     out = {}
     for s, n in sets.items():
         k = bisect_left(s, x)

@@ -11,23 +11,30 @@ others from the residual tree, the chain's next step. Unlike ``ifp_min``,
 it projects every x: its thresholds per length are not monotone. Itemsets
 mined from the projected tree carry x as an implied prefix, so a k-itemset
 found under a prefix of length p is tested against the threshold for
-length k+p ("frequent*"). Each itemset length has one source. ``ifp_mlms``
-reads the singletons from the database tree's supports, which keep every
-item. Under a prefix of length p a tree's pairs have length p+2 and are
-read from its pair table (see ``tree``) if p + 2 <= L, the last configured
-length; longer itemsets come from projections, so a tree is split only
-if p + 3 <= L. The database's tree, the projection of
-the empty prefix, leaves out the items below min(σ₂..σ_L) (σ₁ when
-L = 1), which are in no frequent* pair or longer itemset, and x's
-projection, whose pairs and longer itemsets get lengths p+3..L, leaves out
-the items below the least of those lengths' thresholds: the floor it is
-projected at. ``sigma_low_prune=False`` turns off every one of these
-prunings: each tree is made at floor 0 and split.
+length k+p ("frequent*"). The recursion passes the prefix down, as a
+canonical itemset, and writes each frequent* itemset, with the prefix
+merged in, straight into the one result dict ``ifp_mlms`` holds: nothing
+is handed up and no itemset is copied on the way. Each itemset length has
+one source. ``ifp_mlms`` reads the singletons from the database tree's
+supports, which keep every item. Under a prefix of length p a tree's pairs
+have length p+2 and are read if p + 2 <= L, the last configured length;
+longer itemsets come from projections, so a tree is split only if
+p + 3 <= L. A tree that is split counts its pair table (see ``tree``) for
+its projections, and row x of it gives x's pairs at x's step. A tree that
+is not split reads its pairs with ``IFPTree.frequent_pairs``: on tidsets,
+one AND per pair and no table, on paths from its table. The database's
+tree, the projection of the empty prefix, leaves out the items below
+min(σ₂..σ_L) (σ₁ when L = 1), which are in no frequent* pair or longer
+itemset, and x's projection, whose pairs and longer itemsets get lengths
+p+3..L, leaves out the items below the least of those lengths' thresholds:
+the floor it is projected at. ``sigma_low_prune=False`` turns off every
+one of these prunings: each tree is made at floor 0 and split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .data import (
     InvalidThresholdError,
@@ -37,7 +44,6 @@ from .data import (
     _ResultRendering,
     in_result_order,
 )
-from .miners import unify
 from .tree import IFPTree, build_tree, projected_tree, split
 
 
@@ -73,24 +79,34 @@ class ThresholdVector:
         return self.sigmas[length - 1]
 
 
-def _mlms_rec(tree: IFPTree, tv: ThresholdVector, p: int, prune: bool) -> dict[Itemset, int]:
-    """``ifp_mlms``'s frequent* itemsets of two or more items under a prefix
-    of length p, on a tree it consumes: its pairs, from its pair table, and
-    the longer ones, from its projections, made only if p + 3 <= L or
-    without ``prune``. With ``prune`` the tree holds no item below the least
-    threshold of lengths p+2..L."""
-    out = {}
-    if p + 2 <= tv.max_length:  # else no pair table is counted
-        sigma = tv.sigma(p + 2)
-        for a, row in tree.pairs.items():
-            out.update(((a, b) if a < b else (b, a), n) for b, n in row.items() if n >= sigma)
+def _write_pairs(found: dict[Itemset, int], prefix: Itemset, pairs: Iterable[tuple[tuple[int, int], int]]) -> None:
+    """Write each pair with the prefix merged in, a canonical itemset, into
+    ``found``, with the pair's support."""
+    for pair, n in pairs:
+        s = [*prefix, *pair]
+        s.sort()
+        found[tuple(s)] = n
+
+
+def _mlms_rec(tree: IFPTree, tv: ThresholdVector, prefix: Itemset, prune: bool, found: dict[Itemset, int]) -> None:
+    """Write ``ifp_mlms``'s frequent* itemsets of two or more items under
+    ``prefix``, a canonical itemset of length p, into ``found``, with the
+    prefix merged in, on a tree it consumes: its pairs, and if it splits
+    the tree, the longer ones, from its projections (see the module's
+    docstring for when it does). With ``prune`` the tree holds no item
+    below the least threshold of lengths p+2..L."""
+    p = len(prefix)
+    sigma = tv.sigma(p + 2) if p + 2 <= tv.max_length else None
     if prune and p + 3 > tv.max_length:
-        return out
+        if sigma is not None:
+            _write_pairs(found, prefix, tree.frequent_pairs(sigma))
+        return
     # x's projection gives the itemsets of lengths p+3..L: x joined with its pairs and longer ones.
     floor = min(tv.sigmas[p + 2:]) if prune else 0
     for x, step in split(tree):
-        out.update(unify(x, _mlms_rec(projected_tree(step, floor), tv, p + 1, prune)))
-    return out
+        if sigma is not None:
+            _write_pairs(found, prefix, (((x, b), n) for b, n in step.pairs.get(x, {}).items() if n >= sigma))
+        _mlms_rec(projected_tree(step, floor), tv, tuple(sorted((*prefix, x))), prune, found)
 
 
 def ifp_mlms(
@@ -102,9 +118,10 @@ def ifp_mlms(
     """Frequent* itemsets of the database under the empty prefix, with their
     supports, mined on ``build_tree(db, floor)``, its tree without the items
     below min(σ₂..σ_L) (σ₁ when L = 1), which is split only when L > 2.
-    The singletons are read here, from the tree's
-    supports, which keep every item, so an item between σ₁ and that floor is
-    still found; ``_mlms_rec`` gives the rest.
+    The singletons are read here, from the tree's supports, which keep
+    every item, so an item between σ₁ and that floor is still found; they
+    start the one result dict, into which ``_mlms_rec`` writes the rest,
+    each itemset where its support is read.
 
     Each step takes the lf-item x of the residual chain: supp(x + s) in the
     tree is supp(s) in x's projection, and the residual tree keeps the
@@ -119,7 +136,7 @@ def ifp_mlms(
     floor = min(tv.sigmas[1:] or tv.sigmas) if sigma_low_prune else 0
     tree = build_tree(db, floor)
     found = {(i,): n for i, n in tree.supports.items() if n >= tv.sigma(1)}  # before the tree is consumed
-    found.update(_mlms_rec(tree, tv, 0, sigma_low_prune))
+    _mlms_rec(tree, tv, (), sigma_low_prune, found)
     return found
 
 

@@ -4,15 +4,18 @@ item (lf-item) x of the tree starts with x, and x's projected and residual
 trees are cheap to take. Each rule is stated where it is implemented:
 
 * ``IFPTree``: a tree's two forms, on paths or vertical, and its reads.
-  The form is one ``if`` on ``_tids`` inside each of the six operations
+  The form is one ``if`` on ``_tids`` inside each of the seven operations
   that depend on it: ``paths``, ``single_path``, ``pairs``,
-  ``projected_tree``, ``_drop_lf`` and ``residual_tree``;
+  ``frequent_pairs``, ``projected_tree``, ``_drop_lf`` and
+  ``residual_tree``;
 * ``build_tree`` makes the database's tree and picks the run's form, the
   one ``_takes_bitsets`` gives; ``_prepare`` builds trees on paths;
 * ``_tidsets``, the one tidset build, also ``apriori_min``'s, and
   ``_add_paths``, the one merge of equal paths;
 * ``IFPTree.pairs``, the pair table, counted by the kernel of the tree's
-  form, ``_path_pairs`` or ``_bitset_pairs``;
+  form, ``_path_pairs`` or ``_bitset_pairs``, and
+  ``IFPTree.frequent_pairs``, the pairs above a support of a tree that is
+  not split, which on tidsets counts no table;
 * ``split``, the residual chain: each lf-item with the tree at its
   step, whose projection the caller takes with ``projected_tree``;
   ``projected_tree`` and ``residual_tree`` take one step and leave the
@@ -93,6 +96,28 @@ class IFPTree:
         if self._pairs is None:
             self._pairs = _path_pairs(self.paths()) if self._tids is None else _bitset_pairs(self.order, self._tids)
         return self._pairs
+
+    def frequent_pairs(self, min_support: int) -> list[tuple[tuple[int, int], int]]:
+        """Each pair ``(a, b)``, a < b, of the tree's items whose support
+        reaches ``min_support``, with its support: the read of a tree that
+        is not split, which needs no table rows for projections. On paths it
+        is read from ``pairs``. Vertical, it takes one AND per pair of the
+        order, in ascending order of item ids, and keeps no table."""
+        if self._tids is None:
+            return [
+                ((a, b) if a < b else (b, a), n)
+                for a, row in self.pairs.items()
+                for b, n in row.items()
+                if n >= min_support
+            ]
+        items = sorted(self._tids)
+        bits = [self._tids[item] for item in items]
+        return [
+            ((a, b), n)
+            for k, (a, tid_a) in enumerate(zip(items, bits))
+            for b, tid_b in zip(items[k + 1:], bits[k + 1:])
+            if (n := (tid_a & tid_b).bit_count()) >= min_support
+        ]
 
     def dump(self, labels: dict[int, str] | None = None) -> str:
         """The paths' prefix tree, one ``item:count`` line per distinct

@@ -1,5 +1,7 @@
 import random
+import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,10 @@ from ifpmine import (
 )
 
 import conftest
-from conftest import MLMS_EXPECTED, MLMS_SIGMAS, projected_db, residual_db, universe
+from conftest import MLMS_EXPECTED, MLMS_SIGMAS, forced_form, projected_db, recording_kernels, residual_db, universe
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmark"))
+import workloads  # noqa: E402
 
 random_db = partial(conftest.random_db, max_items=8, max_tx=25, max_density=0.7)
 
@@ -115,23 +120,41 @@ class TestMineMlms:
                 assert result.supports[s] == support(db, s)
 
     @pytest.mark.parametrize("prune", [True, False])
-    def test_only_itemsets_of_two_or_more_items_are_unified(self, mlms_db, monkeypatch, prune):
+    def test_each_tree_writes_its_prefix_with_two_or_more_items(self, mlms_db, monkeypatch, prune):
         # Singletons come from the database's tree alone and pairs from each
-        # tree's pair table, so no projection hands up a singleton.
-        members = []
-        real_unify = mlms_module.unify
+        # tree under its prefix, so no projection writes its prefix with one
+        # item. Each write is recorded under the prefix of the tree that
+        # makes it.
+        writes, prefixes = [], []
+        real_rec = mlms_module._mlms_rec
 
-        def recording_unify(x, sets):
-            members.extend(sets)
-            return real_unify(x, sets)
+        class Recording(dict):
+            def __setitem__(self, s, n):
+                writes.append((prefixes[-1], s))
+                super().__setitem__(s, n)
 
-        monkeypatch.setattr(mlms_module, "unify", recording_unify)
+        def recording_rec(tree, tv, prefix, prune, found):
+            prefixes.append(prefix)
+            if isinstance(found, Recording):
+                real_rec(tree, tv, prefix, prune, found)
+            else:  # the database's tree: its writes join the singletons
+                below = Recording()
+                real_rec(tree, tv, prefix, prune, below)
+                found.update(below)
+            prefixes.pop()
+
+        monkeypatch.setattr(mlms_module, "_mlms_rec", recording_rec)
         seeded = gen_synthetic(SynthConfig(num_items=10, num_transactions=60, density=0.4, seed=23))
         for db, tv in ((mlms_db, ThresholdVector(MLMS_SIGMAS)), (seeded, ThresholdVector((20, 9, 5, 3)))):
-            members.clear()
+            writes.clear()
             result = mine_mlms(db, tv, sigma_low_prune=prune)
             assert result.supports == {s: support(db, s) for s in mlms_oracle(db, tv)}
-            assert members and min(map(len, members)) >= 2
+            assert writes
+            for prefix, s in writes:
+                assert prefix == tuple(sorted(prefix)) and s == tuple(sorted(s))
+                assert set(prefix) < set(s) and len(s) >= len(prefix) + 2
+            # Each itemset of two or more items is written once, under one prefix.
+            assert sorted(s for _, s in writes) == sorted(s for s in result.frequent if len(s) >= 2)
 
 
 class TestNoDownwardClosure:
@@ -281,6 +304,49 @@ class TestSigmaLowPruning:
         expected = mlms_oracle(cut, tv) | {(i,) for i in range(10, 10**4)}
         assert set(result.frequent) == expected
         assert result.supports == {s: support(db, s) for s in expected}
+
+
+class TestLastLengthPairs:
+    """A tree that is not split, whose pairs are the last length under its
+    prefix, reads them with ``frequent_pairs``: on tidsets, one AND per
+    pair and no table. A split tree counts its table once, for its
+    projections' rows."""
+
+    def test_only_the_split_tree_counts_a_table_on_the_dense_workload(self, monkeypatch):
+        # At 25%,9%,3% only the database's tree is split; its 40 projections
+        # read their triples' pairs table-free.
+        w = workloads.WORKLOADS["mlms-dense"]
+        db = parse_fimi(workloads.make_input(w, 0).text)
+        tv = ThresholdVector.from_text("25%,9%,3%", len(db))
+        counted = recording_kernels(monkeypatch)
+        with forced_form(True):
+            result = mine_mlms(db, tv)
+        assert counted == ["_bitset_pairs"]
+        assert set(result.frequent) == mlms_oracle(db, tv)
+
+    @pytest.mark.parametrize("sigmas", [(2, 2), (3, 1), (2,)])
+    def test_no_table_at_two_thresholds_or_fewer(self, mlms_db, monkeypatch, sigmas):
+        tv = ThresholdVector(sigmas)
+        counted = recording_kernels(monkeypatch)
+        with forced_form(True):
+            result = mine_mlms(mlms_db, tv)
+        assert counted == []
+        assert result.supports == {s: support(mlms_db, s) for s in mlms_oracle(mlms_db, tv)}
+
+    @pytest.mark.parametrize("vertical", [True, False])
+    def test_one_long_row_whose_items_occur_once_more(self, monkeypatch, vertical):
+        # Every item of the 24-item row reaches 2, so the tree keeps all 276
+        # pairs of the row, of which only the 12 pairs of the short rows
+        # reach 2. Vertical, no table holds the others; on paths, the one
+        # table is counted.
+        db = TransactionDatabase.from_itemsets([range(24)] + [[i, i + 1] for i in range(0, 24, 2)])
+        tv = ThresholdVector((2, 2))
+        counted = recording_kernels(monkeypatch)
+        with forced_form(vertical):
+            result = mine_mlms(db, tv)
+        assert counted == ([] if vertical else ["_path_pairs"])
+        assert result.supports == {s: support(db, s) for s in mlms_oracle(db, tv)}
+        assert sum(len(s) == 2 for s in result.frequent) == 12
 
 
 class TestPrefixShiftTheorems:

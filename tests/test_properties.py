@@ -325,6 +325,8 @@ def _assert_same_contents(vertical, on_paths, itemsets) -> None:
     assert vertical.single_path == on_paths.single_path
     for s in itemsets:
         assert tree_support(vertical, s) == tree_support(on_paths, s)
+    for sigma in (1, 2):
+        assert vertical.frequent_pairs(sigma) == sorted(on_paths.frequent_pairs(sigma))
     for tree in (vertical, on_paths):
         assert tree.node_count == len(tree.dump().splitlines())
     assert is_vertical(vertical) and not is_vertical(on_paths)

@@ -368,6 +368,27 @@ class TestPairKernelChoice:
         assert self._kernels(tree, monkeypatch) == ["_path_pairs"]
 
 
+class TestFrequentPairs:
+    """``frequent_pairs``, the read of a tree that is not split: the pairs
+    that reach a support, in either form; a vertical tree counts no table."""
+
+    @pytest.mark.parametrize("vertical", [True, False])
+    def test_the_pairs_that_reach_the_support(self, mii_db, monkeypatch, vertical):
+        with forced_form(vertical):
+            tree = build_tree(mii_db)
+        counted = recording_kernels(monkeypatch)
+        pairs = itertools.combinations(sorted(universe(mii_db)), 2)
+        supports = {pair: n for pair in pairs if (n := support(mii_db, pair))}
+        for sigma in (1, 2, 3):
+            want = [(pair, n) for pair, n in supports.items() if n >= sigma]
+            got = tree.frequent_pairs(sigma)
+            assert sorted(got) == want
+            if vertical:
+                assert got == want  # in ascending order of item ids
+        assert counted == ([] if vertical else ["_path_pairs"])
+        assert is_vertical(tree) == vertical
+
+
 class TestTreeItems:
     """The items with a node in a tree are the items of its order."""
 
